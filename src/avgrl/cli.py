@@ -19,7 +19,6 @@ import numpy as np
 from . import envs, learner, metrics, oracles
 from .errors import (
     AvgrlError,
-    InsufficientData,
     InvalidSpec,
     ParseError,
     PeriodicChain,
@@ -453,15 +452,9 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(opts)
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, InvalidSpec) as exc:
+    except (ParseError, InvalidSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AvgrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

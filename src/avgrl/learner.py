@@ -20,6 +20,7 @@ a given seed.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass
@@ -405,7 +406,10 @@ def run(config: RunConfig) -> RunResult:
     frozen_actor = sched.c_alpha == 0.0 and config.actor_radius is None
     if frozen_actor:
         probs = policy.with_theta(theta).prob_table()
-        prob_cum = np.cumsum(probs, axis=1)
+        # bisect.bisect_right on lists makes the same probes as
+        # np.searchsorted(side="right") at a tenth of its per-call cost.
+        prob_cum = np.cumsum(probs, axis=1).tolist()
+        pcum_rows = Pcum.tolist()
         n_actions = probs.shape[1]
         n_states = mdp.n_states
         uv_sq = uv_radius * uv_radius
@@ -420,10 +424,10 @@ def run(config: RunConfig) -> RunResult:
     start_ns = time.perf_counter_ns()
     for t in range(config.steps):
         if frozen_actor:
-            a = int(np.searchsorted(prob_cum[s], rng.random(), side="right"))
+            a = bisect.bisect_right(prob_cum[s], rng.random())
             if a >= n_actions:
                 a = n_actions - 1
-            s1 = int(np.searchsorted(Pcum[s, a], rng.random(), side="right"))
+            s1 = bisect.bisect_right(pcum_rows[s][a], rng.random())
             if s1 >= n_states:
                 s1 = n_states - 1
             r = R[s, a]

@@ -15,6 +15,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -160,8 +161,20 @@ def induced_chain(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> PolicyChain:
 
 
 def is_irreducible(kernel: np.ndarray) -> bool:
-    """True iff the support digraph is a single strongly connected component."""
-    support = sp.csr_matrix(kernel > _SUPPORT_TOL)
+    """True iff the support digraph is a single strongly connected component.
+
+    The answer depends only on the support pattern (entries > 1e-12), so it is
+    memoised per pattern: under a softmax policy every action has positive
+    probability and the support is the same at every theta.
+    """
+    support = kernel > _SUPPORT_TOL
+    return _support_irreducible(support.shape[0], np.packbits(support).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _support_irreducible(n: int, packed: bytes) -> bool:
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n)
+    support = sp.csr_matrix(bits.reshape(n, n).astype(bool))
     n_comp, _ = connected_components(support, directed=True, connection="strong")
     return n_comp == 1
 
@@ -192,27 +205,44 @@ def chain_period(kernel: np.ndarray) -> int:
     return abs(g) if g != 0 else 1
 
 
-def stationary_distribution(chain: PolicyChain) -> np.ndarray:
-    """Unique stationary distribution mu of an irreducible kernel.
+def _solve_stationary(kernel: np.ndarray) -> np.ndarray:
+    """Normalised solution of mu K = mu by one LU solve, with no further checks.
 
-    Solves the null-space system (P^T - I) mu = 0 augmented with the
-    normalization row 1^T mu = 1, by least squares.  Raises NotIrreducible if
-    the support graph has more than one closed communicating class, and
-    SingularSystem if the solve does not reproduce stationarity to 1e-10.
+    Solves the bordered system (K^T - I) mu = 0 with its last row replaced by
+    the normalisation 1^T mu = 1 (Golub & Meyer, 1986); the matrix is
+    nonsingular whenever K has a single closed communicating class.  Raises
+    SingularSystem if the solve fails or yields a degenerate vector.
     """
-    K = chain.kernel
-    if not is_irreducible(K):
-        raise NotIrreducible("kernel support is not a single communicating class")
-    n = K.shape[0]
-    M = np.vstack([K.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    mu, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    n = kernel.shape[0]
+    M = kernel.T - np.eye(n)
+    M[-1, :] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    try:
+        mu = np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem("stationary system is singular") from exc
     mu = np.clip(mu, 0.0, None)
     total = mu.sum()
     if not np.isfinite(total) or total <= 0:
         raise SingularSystem("stationary solve produced a degenerate vector")
     mu /= total
+    return mu
+
+
+def stationary_distribution(chain: PolicyChain) -> np.ndarray:
+    """Unique stationary distribution mu of an irreducible kernel.
+
+    Solves the null-space system (P^T - I) mu = 0 with one of its rows replaced
+    by the normalization 1^T mu = 1, by one LU solve.  Raises NotIrreducible if
+    the support graph has more than one communicating class, and
+    SingularSystem if the solve fails or does not reproduce stationarity to
+    1e-10.
+    """
+    K = chain.kernel
+    if not is_irreducible(K):
+        raise NotIrreducible("kernel support is not a single communicating class")
+    mu = _solve_stationary(K)
     if np.abs(mu @ K - mu).max() > 1e-10:
         raise SingularSystem(
             f"stationary residual {np.abs(mu @ K - mu).max():.3e} exceeds 1e-10"
@@ -227,14 +257,10 @@ def average_reward(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> float:
     return float(mu @ chain.expected_reward)
 
 
-def differential_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
-    """Differential value V solving (I - P) V = R_theta - L e with mu . V = 0.
-
-    Uses the fundamental-matrix trick: (I - P + e mu^T) is nonsingular for
-    irreducible chains and its solution automatically satisfies mu . V = 0.
-    Warns (without failing) when the chain is periodic, where P^m itself does
-    not converge and only Cesaro averages do.
-    """
+def _differential_solution(
+    mdp: FiniteMdp, policy: SoftmaxLinearPolicy
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """(mu, gain, V) of the policy chain from one stationary solve; see differential_value."""
     chain = induced_chain(mdp, policy)
     mu = stationary_distribution(chain)
     K = chain.kernel
@@ -250,32 +276,43 @@ def differential_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarra
     bellman = (np.eye(n) - K) @ V - rhs
     if np.abs(bellman).max() > 1e-9 or abs(mu @ V) > 1e-9:
         raise SingularSystem("differential value residual exceeds 1e-9")
-    return V
+    return mu, gain, V
+
+
+def differential_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
+    """Differential value V solving (I - P) V = R_theta - L e with mu . V = 0.
+
+    Uses the fundamental-matrix trick: (I - P + e mu^T) is nonsingular for
+    irreducible chains and its solution automatically satisfies mu . V = 0.
+    Warns (without failing) when the chain is periodic, where P^m itself does
+    not converge and only Cesaro averages do.
+    """
+    return _differential_solution(mdp, policy)[2]
 
 
 def q_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Q(s, a) = R(s, a) - L(theta) + sum_s1 P(s1|s,a) V(s1), shape (S, A)."""
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    gain = float(mu @ chain.expected_reward)
-    V = differential_value(mdp, policy)
+    _, gain, V = _differential_solution(mdp, policy)
     return mdp.reward - gain + mdp.transition @ V
+
+
+def _advantage(mdp: FiniteMdp, gain: float, V: np.ndarray) -> np.ndarray:
+    return mdp.reward - gain + mdp.transition @ V - V[:, None]
 
 
 def advantage_table(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Advantage A(s, a) = Q(s, a) - V(s); satisfies sum_a pi(a|s) A(s, a) = 0."""
-    V = differential_value(mdp, policy)
-    return q_value(mdp, policy) - V[:, None]
+    _, gain, V = _differential_solution(mdp, policy)
+    return _advantage(mdp, gain, V)
 
 
 def policy_gradient(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Exact gradient of the gain: sum_{s,a} mu(s) pi(a|s) A(s,a) grad log pi(a|s)."""
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    adv = advantage_table(mdp, policy)
+    mu, gain, V = _differential_solution(mdp, policy)
+    adv = _advantage(mdp, gain, V)
     p = policy.prob_table()
     psi = policy.score_table()
-    return np.einsum("s,sa,sa,sad->d", mu, p, adv, psi)
+    return np.tensordot(mu[:, None] * p * adv, psi, axes=2)
 
 
 def grad_stationary(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:

@@ -33,6 +33,7 @@ from .features import FeatureMap, matrix_A
 from .mdp import (
     FiniteMdp,
     SoftmaxLinearPolicy,
+    _solve_stationary,
     average_reward,
     induced_chain,
     policy_gradient,
@@ -119,7 +120,7 @@ def actor_field_M(
     phi_v = features.table @ v
     gain = float(mu @ chain.expected_reward)
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
-    return np.einsum("s,sa,sa,sad->d", mu, p, delta, psi)
+    return np.tensordot(mu[:, None] * p * delta, psi, axes=2)
 
 
 def actor_bias(
@@ -140,7 +141,7 @@ def actor_bias(
     gain = float(mu @ chain.expected_reward)
     inner = mdp.reward - gain + mdp.transition @ phi_v  # (S, A), no - phi(s).v term
     # grad pi(a|s) = pi(a|s) psi(s, a)
-    field = np.einsum("s,sa,sa,sad->d", mu, p, inner, psi)
+    field = np.tensordot(mu[:, None] * p * inner, psi, axes=2)
     return field - policy_gradient(mdp, policy)
 
 
@@ -242,17 +243,10 @@ def _deterministic_gain(mdp: FiniteMdp, actions: np.ndarray) -> float:
     best = -np.inf
     for c in range(n_comp):
         members = np.nonzero(labels == c)[0]
-        mass_inside = K[np.ix_(members, members)].sum(axis=1)
-        if np.any(mass_inside < 1.0 - 1e-9):
-            continue  # open class: leaks probability, transient
         sub = K[np.ix_(members, members)]
-        n = len(members)
-        M = np.vstack([sub.T - np.eye(n), np.ones((1, n))])
-        rhs = np.zeros(n + 1)
-        rhs[n] = 1.0
-        mu, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-        mu = np.clip(mu, 0.0, None)
-        mu /= mu.sum()
+        if np.any(sub.sum(axis=1) < 1.0 - 1e-9):
+            continue  # open class: leaks probability, transient
+        mu = _solve_stationary(sub)
         best = max(best, float(mu @ r[members]))
     return best
 

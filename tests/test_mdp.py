@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from avgrl.envs import GarnetSpec, build_garnet, tabular_policy
 from avgrl.errors import InvariantViolation, NotIrreducible
@@ -14,6 +16,7 @@ from avgrl.mdp import (
     differential_value,
     grad_stationary,
     induced_chain,
+    is_irreducible,
     policy_gradient,
     q_value,
     stationary_distribution,
@@ -85,6 +88,44 @@ class TestStationaryDistribution:
         m = single_action_mdp([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
         with pytest.raises(NotIrreducible):
             stationary_distribution(induced_chain(m, tabular_policy(m)))
+
+    def test_matches_left_eigenvector(self):
+        # independent route: the left eigenvector of K for eigenvalue 1
+        for seed in range(20):
+            rng = np.random.default_rng(300 + seed)
+            spec = GarnetSpec(n_states=int(rng.integers(3, 30)), n_actions=3, epsilon=0.05,
+                              seed=seed)
+            m = build_garnet(spec)
+            pol = tabular_policy(m, rng.normal(size=spec.n_states * spec.n_actions) * 2)
+            chain = induced_chain(m, pol)
+            vals, vecs = np.linalg.eig(chain.kernel.T)
+            ref = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+            ref /= ref.sum()
+            mu = stationary_distribution(chain)
+            assert np.abs(mu - ref).max() < 1e-12, f"seed {seed}"
+
+    def test_irreducibility_memo_keyed_on_support(self):
+        # same size, different support: a cached "irreducible" must not leak
+        cycle = np.roll(np.eye(4), 1, axis=1)
+        m = single_action_mdp(0.5 * np.eye(4) + 0.5 * cycle, np.zeros(4))
+        stationary_distribution(induced_chain(m, tabular_policy(m)))
+        split = np.kron(np.eye(2), np.full((2, 2), 0.5))  # two closed classes
+        m = single_action_mdp(split, np.zeros(4))
+        with pytest.raises(NotIrreducible):
+            stationary_distribution(induced_chain(m, tabular_policy(m)))
+
+    def test_is_irreducible_matches_uncached_check(self):
+        rng = np.random.default_rng(11)
+        answers = set()
+        for _ in range(200):
+            support = rng.random((6, 6)) < rng.uniform(0.1, 0.5)
+            kernel = support / np.maximum(support.sum(axis=1, keepdims=True), 1)
+            n_comp, _ = connected_components(
+                sp.csr_matrix(kernel > 1e-12), directed=True, connection="strong"
+            )
+            assert is_irreducible(kernel) == (n_comp == 1)
+            answers.add(n_comp == 1)
+        assert answers == {True, False}
 
 
 class TestDifferentialValue:
