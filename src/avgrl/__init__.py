@@ -19,15 +19,11 @@ from .learner import (
     RunConfig,
     StepSchedule,
     Transition,
-    ac_schedule,
-    ac_step,
-    ca_schedule,
-    ca_step,
+    algo_schedule,
     init_state,
     project,
     run,
-    stac_schedule,
-    stac_step,
+    step,
     td_error,
     validate_schedule,
 )

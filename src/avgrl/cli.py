@@ -107,24 +107,13 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return opts
 
 
+_SCHEDULE_KEYS = ("c_alpha", "c_beta", "c_gamma", "nu", "sigma", "k_coupling")
+
+
 def build_schedule(algo: str, opts: dict) -> learner.StepSchedule:
-    if algo == "ca":
-        kwargs = dict(c_alpha=1.5, c_beta=1.5, nu=0.5, sigma=0.51, k_coupling=1.0,
-                      c_gamma=None, gamma_exp=None)
-    elif algo == "ac":
-        kwargs = dict(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.4, k_coupling=1.0,
-                      c_gamma=None, gamma_exp=0.4)
-    elif algo == "stac":
-        kwargs = dict(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.6, k_coupling=1.0,
-                      c_gamma=None, gamma_exp=0.6)
-    else:
-        raise InvalidSpec(f"unknown algo {algo!r}")
-    for key in ("c_alpha", "c_beta", "c_gamma", "nu", "sigma", "k_coupling"):
-        if opts.get(key) is not None:
-            kwargs[key] = opts[key]
-    if algo in ("ac", "stac"):
-        kwargs["gamma_exp"] = kwargs["sigma"]  # tracker follows the critic clock
-    return learner.StepSchedule(**kwargs)
+    """The preset for `algo` with the schedule options that are set."""
+    overrides = {key: opts[key] for key in _SCHEDULE_KEYS if opts.get(key) is not None}
+    return learner.algo_schedule(algo, **overrides)
 
 
 def resolve_features(spec: str | None, mdp, embedded: FeatureMap | None) -> FeatureMap:
@@ -272,11 +261,11 @@ def _sweep_worker(config: learner.RunConfig) -> list:
 
 
 def cmd_sweep(opts: dict) -> int:
-    out_dir = opts["out"] or "sweep_out"
-    os.makedirs(out_dir, exist_ok=True)
     base_seed = int(opts["seed"])
     seeds = [base_seed + i for i in range(int(opts["seeds"]))]
     configs = [_make_run_config(opts, seed) for seed in seeds]
+    out_dir = opts["out"] or "sweep_out"
+    os.makedirs(out_dir, exist_ok=True)
     jobs = max(1, int(opts["jobs"]))
     failures: list[tuple[int, str]] = []
     results: dict[int, list] = {}
@@ -387,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
 
     def add_schedule(p):
-        p.add_argument("--algo", choices=["ca", "ac", "stac"])
+        p.add_argument("--algo", choices=list(learner.ALGO_SCHEDULES))
         p.add_argument("--nu", type=float)
         p.add_argument("--sigma", type=float)
         p.add_argument("--c-alpha", dest="c_alpha", type=float)

@@ -10,12 +10,18 @@ their step-size schedules:
 
 The critic-actor regime decays the critic slower than the actor
 (nu < sigma); classic actor-critic flips the ordering; the single-timescale
-variant runs both at the same rate.  The actor is unprojected by default; an
+variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
+and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
+
+One kernel (_make_step) carries these equations for every algorithm; `run`
+and the single-step `step` both call it.  A frozen actor (c_alpha = 0, no
+radius) is a branch inside it that reuses one precomputed policy table.
 
 Draws per step come from one counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible for
-a given seed.
+a given seed.  Both draws invert a cumulative row with bisect.bisect_right on
+a Python list, which returns the same index as np.searchsorted(side="right").
 """
 
 from __future__ import annotations
@@ -27,9 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AvgrlError, InvariantViolation, OracleFailure
+from .errors import AvgrlError, InvalidSpec, InvariantViolation, OracleFailure
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy
+
+
+# (nu, sigma) per algorithm; the update equations are shared, only the clocks
+# differ.  ca: actor on the faster clock (nu < sigma); ac: critic faster;
+# stac: one rate for both.
+ALGO_SCHEDULES = {"ca": (0.5, 0.51), "ac": (0.6, 0.4), "stac": (0.6, 0.6)}
 
 
 @dataclass(frozen=True)
@@ -46,8 +58,8 @@ class StepSchedule:
 
     c_alpha: float = 1.5
     c_beta: float = 1.5
-    nu: float = 0.5
-    sigma: float = 0.51
+    nu: float = ALGO_SCHEDULES["ca"][0]
+    sigma: float = ALGO_SCHEDULES["ca"][1]
     k_coupling: float = 1.0
     c_gamma: float | None = None
     gamma_exp: float | None = None
@@ -75,23 +87,21 @@ class StepSchedule:
         return self.c_gamma / (1.0 + t) ** self.gamma_exp
 
 
-def ca_schedule(c: float = 1.5, nu: float = 0.5, sigma: float = 0.51,
-                k_coupling: float = 1.0) -> StepSchedule:
-    """Critic-actor default: actor on the faster clock (nu < sigma)."""
-    return StepSchedule(c_alpha=c, c_beta=c, nu=nu, sigma=sigma, k_coupling=k_coupling)
+def algo_schedule(algo: str, **overrides) -> StepSchedule:
+    """The ALGO_SCHEDULES exponents on the StepSchedule defaults (c = 1.5,
+    K = 1), then `overrides`.
 
-
-def ac_schedule(c: float = 1.5) -> StepSchedule:
-    """Actor-critic default: critic faster (exponent 0.4), actor slower (0.6).
-
-    The average-reward tracker runs on the critic's (faster) clock.
+    The tracker follows the actor clock (gamma_exp = nu) for ca and the
+    critic clock (gamma_exp = sigma after overrides) for ac and stac, unless
+    gamma_exp is given.
     """
-    return StepSchedule(c_alpha=c, c_beta=c, nu=0.6, sigma=0.4, c_gamma=c, gamma_exp=0.4)
-
-
-def stac_schedule(c: float = 1.5) -> StepSchedule:
-    """Single-timescale default: everything decays as (1+t)^-0.6."""
-    return StepSchedule(c_alpha=c, c_beta=c, nu=0.6, sigma=0.6, c_gamma=c, gamma_exp=0.6)
+    if algo not in ALGO_SCHEDULES:
+        raise InvalidSpec(f"unknown algo {algo!r}")
+    nu, sigma = ALGO_SCHEDULES[algo]
+    kwargs = {"nu": nu, "sigma": sigma, **overrides}
+    if algo != "ca" and kwargs.get("gamma_exp") is None:
+        kwargs["gamma_exp"] = kwargs["sigma"]
+    return StepSchedule(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -186,149 +196,97 @@ def init_state(
     )
 
 
-def _step_core(
-    Pcum: np.ndarray,
-    R: np.ndarray,
-    x: np.ndarray,
-    phi: np.ndarray,
-    theta: np.ndarray,
-    v: np.ndarray,
-    L: float,
-    s: int,
-    rng: np.random.Generator,
-    alpha: float,
-    beta: float,
-    gamma: float,
+def _make_step(
+    mdp: FiniteMdp,
+    policy: SoftmaxLinearPolicy,
+    features: FeatureMap,
+    sched: StepSchedule,
+    theta0: np.ndarray,
     uv_radius: float,
     reward_noise: float,
-    reward_bound: float,
     actor_radius: float | None,
-) -> tuple[int, float, float]:
-    """One sampled update; mutates theta and v in place.
+):
+    """The sampled update of one run, with its constants built once.
 
-    Pcum holds cumulative transition rows (cumsum of P along the successor
-    axis).  Returns (next state, updated average-reward iterate, td error).
-    Draw order is (action, next state, optional reward noise); the td error
-    uses the pre-update average-reward iterate.
+    Returns kernel(t, theta, v, L, s, rng) -> (next state, updated average-reward
+    iterate, td error), which mutates theta and v in place.  Draw order is
+    (action, next state, optional reward noise); the td error uses the
+    pre-update average-reward iterate.  With a frozen actor (c_alpha = 0, no
+    radius) the policy never leaves theta0, so its cumulative table is
+    precomputed and the actor update is skipped; the arithmetic and draw
+    order match the moving branch bit for bit.
     """
-    logits = x[s] @ theta
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    n_actions = p.shape[0]
-    a = int(np.searchsorted(np.cumsum(p), rng.random(), side="right"))
-    if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
-        a = n_actions - 1
-    row = Pcum[s, a]
-    n_states = row.shape[0]
-    s1 = int(np.searchsorted(row, rng.random(), side="right"))
-    if s1 >= n_states:
-        s1 = n_states - 1
-    r = R[s, a]
-    if reward_noise > 0.0:
-        r = r + reward_noise * (2.0 * rng.random() - 1.0)
-        r = min(max(r, -reward_bound), reward_bound)
+    # bisect_right on Python lists makes the same probes as
+    # np.searchsorted(side="right") at a tenth of its per-call cost.
+    pcum_rows = np.cumsum(mdp.transition, axis=2).tolist()
+    R = mdp.reward
+    x, phi = policy.action_features, features.table
+    n_states, n_actions = mdp.n_states, x.shape[1]
+    reward_bound = mdp.reward_bound
+    uv_sq = uv_radius * uv_radius
+    alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
+    frozen = sched.c_alpha == 0.0 and actor_radius is None
+    if frozen:
+        prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1).tolist()
 
-    L1 = L + gamma * (r - L)
-    phi_s = phi[s]
-    delta = r - L + phi[s1] @ v - phi_s @ v
-    v += (beta * delta) * phi_s
-    v_sq = v @ v
-    if v_sq > uv_radius * uv_radius:
-        v *= uv_radius / math.sqrt(v_sq)
-    psi = x[s, a] - p @ x[s]
-    theta += (alpha * delta) * psi
-    if actor_radius is not None:
-        t_sq = theta @ theta
-        if t_sq > actor_radius * actor_radius:
-            theta *= actor_radius / math.sqrt(t_sq)
-    return s1, L1, delta
+    def kernel(t, theta, v, L, s, rng):
+        if frozen:
+            cum = prob_cum[s]
+        else:
+            logits = x[s] @ theta
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            cum = np.cumsum(p).tolist()
+        a = bisect.bisect_right(cum, rng.random())
+        if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
+            a = n_actions - 1
+        s1 = bisect.bisect_right(pcum_rows[s][a], rng.random())
+        if s1 >= n_states:
+            s1 = n_states - 1
+        r = R[s, a]
+        if reward_noise > 0.0:
+            r = r + reward_noise * (2.0 * rng.random() - 1.0)
+            r = min(max(r, -reward_bound), reward_bound)
+
+        L1 = L + gamma_f(t) * (r - L)
+        phi_s = phi[s]
+        delta = r - L + phi[s1] @ v - phi_s @ v
+        v += (beta_f(t) * delta) * phi_s
+        v_sq = v @ v
+        if v_sq > uv_sq:
+            v *= uv_radius / math.sqrt(v_sq)
+        if not frozen:
+            psi = x[s, a] - p @ x[s]
+            theta += (alpha_f(t) * delta) * psi
+            if actor_radius is not None:
+                t_sq = theta @ theta
+                if t_sq > actor_radius * actor_radius:
+                    theta *= actor_radius / math.sqrt(t_sq)
+        return s1, L1, delta
+
+    return kernel
 
 
-def _functional_step(
+def step(
     state: LearnerState,
     mdp: FiniteMdp,
     policy: SoftmaxLinearPolicy,
     features: FeatureMap,
     sched: StepSchedule,
     uv_radius: float,
-    reward_noise: float,
-    actor_radius: float | None,
+    reward_noise: float = 0.0,
+    actor_radius: float | None = None,
 ) -> LearnerState:
+    """One sampled step of any algorithm; the schedule sets the regime.
+
+    `policy` supplies the action-feature table only; the live actor
+    parameters are state.theta.  Bit-deterministic given the RNG state."""
     theta = state.theta.copy()
     v = state.v.copy()
-    t = state.t
-    s1, L1, _ = _step_core(
-        np.cumsum(mdp.transition, axis=2),
-        mdp.reward,
-        policy.action_features,
-        features.table,
-        theta,
-        v,
-        state.L,
-        state.s,
-        state.rng,
-        sched.alpha(t),
-        sched.beta(t),
-        sched.gamma(t),
-        uv_radius,
-        reward_noise,
-        mdp.reward_bound,
-        actor_radius,
-    )
-    return LearnerState(t=t + 1, L=L1, v=v, theta=theta, s=s1, rng=state.rng)
-
-
-def ca_step(
-    state: LearnerState,
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float = 0.0,
-    actor_radius: float | None = None,
-) -> LearnerState:
-    """One critic-actor step.  `policy` supplies the action-feature table only;
-    the live actor parameters are state.theta.  Bit-deterministic given the
-    RNG state."""
-    return _functional_step(
-        state, mdp, policy, features, sched, uv_radius, reward_noise, actor_radius
-    )
-
-
-def ac_step(
-    state: LearnerState,
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float = 0.0,
-    actor_radius: float | None = None,
-) -> LearnerState:
-    """One actor-critic step: same update equations, critic-faster schedule."""
-    return _functional_step(
-        state, mdp, policy, features, sched, uv_radius, reward_noise, actor_radius
-    )
-
-
-def stac_step(
-    state: LearnerState,
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float = 0.0,
-    actor_radius: float | None = None,
-) -> LearnerState:
-    """One single-timescale step: same update equations, equal exponents."""
-    return _functional_step(
-        state, mdp, policy, features, sched, uv_radius, reward_noise, actor_radius
-    )
-
-
-ALGO_SCHEDULES = {"ca": ca_schedule, "ac": ac_schedule, "stac": stac_schedule}
+    kernel = _make_step(mdp, policy, features, sched, state.theta,
+                        uv_radius, reward_noise, actor_radius)
+    s1, L1, _ = kernel(state.t, theta, v, state.L, state.s, state.rng)
+    return LearnerState(t=state.t + 1, L=L1, v=v, theta=theta, s=s1, rng=state.rng)
 
 
 @dataclass
@@ -356,6 +314,12 @@ class RunConfig:
             raise InvariantViolation("steps must be nonnegative")
         if self.metrics_every <= 0:
             raise InvariantViolation("metrics_every must be positive")
+        # gamma_t <= c_gamma, so |1 - gamma_t| <= 1 for every t iff c_gamma <= 2;
+        # above that the average-reward recursion expands and overflows.
+        if self.schedule.c_gamma > 2.0:
+            raise InvariantViolation(
+                f"c_gamma = {self.schedule.c_gamma} > 2 makes the average-reward "
+                "tracker expand (|1 - gamma_0| > 1); lower c_gamma, c_alpha or K")
 
 
 @dataclass
@@ -393,26 +357,10 @@ def run(config: RunConfig) -> RunResult:
     uv_radius = resolve_uv_radius(config)
     state = init_state(mdp, policy, features, seed=config.seed, l0=config.l0)
 
-    Pcum = np.cumsum(mdp.transition, axis=2)
-    R = mdp.reward
-    x, phi = policy.action_features, features.table
+    kernel = _make_step(mdp, policy, features, sched, state.theta, uv_radius,
+                        config.reward_noise, config.actor_radius)
     theta, v = state.theta, state.v
-    L, s = state.L, state.s
-    rng = state.rng
-    alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
-    # With a frozen actor (c_alpha = 0, no radius) the policy table never
-    # moves, so precompute its rows; the arithmetic and draw order match the
-    # general path bit for bit.
-    frozen_actor = sched.c_alpha == 0.0 and config.actor_radius is None
-    if frozen_actor:
-        probs = policy.with_theta(theta).prob_table()
-        # bisect.bisect_right on lists makes the same probes as
-        # np.searchsorted(side="right") at a tenth of its per-call cost.
-        prob_cum = np.cumsum(probs, axis=1).tolist()
-        pcum_rows = Pcum.tolist()
-        n_actions = probs.shape[1]
-        n_states = mdp.n_states
-        uv_sq = uv_radius * uv_radius
+    L, s, rng = state.L, state.s, state.rng
 
     tail_from = config.tail_average_from
     tail_acc = np.zeros_like(v) if tail_from is not None else None
@@ -423,31 +371,7 @@ def run(config: RunConfig) -> RunResult:
     window = 0
     start_ns = time.perf_counter_ns()
     for t in range(config.steps):
-        if frozen_actor:
-            a = bisect.bisect_right(prob_cum[s], rng.random())
-            if a >= n_actions:
-                a = n_actions - 1
-            s1 = bisect.bisect_right(pcum_rows[s][a], rng.random())
-            if s1 >= n_states:
-                s1 = n_states - 1
-            r = R[s, a]
-            if config.reward_noise > 0.0:
-                r = r + config.reward_noise * (2.0 * rng.random() - 1.0)
-                r = min(max(r, -mdp.reward_bound), mdp.reward_bound)
-            L1 = L + gamma_f(t) * (r - L)
-            phi_s = phi[s]
-            delta = r - L + phi[s1] @ v - phi_s @ v
-            v += (beta_f(t) * delta) * phi_s
-            v_sq = v @ v
-            if v_sq > uv_sq:
-                v *= uv_radius / math.sqrt(v_sq)
-            s, L = s1, L1
-        else:
-            s, L, delta = _step_core(
-                Pcum, R, x, phi, theta, v, L, s, rng,
-                alpha_f(t), beta_f(t), gamma_f(t),
-                uv_radius, config.reward_noise, mdp.reward_bound, config.actor_radius,
-            )
+        s, L, delta = kernel(t, theta, v, L, s, rng)
         if tail_from is not None and t >= tail_from:
             tail_acc += v
             tail_n += 1

@@ -29,8 +29,7 @@ from avgrl.features import FeatureMap, check_assumption2, make_features, matrix_
 from avgrl.learner import (
     RunConfig,
     StepSchedule,
-    ac_schedule,
-    ca_schedule,
+    algo_schedule,
     run,
     validate_schedule,
 )
@@ -92,7 +91,7 @@ def long_run(tmp_path_factory):
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
-    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=ca_schedule(),
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
                     steps=10**6, seed=0, metrics_every=500)
     t0 = time.perf_counter()
     result = run(cfg)
@@ -229,7 +228,7 @@ def test_criterion_07_learning_quality():
     steps = 200_000
     finals = []
     for seed in range(10):
-        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=ca_schedule(),
+        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
                         steps=steps, seed=seed, metrics_every=steps)
         res = run(cfg)
         finals.append(res.rows[-1].L_theta)
@@ -250,9 +249,9 @@ def test_criterion_08_gridworld_comparison():
     l_star = lp_optimum(mdp)
     steps = 200_000
     finals = {"ca": [], "ac": []}
-    for algo, sched in (("ca", ca_schedule()), ("ac", ac_schedule())):
+    for algo in finals:
         for seed in range(10):
-            cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+            cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule(algo),
                             steps=steps, algo=algo, seed=seed, metrics_every=steps)
             finals[algo].append(run(cfg).rows[-1].L_theta)
     med_ca = float(np.median(finals["ca"]))
@@ -367,7 +366,7 @@ def test_criterion_12_schedule_validator():
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
     rep = check_assumption2(mdp, pol, fmap)
-    flags_tight = validate_schedule(ca_schedule(), rep)
+    flags_tight = validate_schedule(algo_schedule("ca"), rep)
     small = StepSchedule(c_alpha=1e-3, c_beta=1.5, nu=0.5, sigma=0.51,
                          c_gamma=1.5, gamma_exp=0.5)
     flags_loose = validate_schedule(small, rep)

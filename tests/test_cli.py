@@ -14,6 +14,7 @@ import pytest
 
 import avgrl
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
+from avgrl.learner import algo_schedule
 from avgrl.envs import four_state_easy, save_mdp
 from avgrl.errors import ParseError
 from avgrl.features import FeatureMap
@@ -320,6 +321,18 @@ class TestConfigLayering:
         assert rc == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_unknown_algo_in_file_exit_two(self, tmp_path, capsys, command):
+        # argparse checks --algo, but a config file bypasses its choices
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("algo=sarsa\nsteps=10\n")
+        out = tmp_path / "out.csv"
+        rc = main([command, "--env", "four-state", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "sarsa" in err
+        assert not out.exists()
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("steps 1000\n")
@@ -341,6 +354,18 @@ class TestConfigLayering:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_expanding_tracker_exit_one(self, tmp_path, capsys, command):
+        # c_gamma = K c_alpha = 50 > 2: |1 - gamma_t| > 1 and L_t would blow
+        # up; the run is refused before any step and nothing is written
+        out = tmp_path / ("run.csv" if command == "train" else "sweep")
+        rc = main([command, "--env", "four-state", "--c-alpha", "50",
+                   "--steps", "5000", "--metrics-every", "1000", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "c_gamma" in err
+        assert list(tmp_path.rglob("*.csv")) == []
+
     def test_env_file_missing_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--env", str(tmp_path / "nope.json")])
         capsys.readouterr()
@@ -354,12 +379,12 @@ class TestErrorPaths:
 
 
 class TestHelpers:
-    def test_build_schedule_tracker_follows_critic(self):
-        sched = build_schedule("ac", {"sigma": 0.45})
-        assert sched.sigma == 0.45
-        assert sched.gamma_exp == 0.45
-        sched = build_schedule("ca", {})
-        assert sched.gamma_exp == sched.nu
+    def test_build_schedule_forwards_set_options(self):
+        opts = {"c_alpha": 1.0, "c_beta": None, "c_gamma": None, "nu": None,
+                "sigma": 0.45, "k_coupling": None, "steps": 10}
+        for algo in ("ca", "ac", "stac"):
+            assert build_schedule(algo, opts) == algo_schedule(algo, c_alpha=1.0, sigma=0.45)
+            assert build_schedule(algo, {}) == algo_schedule(algo)
 
     def test_resolve_features_embedded_wins(self):
         mdp = four_state_easy()

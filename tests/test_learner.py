@@ -1,28 +1,35 @@
 """Step schedules, projection, single-step arithmetic, and run determinism."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from avgrl.envs import four_state_easy, tabular_policy
-from avgrl.errors import InvariantViolation
+from avgrl.envs import four_state_easy, frozen_lake_4x4, tabular_policy
+from avgrl.errors import InvalidSpec, InvariantViolation
 from avgrl.features import make_features
 from avgrl.learner import (
+    ALGO_SCHEDULES,
     LearnerState,
     RunConfig,
     StepSchedule,
     Transition,
-    ac_schedule,
-    ca_schedule,
-    ca_step,
+    algo_schedule,
     init_state,
     project,
     resolve_uv_radius,
     run,
-    stac_schedule,
+    step,
     td_error,
     validate_schedule,
 )
 from avgrl.oracles import critic_fixed_point
+
+
+# actor frozen at theta_0; critic and tracker on the ca clocks
+FROZEN = StepSchedule(c_alpha=0.0, c_beta=1.5, nu=0.5, sigma=0.51,
+                      c_gamma=1.5, gamma_exp=0.5)
 
 
 class FakeReport:
@@ -46,13 +53,13 @@ class TestStepSchedule:
             assert abs(sched.gamma(t) - 2.0 * sched.alpha(t)) < 1e-15
 
     def test_presets(self):
-        ca = ca_schedule()
+        ca = algo_schedule("ca")
         assert (ca.nu, ca.sigma) == (0.5, 0.51)
         assert ca.gamma_exp == 0.5
-        ac = ac_schedule()
+        ac = algo_schedule("ac")
         assert (ac.nu, ac.sigma) == (0.6, 0.4)  # critic on the faster clock
         assert ac.gamma_exp == 0.4
-        st = stac_schedule()
+        st = algo_schedule("stac")
         assert st.nu == st.sigma == st.gamma_exp == 0.6
 
     def test_exponent_range_checked(self):
@@ -60,11 +67,46 @@ class TestStepSchedule:
             StepSchedule(nu=1.5, sigma=0.51)
 
 
+class TestAlgoSchedule:
+    def test_defaults_on_every_field(self):
+        # c = 1.5 and K = 1; the tracker follows nu for ca, sigma otherwise
+        expected = {
+            "ca": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.5, sigma=0.51,
+                               k_coupling=1.0, c_gamma=1.5, gamma_exp=0.5),
+            "ac": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.4,
+                               k_coupling=1.0, c_gamma=1.5, gamma_exp=0.4),
+            "stac": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.6,
+                                 k_coupling=1.0, c_gamma=1.5, gamma_exp=0.6),
+        }
+        assert set(ALGO_SCHEDULES) == set(expected)
+        for algo, want in expected.items():
+            assert algo_schedule(algo) == want
+
+    def test_tracker_follows_critic(self):
+        sched = algo_schedule("ac", sigma=0.45)
+        assert sched.sigma == 0.45
+        assert sched.gamma_exp == 0.45
+        sched = algo_schedule("ca")
+        assert sched.gamma_exp == sched.nu
+
+    def test_overrides(self):
+        sched = algo_schedule("ca", c_alpha=1.0, nu=0.6, sigma=0.7)
+        assert (sched.c_alpha, sched.c_beta, sched.nu, sched.sigma) == (1.0, 1.5, 0.6, 0.7)
+        assert sched.c_gamma == 1.0  # coupled to c_alpha through K = 1
+        assert sched.gamma_exp == 0.6
+        assert algo_schedule("stac", k_coupling=0.5).c_gamma == 0.75
+        assert algo_schedule("ac", gamma_exp=0.9).gamma_exp == 0.9
+
+    def test_unknown_algo(self):
+        with pytest.raises(InvalidSpec, match="sarsa"):
+            algo_schedule("sarsa")
+
+
 class TestValidateSchedule:
     def test_ca_default(self):
         # nu=0.5, sigma=0.51: 2*0.51=1.02 < 1.5 and 2*0.51-0.5=0.52 < 1 pass
         # the finite-time set, but nu = 0.5 is not > 1/2
-        flags = validate_schedule(ca_schedule())
+        flags = validate_schedule(algo_schedule("ca"))
         assert flags.finite_time_ok
         assert not flags.asymptotic_ok
 
@@ -74,7 +116,7 @@ class TestValidateSchedule:
         assert flags.asymptotic_ok
 
     def test_wrong_ordering(self):
-        flags = validate_schedule(ac_schedule())  # nu=0.6 > sigma=0.4
+        flags = validate_schedule(algo_schedule("ac"))  # nu=0.6 > sigma=0.4
         assert not flags.finite_time_ok
 
     def test_coupling_violated(self):
@@ -126,7 +168,7 @@ class TestSingleStep:
         self.mdp = four_state_easy()
         self.pol = tabular_policy(self.mdp)
         self.fmap = make_features("one_hot_reduced", self.mdp)
-        self.sched = ca_schedule()
+        self.sched = algo_schedule("ca")
 
     def test_hand_replay(self):
         # replay the draws with a mirrored generator and recompute the three
@@ -148,7 +190,7 @@ class TestSingleStep:
         psi = x[s0, a] - p @ x[s0]
         th1 = st.theta + (self.sched.alpha(0) * delta) * psi
 
-        out = ca_step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=10.0)
+        out = step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=10.0)
         assert out.t == 1
         assert out.s == s1
         assert out.L == L1
@@ -159,7 +201,7 @@ class TestSingleStep:
         # zero coefficients: only the sampled state advances
         sched0 = StepSchedule(c_alpha=0.0, c_beta=0.0, c_gamma=0.0)
         st = init_state(self.mdp, self.pol, self.fmap, seed=3)
-        out = ca_step(st, self.mdp, self.pol, self.fmap, sched0, uv_radius=1.0)
+        out = step(st, self.mdp, self.pol, self.fmap, sched0, uv_radius=1.0)
         assert out.L == st.L
         assert np.array_equal(out.v, st.v)
         assert np.array_equal(out.theta, st.theta)
@@ -169,8 +211,8 @@ class TestSingleStep:
         a = init_state(self.mdp, self.pol, self.fmap, seed=11)
         b = init_state(self.mdp, self.pol, self.fmap, seed=11)
         for _ in range(50):
-            a = ca_step(a, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
-            b = ca_step(b, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
+            a = step(a, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
+            b = step(b, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
         assert a.s == b.s and a.L == b.L
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.theta, b.theta)
@@ -178,14 +220,14 @@ class TestSingleStep:
     def test_critic_stays_in_ball(self):
         st = init_state(self.mdp, self.pol, self.fmap, seed=5)
         for _ in range(2000):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=0.5)
+            st = step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=0.5)
             assert np.linalg.norm(st.v) <= 0.5 + 1e-12
 
     def test_actor_radius_flag(self):
         st = init_state(self.mdp, self.pol, self.fmap, seed=5)
         for _ in range(2000):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, self.sched,
-                         uv_radius=5.0, actor_radius=0.3)
+            st = step(st, self.mdp, self.pol, self.fmap, self.sched,
+                      uv_radius=5.0, actor_radius=0.3)
             assert np.linalg.norm(st.theta) <= 0.3 + 1e-12
 
     def test_average_tracker_stays_bounded(self):
@@ -194,14 +236,14 @@ class TestSingleStep:
         sched = StepSchedule(c_alpha=1.5, c_beta=1.5, c_gamma=0.9)
         st = init_state(self.mdp, self.pol, self.fmap, seed=9)
         for _ in range(3000):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, sched, uv_radius=5.0)
+            st = step(st, self.mdp, self.pol, self.fmap, sched, uv_radius=5.0)
             assert abs(st.L) <= self.mdp.reward_bound + 1e-12
 
     def test_reward_noise_respects_bound(self):
         st = init_state(self.mdp, self.pol, self.fmap, seed=13)
         for _ in range(500):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, self.sched,
-                         uv_radius=5.0, reward_noise=0.5)
+            st = step(st, self.mdp, self.pol, self.fmap, self.sched,
+                      uv_radius=5.0, reward_noise=0.5)
         # the trajectory differs from the noiseless one but L stays plausible
         assert abs(st.L) < 2.0
 
@@ -214,7 +256,7 @@ class TestRun:
 
     def config(self, **kw):
         base = dict(mdp=self.mdp, policy=self.pol, features=self.fmap,
-                    schedule=ca_schedule(), steps=2000, seed=0, metrics_every=500)
+                    schedule=algo_schedule("ca"), steps=2000, seed=0, metrics_every=500)
         base.update(kw)
         return RunConfig(**base)
 
@@ -235,27 +277,42 @@ class TestRun:
         assert resolve_uv_radius(cfg) == pytest.approx(
             max(10.0 * float(np.linalg.norm(v_star)), 1.0))
 
-    def test_run_matches_functional_steps(self):
+    def test_run_matches_single_steps(self):
         cfg = self.config(steps=300, uv_radius=5.0, metrics_every=300)
         res = run(cfg)
         st = init_state(self.mdp, self.pol, self.fmap, seed=0)
         for _ in range(300):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, cfg.schedule, uv_radius=5.0)
+            st = step(st, self.mdp, self.pol, self.fmap, cfg.schedule, uv_radius=5.0)
         assert res.final.s == st.s and res.final.L == st.L
         assert np.array_equal(res.final.v, st.v)
         assert np.array_equal(res.final.theta, st.theta)
 
-    def test_frozen_actor_path_matches_functional_steps(self):
-        sched0 = StepSchedule(c_alpha=0.0, c_beta=1.5, nu=0.5, sigma=0.51,
-                              c_gamma=1.5, gamma_exp=0.5)
-        cfg = self.config(steps=300, schedule=sched0, uv_radius=5.0, metrics_every=300)
-        res = run(cfg)
-        st = init_state(self.mdp, self.pol, self.fmap, seed=0)
-        for _ in range(300):
-            st = ca_step(st, self.mdp, self.pol, self.fmap, sched0, uv_radius=5.0)
-        assert res.final.s == st.s and res.final.L == st.L
-        assert np.array_equal(res.final.v, st.v)
-        assert np.array_equal(res.final.theta, st.theta)
+    def test_frozen_branch_matches_moving_branch(self):
+        # c_alpha = 0 without an actor radius takes the frozen branch (one
+        # precomputed policy table); a radius that never binds forces the
+        # moving branch, which recomputes the policy row every step
+        mdp = frozen_lake_4x4()
+        fmap = make_features("one_hot_reduced", mdp)
+        pol = tabular_policy(mdp)
+        pol = pol.with_theta(np.random.default_rng(3).normal(size=pol.theta.shape))
+        results = [
+            run(RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=FROZEN,
+                          steps=600, seed=2, metrics_every=200, uv_radius=5.0,
+                          actor_radius=radius, reward_noise=0.2))
+            for radius in (None, 1e9)
+        ]
+        frozen, moving = (
+            [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ns"}
+             for row in res.rows]
+            for res in results
+        )
+        assert len(frozen) == 3
+        assert frozen == moving
+        a, b = results[0].final, results[1].final
+        assert (a.t, a.s, a.L) == (b.t, b.s, b.L)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.theta, pol.theta)
 
     def test_same_seed_same_rows(self):
         r1 = run(self.config())
@@ -277,3 +334,72 @@ class TestRun:
             self.config(algo="sarsa")
         with pytest.raises(InvariantViolation):
             self.config(steps=-1)
+
+    def test_expanding_tracker_rejected(self):
+        # c_gamma <= 2 keeps |1 - gamma_t| <= 1 for every t
+        self.config(schedule=algo_schedule("ca", c_alpha=2.0))
+        with pytest.raises(InvariantViolation, match="c_gamma"):
+            self.config(schedule=algo_schedule("ca", c_alpha=50.0))
+        with pytest.raises(InvariantViolation, match="c_gamma"):
+            self.config(schedule=StepSchedule(c_alpha=0.0, c_gamma=2.5))
+
+
+def reference_run(mdp, pol, fmap, sched, steps, seed, uv_radius,
+                  reward_noise, actor_radius):
+    """The update equations of the learner docstring, stepped plainly: draws
+    by np.searchsorted on freshly summed rows, the policy row recomputed
+    every step.  Returns the final (s, L, v, theta) and the mean |delta|."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = int(rng.integers(mdp.n_states))
+    L, v, theta = 0.0, np.zeros(fmap.dim), np.array(pol.theta, dtype=float)
+    x, phi = pol.action_features, fmap.table
+    abs_delta_sum = 0.0
+    for t in range(steps):
+        logits = x[s] @ theta
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        a = min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")),
+                mdp.n_actions - 1)
+        s1 = min(int(np.searchsorted(np.cumsum(mdp.transition[s, a]), rng.random(),
+                                     side="right")),
+                 mdp.n_states - 1)
+        r = mdp.reward[s, a]
+        if reward_noise > 0.0:
+            r = r + reward_noise * (2.0 * rng.random() - 1.0)
+            r = min(max(r, -mdp.reward_bound), mdp.reward_bound)
+        delta = r - L + phi[s1] @ v - phi[s] @ v
+        L = L + sched.gamma(t) * (r - L)
+        v = v + (sched.beta(t) * delta) * phi[s]
+        if v @ v > uv_radius * uv_radius:
+            v = v * (uv_radius / math.sqrt(v @ v))
+        theta = theta + (sched.alpha(t) * delta) * (x[s, a] - p @ x[s])
+        if actor_radius is not None and theta @ theta > actor_radius * actor_radius:
+            theta = theta * (actor_radius / math.sqrt(theta @ theta))
+        abs_delta_sum += abs(delta)
+        s = s1
+    return s, L, v, theta, abs_delta_sum / steps
+
+
+REFERENCE_CASES = [
+    (algo, noise, radius)
+    for algo in ALGO_SCHEDULES for noise in (0.0, 0.3) for radius in (None, 0.5)
+] + [("frozen", 0.0, None), ("frozen", 0.3, None)]
+
+
+@pytest.mark.parametrize("algo,noise,radius", REFERENCE_CASES)
+def test_run_matches_reference_stepper(algo, noise, radius):
+    mdp = four_state_easy()
+    pol = tabular_policy(mdp)
+    fmap = make_features("one_hot_reduced", mdp)
+    sched = FROZEN if algo == "frozen" else algo_schedule(algo)
+    res = run(RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                        steps=300, seed=5, metrics_every=300, uv_radius=5.0,
+                        actor_radius=radius, reward_noise=noise))
+    s, L, v, theta, delta_abs_mean = reference_run(
+        mdp, pol, fmap, sched, 300, 5, 5.0, noise, radius)
+    assert (res.final.s, res.final.L) == (s, L)
+    assert np.array_equal(res.final.v, v)
+    assert np.array_equal(res.final.theta, theta)
+    assert res.rows[-1].delta_abs_mean == delta_abs_mean
+    if radius is not None:  # the radius binds, so the projection is exercised
+        assert abs(np.linalg.norm(theta) - radius) < 1e-12

@@ -18,7 +18,7 @@ from avgrl.envs import (
 )
 from avgrl.errors import BudgetExceeded, PeriodicChain, SingularA
 from avgrl.features import FeatureMap, make_features, matrix_A
-from avgrl.learner import ca_schedule
+from avgrl.learner import algo_schedule
 from avgrl.mdp import FiniteMdp, differential_value, policy_gradient
 from avgrl.oracles import (
     MixingProfile,
@@ -153,7 +153,7 @@ class TestMixing:
         prof = estimate_mixing(mdp, tabular_policy(mdp))
         assert prof.b == 0.0 and prof.k == 0.0
         assert prof.tau_for(1e-9) == 1
-        assert prof.tau(10**6, ca_schedule()) == 1
+        assert prof.tau(10**6, algo_schedule("ca")) == 1
 
     def test_periodic_chain_rejected(self):
         P = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
@@ -163,7 +163,7 @@ class TestMixing:
 
     def test_tau_minimal_and_monotone(self):
         prof = MixingProfile(b=0.5, k=0.7, distances=())
-        sched = ca_schedule()
+        sched = algo_schedule("ca")
         taus = [prof.tau(t, sched) for t in (0, 10, 100, 10**4, 10**6)]
         assert taus == sorted(taus)
         for t in (0, 10, 100, 10**4, 10**6):
