@@ -18,13 +18,8 @@ from .learner import (
     LearnerState,
     RunConfig,
     StepSchedule,
-    Transition,
     algo_schedule,
-    init_state,
-    project,
     run,
-    step,
-    td_error,
     validate_schedule,
 )
 from .mdp import (

@@ -1,14 +1,16 @@
 """Command-line harness: validate / train / sweep / rate / solve.
 
-Exit codes: 0 on success (all assumptions PASS for `validate`), 1 when a
-validation or oracle check fails, 2 on I/O or parse problems.  Any flag can
-also be supplied through `--config FILE` holding either a JSON object or flat
-`key=value` lines; explicit flags override file values.
+Exit codes: 0 on success (for `validate`: all assumptions PASS and the
+average-reward tracker does not expand), 1 when a validation or oracle check
+fails, 2 on I/O or parse problems.  Any flag can also be supplied through
+`--config FILE` holding either a JSON object or flat `key=value` lines;
+explicit flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -174,7 +176,8 @@ def cmd_validate(opts: dict) -> int:
         print(f"assumption3 (geometric mixing): FAIL  {mixing_error}")
     print(f"schedule: finite_time_ok={flags.finite_time_ok} "
           f"asymptotic_ok={flags.asymptotic_ok} ratio={flags.ratio:.6g} "
-          f"ratio_bound={flags.ratio_bound} ratio_ok={flags.ratio_ok}")
+          f"ratio_bound={flags.ratio_bound} ratio_ok={flags.ratio_ok} "
+          f"tracker_ok={flags.tracker_ok}")
     consts = " ".join(f"{k}={v:.6g}" for k, v in report.constants.items())
     print(f"constants: {consts}")
 
@@ -182,18 +185,12 @@ def cmd_validate(opts: dict) -> int:
     doc["assumption1_ok"] = a1
     doc["assumption3_ok"] = a3
     doc["mixing_error"] = mixing_error
-    doc["schedule"] = {
-        "finite_time_ok": flags.finite_time_ok,
-        "asymptotic_ok": flags.asymptotic_ok,
-        "ratio": flags.ratio,
-        "ratio_bound": flags.ratio_bound,
-        "ratio_ok": flags.ratio_ok,
-    }
+    doc["schedule"] = dataclasses.asdict(flags)
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return 0 if (a1 and a2 and a3) else 1
+    return 0 if (a1 and a2 and a3 and flags.tracker_ok) else 1
 
 
 def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, InvariantViolation, NotIrreducible, ParseError
+from .errors import InvalidSpec, ParseError
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, is_irreducible
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleDimension, InvariantViolation
+from .errors import InfeasibleDimension, InvariantViolation, SingularA
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distribution
 from . import mdp as _mdp
 
@@ -223,6 +223,8 @@ def check_assumption2(
     structural reasons); maps that merely fail norm or e-exclusion are allowed
     through so the validator can report the failure.
     """
+    from .oracles import critic_fixed_point
+
     if not features.rank_ok():
         raise InfeasibleDimension("feature map is rank deficient; A(theta) is degenerate")
     if features.n_states != mdp.n_states:
@@ -237,16 +239,15 @@ def check_assumption2(
     v_star_norm = np.nan
     for i, theta in enumerate(thetas):
         pol = policy.with_theta(theta)
-        A, b = matrix_A(mdp, pol, features)
+        A, _ = matrix_A(mdp, pol, features)
         sym = 0.5 * (A + A.T)
         lambdas.append(float(np.linalg.eigvalsh(sym).max()))
         V = _mdp.differential_value(mdp, pol)
         vbar = max(vbar, float(np.abs(V).max()))
         if i == 0:
-            sv = np.linalg.svd(A, compute_uv=False)
-            if sv[0] > 0.0 and sv[-1] > 1e-12 * sv[0]:
-                v_star_norm = float(np.linalg.norm(np.linalg.solve(A, -b)))
-            else:
+            try:
+                v_star_norm = float(np.linalg.norm(critic_fixed_point(mdp, pol, features)))
+            except SingularA:
                 v_star_norm = np.nan  # no unique fixed point at theta_0
 
     B = policy.score_bound

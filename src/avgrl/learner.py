@@ -14,9 +14,10 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-One kernel (_make_step) carries these equations for every algorithm; `run`
-and the single-step `step` both call it.  A frozen actor (c_alpha = 0, no
-radius) is a branch inside it that reuses one precomputed policy table.
+One kernel (_make_step) carries these equations for every algorithm, and
+`run` is the only way to drive it: it builds the kernel once per run and
+calls it once per step.  A frozen actor (c_alpha = 0, no radius) is a branch
+inside it that reuses one precomputed policy table.
 
 Draws per step come from one counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible for
@@ -106,13 +107,15 @@ def algo_schedule(algo: str, **overrides) -> StepSchedule:
 
 @dataclass(frozen=True)
 class ScheduleFlags:
-    """Outcome of validate_schedule; ratio fields are None without a report."""
+    """Outcome of validate_schedule; ratio_bound and ratio_ok are None without
+    a report."""
 
     finite_time_ok: bool
     asymptotic_ok: bool
-    ratio_ok: bool | None
     ratio: float
     ratio_bound: float | None
+    ratio_ok: bool | None
+    tracker_ok: bool
 
 
 def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
@@ -124,6 +127,9 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
     ratio_ok:        c_alpha / c_gamma below the constant-dependent bound
                      1 / (2B(G + U_w) + U_w B); needs an AssumptionReport with
                      those constants and is None when no report is given.
+    tracker_ok:      c_gamma <= 2.  gamma_t <= c_gamma, so |1 - gamma_t| <= 1
+                     for every t iff c_gamma <= 2; above that the
+                     average-reward recursion expands and overflows.
     """
     nu, sigma = sched.nu, sched.sigma
     finite_time_ok = (
@@ -137,62 +143,13 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
         ratio_bound = report.constants.get("ratio_bound")
         if ratio_bound is not None and np.isfinite(ratio_bound):
             ratio_ok = bool(ratio < ratio_bound)
-    return ScheduleFlags(finite_time_ok, asymptotic_ok, ratio_ok, ratio, ratio_bound)
-
-
-def project(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the ball ||v|| <= radius (identity inside)."""
-    if radius <= 0:
-        raise InvariantViolation("projection radius must be positive")
-    norm = float(np.linalg.norm(v))
-    if norm <= radius:
-        return v
-    return v * (radius / norm)
-
-
-@dataclass(frozen=True)
-class Transition:
-    s: int
-    a: int
-    r: float
-    s_next: int
-
-
-def td_error(tr: Transition, L: float, v: np.ndarray, features: FeatureMap) -> float:
-    """One-step average-reward TD error r - L + phi(s').v - phi(s).v."""
-    phi = features.table
-    return float(tr.r - L + phi[tr.s_next] @ v - phi[tr.s] @ v)
-
-
-@dataclass
-class LearnerState:
-    """Mutable iterate of Algorithm-style runs; rng is advanced in place."""
-
-    t: int
-    L: float
-    v: np.ndarray
-    theta: np.ndarray
-    s: int
-    rng: np.random.Generator
-
-
-def init_state(
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    seed: int = 0,
-    l0: float = 0.0,
-) -> LearnerState:
-    """Fresh state: L = l0, v = 0, theta from the policy, s uniform, Philox rng."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    s0 = int(rng.integers(mdp.n_states))
-    return LearnerState(
-        t=0,
-        L=l0,
-        v=np.zeros(features.dim),
-        theta=np.array(policy.theta, dtype=float),
-        s=s0,
-        rng=rng,
+    return ScheduleFlags(
+        finite_time_ok=finite_time_ok,
+        asymptotic_ok=asymptotic_ok,
+        ratio=ratio,
+        ratio_bound=ratio_bound,
+        ratio_ok=ratio_ok,
+        tracker_ok=bool(sched.c_gamma <= 2.0),
     )
 
 
@@ -267,28 +224,6 @@ def _make_step(
     return kernel
 
 
-def step(
-    state: LearnerState,
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float = 0.0,
-    actor_radius: float | None = None,
-) -> LearnerState:
-    """One sampled step of any algorithm; the schedule sets the regime.
-
-    `policy` supplies the action-feature table only; the live actor
-    parameters are state.theta.  Bit-deterministic given the RNG state."""
-    theta = state.theta.copy()
-    v = state.v.copy()
-    kernel = _make_step(mdp, policy, features, sched, state.theta,
-                        uv_radius, reward_noise, actor_radius)
-    s1, L1, _ = kernel(state.t, theta, v, state.L, state.s, state.rng)
-    return LearnerState(t=state.t + 1, L=L1, v=v, theta=theta, s=s1, rng=state.rng)
-
-
 @dataclass
 class RunConfig:
     """Resolved inputs for a learning run (objects, not file paths)."""
@@ -304,7 +239,6 @@ class RunConfig:
     uv_radius: float | None = None  # None: max(10 ||v*(theta_0)||, 1)
     actor_radius: float | None = None
     reward_noise: float = 0.0
-    l0: float = 0.0
     tail_average_from: int | None = None  # accumulate mean of v_t from this step on
 
     def __post_init__(self):
@@ -314,12 +248,22 @@ class RunConfig:
             raise InvariantViolation("steps must be nonnegative")
         if self.metrics_every <= 0:
             raise InvariantViolation("metrics_every must be positive")
-        # gamma_t <= c_gamma, so |1 - gamma_t| <= 1 for every t iff c_gamma <= 2;
-        # above that the average-reward recursion expands and overflows.
-        if self.schedule.c_gamma > 2.0:
+        if not validate_schedule(self.schedule).tracker_ok:
             raise InvariantViolation(
                 f"c_gamma = {self.schedule.c_gamma} > 2 makes the average-reward "
                 "tracker expand (|1 - gamma_0| > 1); lower c_gamma, c_alpha or K")
+
+
+@dataclass
+class LearnerState:
+    """Final iterate of a run; rng is the generator after the last draw."""
+
+    t: int
+    L: float
+    v: np.ndarray
+    theta: np.ndarray
+    s: int
+    rng: np.random.Generator
 
 
 @dataclass
@@ -355,12 +299,12 @@ def run(config: RunConfig) -> RunResult:
         config.schedule,
     )
     uv_radius = resolve_uv_radius(config)
-    state = init_state(mdp, policy, features, seed=config.seed, l0=config.l0)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    s = int(rng.integers(mdp.n_states))
+    L, v, theta = 0.0, np.zeros(features.dim), np.array(policy.theta, dtype=float)
 
-    kernel = _make_step(mdp, policy, features, sched, state.theta, uv_radius,
+    kernel = _make_step(mdp, policy, features, sched, theta, uv_radius,
                         config.reward_noise, config.actor_radius)
-    theta, v = state.theta, state.v
-    L, s, rng = state.L, state.s, state.rng
 
     tail_from = config.tail_average_from
     tail_acc = np.zeros_like(v) if tail_from is not None else None
@@ -392,8 +336,6 @@ def run(config: RunConfig) -> RunResult:
             abs_delta_sum = 0.0
             window = 0
 
-    state.t = config.steps
-    state.L = L
-    state.s = s
+    final = LearnerState(t=config.steps, L=L, v=v, theta=theta, s=s, rng=rng)
     v_tail = tail_acc / tail_n if tail_n else None
-    return RunResult(rows=rows, final=state, uv_radius=uv_radius, v_tail_avg=v_tail)
+    return RunResult(rows=rows, final=final, uv_radius=uv_radius, v_tail_avg=v_tail)

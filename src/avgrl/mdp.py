@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -167,14 +167,22 @@ def is_irreducible(kernel: np.ndarray) -> bool:
     memoised per pattern: under a softmax policy every action has positive
     probability and the support is the same at every theta.
     """
-    support = kernel > _SUPPORT_TOL
-    return _support_irreducible(support.shape[0], np.packbits(support).tobytes())
+    return _support_irreducible(*_packed_support(kernel))
+
+
+def _packed_support(kernel: np.ndarray) -> tuple[int, bytes]:
+    """Hashable key of the support pattern (entries > 1e-12) of a square kernel."""
+    return kernel.shape[0], np.packbits(kernel > _SUPPORT_TOL).tobytes()
+
+
+def _unpack_support(n: int, packed: bytes) -> np.ndarray:
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n)
+    return bits.reshape(n, n).astype(bool)
 
 
 @functools.lru_cache(maxsize=64)
 def _support_irreducible(n: int, packed: bytes) -> bool:
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=n * n)
-    support = sp.csr_matrix(bits.reshape(n, n).astype(bool))
+    support = sp.csr_matrix(_unpack_support(n, packed))
     n_comp, _ = connected_components(support, directed=True, connection="strong")
     return n_comp == 1
 
@@ -183,9 +191,15 @@ def chain_period(kernel: np.ndarray) -> int:
     """Period of an irreducible chain: gcd of (level[u] + 1 - level[v]) over edges.
 
     Levels come from a BFS over the support digraph; the standard identity for
-    strongly connected graphs gives the gcd of all cycle lengths.
+    strongly connected graphs gives the gcd of all cycle lengths.  Memoised per
+    support pattern, like is_irreducible.
     """
-    n = kernel.shape[0]
+    return _support_period(*_packed_support(kernel))
+
+
+@functools.lru_cache(maxsize=64)
+def _support_period(n: int, packed: bytes) -> int:
+    support = _unpack_support(n, packed)
     level = np.full(n, -1, dtype=int)
     level[0] = 0
     frontier = [0]
@@ -193,7 +207,7 @@ def chain_period(kernel: np.ndarray) -> int:
     while frontier:
         nxt = []
         for u in frontier:
-            for v in np.nonzero(kernel[u] > _SUPPORT_TOL)[0]:
+            for v in np.nonzero(support[u])[0]:
                 edges.append((u, int(v)))
                 if level[v] < 0:
                     level[v] = level[u] + 1

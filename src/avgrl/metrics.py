@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .features import FeatureMap
 from .mdp import (
     FiniteMdp,
     SoftmaxLinearPolicy,
-    differential_value,
     induced_chain,
     stationary_distribution,
 )

@@ -34,7 +34,6 @@ from .mdp import (
     FiniteMdp,
     SoftmaxLinearPolicy,
     _solve_stationary,
-    average_reward,
     induced_chain,
     policy_gradient,
     stationary_distribution,

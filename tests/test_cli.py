@@ -90,6 +90,7 @@ class TestValidate:
             assert key in doc["constants"]
         assert doc["schedule"]["finite_time_ok"] is True
         assert doc["schedule"]["asymptotic_ok"] is False
+        assert doc["schedule"]["tracker_ok"] is True
 
 
 class TestTrain:
@@ -354,16 +355,22 @@ class TestConfigLayering:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "sweep", "validate"])
     def test_expanding_tracker_exit_one(self, tmp_path, capsys, command):
         # c_gamma = K c_alpha = 50 > 2: |1 - gamma_t| > 1 and L_t would blow
-        # up; the run is refused before any step and nothing is written
-        out = tmp_path / ("run.csv" if command == "train" else "sweep")
-        rc = main([command, "--env", "four-state", "--c-alpha", "50",
-                   "--steps", "5000", "--metrics-every", "1000", "--out", str(out)])
-        err = capsys.readouterr().err
+        # up; a run is refused before any step and nothing is written, and
+        # validate (which passes at the default c_alpha) flags the tracker
+        argv = [command, "--env", "four-state", "--c-alpha", "50"]
+        if command != "validate":
+            out = tmp_path / ("run.csv" if command == "train" else "sweep")
+            argv += ["--steps", "5000", "--metrics-every", "1000", "--out", str(out)]
+        rc = main(argv)
+        captured = capsys.readouterr()
         assert rc == 1
-        assert "c_gamma" in err
+        if command == "validate":
+            assert "tracker_ok=False" in captured.out
+        else:
+            assert "c_gamma" in captured.err
         assert list(tmp_path.rglob("*.csv")) == []
 
     def test_env_file_missing_exit_two(self, tmp_path, capsys):

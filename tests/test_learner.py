@@ -1,4 +1,4 @@
-"""Step schedules, projection, single-step arithmetic, and run determinism."""
+"""Step schedules, per-step invariants of the sampled update, and run determinism."""
 
 import dataclasses
 import math
@@ -11,17 +11,11 @@ from avgrl.errors import InvalidSpec, InvariantViolation
 from avgrl.features import make_features
 from avgrl.learner import (
     ALGO_SCHEDULES,
-    LearnerState,
     RunConfig,
     StepSchedule,
-    Transition,
     algo_schedule,
-    init_state,
-    project,
     resolve_uv_radius,
     run,
-    step,
-    td_error,
     validate_schedule,
 )
 from avgrl.oracles import critic_fixed_point
@@ -131,52 +125,25 @@ class TestValidateSchedule:
         assert validate_schedule(sched).ratio_ok is None
 
 
-class TestProject:
-    def test_inside_unchanged(self):
-        v = np.array([0.3, -0.4])
-        assert project(v, 1.0) is v
-
-    def test_outside_lands_on_sphere(self):
-        v = np.array([3.0, 4.0])  # norm 5
-        out = project(v, 2.0)
-        assert abs(np.linalg.norm(out) - 2.0) < 1e-12
-        assert np.allclose(out, [1.2, 1.6])
-
-    def test_idempotent_and_bounded(self):
-        # projection is idempotent up to one rounding of the rescale factor
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            v = rng.normal(size=4) * rng.uniform(0, 10)
-            out = project(v, 1.5)
-            assert np.linalg.norm(out) <= 1.5 + 1e-12
-            assert np.allclose(project(out, 1.5), out, rtol=1e-15, atol=0.0)
-
-
-class TestTdError:
-    def test_hand_value(self):
-        # phi(0) = (1,0), phi(1) = (0,1), v = (2,3):
-        # delta = r - L + v1 - v0 = 1.0 - 0.5 + 3 - 2 = 1.5
-        m = four_state_easy()
-        fmap = make_features("one_hot_reduced", m)
-        tr = Transition(s=0, a=0, r=1.0, s_next=1)
-        v = np.array([2.0, 3.0, 0.0])
-        assert td_error(tr, 0.5, v, fmap) == pytest.approx(1.5, abs=1e-15)
-
-
 class TestSingleStep:
+    """Per-step behaviour of the sampled update, observed through run."""
+
     def setup_method(self):
         self.mdp = four_state_easy()
         self.pol = tabular_policy(self.mdp)
         self.fmap = make_features("one_hot_reduced", self.mdp)
         self.sched = algo_schedule("ca")
 
+    def run_steps(self, steps, seed, sched=None, policy=None, **kw):
+        return run(RunConfig(mdp=self.mdp, policy=policy or self.pol, features=self.fmap,
+                             schedule=sched or self.sched, steps=steps, seed=seed, **kw))
+
     def test_hand_replay(self):
         # replay the draws with a mirrored generator and recompute the three
-        # updates with plain array arithmetic; must match bit for bit
-        st = init_state(self.mdp, self.pol, self.fmap, seed=7)
-        s0 = st.s
+        # updates of the first step with plain array arithmetic; must match
+        # bit for bit
         mirror = np.random.Generator(np.random.Philox(7))
-        int(mirror.integers(4))  # the s0 draw
+        s0 = int(mirror.integers(4))
         u1, u2 = mirror.random(), mirror.random()
         p = np.array([0.5, 0.5])  # theta = 0: uniform over the two actions
         a = int(np.searchsorted(np.cumsum(p), u1, side="right"))
@@ -184,13 +151,14 @@ class TestSingleStep:
         r = self.mdp.reward[s0, a]
         L1 = self.sched.gamma(0) * r
         phi = self.fmap.table
-        delta = r + phi[s1] @ st.v - phi[s0] @ st.v
-        v1 = st.v + (self.sched.beta(0) * delta) * phi[s0]
+        v0 = np.zeros(self.fmap.dim)
+        delta = r + phi[s1] @ v0 - phi[s0] @ v0
+        v1 = v0 + (self.sched.beta(0) * delta) * phi[s0]
         x = self.pol.action_features
         psi = x[s0, a] - p @ x[s0]
-        th1 = st.theta + (self.sched.alpha(0) * delta) * psi
+        th1 = self.pol.theta + (self.sched.alpha(0) * delta) * psi
 
-        out = step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=10.0)
+        out = self.run_steps(1, seed=7, uv_radius=10.0).final
         assert out.t == 1
         assert out.s == s1
         assert out.L == L1
@@ -198,54 +166,30 @@ class TestSingleStep:
         assert np.array_equal(out.theta, th1)
 
     def test_null_step_leaves_iterates(self):
-        # zero coefficients: only the sampled state advances
+        # zero coefficients: only the sampled state advances, on the frozen
+        # branch (no actor radius) and the moving one (a radius that never binds)
         sched0 = StepSchedule(c_alpha=0.0, c_beta=0.0, c_gamma=0.0)
-        st = init_state(self.mdp, self.pol, self.fmap, seed=3)
-        out = step(st, self.mdp, self.pol, self.fmap, sched0, uv_radius=1.0)
-        assert out.L == st.L
-        assert np.array_equal(out.v, st.v)
-        assert np.array_equal(out.theta, st.theta)
-        assert out.t == st.t + 1
-
-    def test_step_determinism(self):
-        a = init_state(self.mdp, self.pol, self.fmap, seed=11)
-        b = init_state(self.mdp, self.pol, self.fmap, seed=11)
-        for _ in range(50):
-            a = step(a, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
-            b = step(b, self.mdp, self.pol, self.fmap, self.sched, uv_radius=5.0)
-        assert a.s == b.s and a.L == b.L
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.theta, b.theta)
+        pol = self.pol.with_theta(np.random.default_rng(3).normal(size=self.pol.dim))
+        for radius in (None, 1e9):
+            out = self.run_steps(50, seed=3, sched=sched0, policy=pol, uv_radius=1.0,
+                                 actor_radius=radius).final
+            assert out.t == 50
+            assert out.L == 0.0
+            assert np.array_equal(out.v, np.zeros(self.fmap.dim))
+            assert np.array_equal(out.theta, pol.theta)
 
     def test_critic_stays_in_ball(self):
-        st = init_state(self.mdp, self.pol, self.fmap, seed=5)
-        for _ in range(2000):
-            st = step(st, self.mdp, self.pol, self.fmap, self.sched, uv_radius=0.5)
-            assert np.linalg.norm(st.v) <= 0.5 + 1e-12
-
-    def test_actor_radius_flag(self):
-        st = init_state(self.mdp, self.pol, self.fmap, seed=5)
-        for _ in range(2000):
-            st = step(st, self.mdp, self.pol, self.fmap, self.sched,
-                      uv_radius=5.0, actor_radius=0.3)
-            assert np.linalg.norm(st.theta) <= 0.3 + 1e-12
+        res = self.run_steps(2000, seed=5, uv_radius=0.5, metrics_every=1)
+        assert len(res.rows) == 2000
+        assert max(row.v_norm for row in res.rows) <= 0.5 + 1e-12
 
     def test_average_tracker_stays_bounded(self):
         # with gamma_t <= 1 throughout, L is a running convex combination of
         # rewards, so it never leaves [-U_r, U_r]
         sched = StepSchedule(c_alpha=1.5, c_beta=1.5, c_gamma=0.9)
-        st = init_state(self.mdp, self.pol, self.fmap, seed=9)
-        for _ in range(3000):
-            st = step(st, self.mdp, self.pol, self.fmap, sched, uv_radius=5.0)
-            assert abs(st.L) <= self.mdp.reward_bound + 1e-12
-
-    def test_reward_noise_respects_bound(self):
-        st = init_state(self.mdp, self.pol, self.fmap, seed=13)
-        for _ in range(500):
-            st = step(st, self.mdp, self.pol, self.fmap, self.sched,
-                      uv_radius=5.0, reward_noise=0.5)
-        # the trajectory differs from the noiseless one but L stays plausible
-        assert abs(st.L) < 2.0
+        res = self.run_steps(3000, seed=9, sched=sched, uv_radius=5.0, metrics_every=1)
+        assert len(res.rows) == 3000
+        assert max(abs(row.L_t) for row in res.rows) <= self.mdp.reward_bound + 1e-12
 
 
 class TestRun:
@@ -277,16 +221,6 @@ class TestRun:
         assert resolve_uv_radius(cfg) == pytest.approx(
             max(10.0 * float(np.linalg.norm(v_star)), 1.0))
 
-    def test_run_matches_single_steps(self):
-        cfg = self.config(steps=300, uv_radius=5.0, metrics_every=300)
-        res = run(cfg)
-        st = init_state(self.mdp, self.pol, self.fmap, seed=0)
-        for _ in range(300):
-            st = step(st, self.mdp, self.pol, self.fmap, cfg.schedule, uv_radius=5.0)
-        assert res.final.s == st.s and res.final.L == st.L
-        assert np.array_equal(res.final.v, st.v)
-        assert np.array_equal(res.final.theta, st.theta)
-
     def test_frozen_branch_matches_moving_branch(self):
         # c_alpha = 0 without an actor radius takes the frozen branch (one
         # precomputed policy table); a radius that never binds forces the
@@ -317,11 +251,16 @@ class TestRun:
     def test_same_seed_same_rows(self):
         r1 = run(self.config())
         r2 = run(self.config())
+        assert len(r1.rows) == len(r2.rows) == 4
         for a, b in zip(r1.rows, r2.rows):
             assert a.t == b.t
             for name in ("L_t", "L_theta", "avg_err_sq", "critic_err_sq",
                          "M_norm_sq", "v_norm", "delta_abs_mean"):
                 assert getattr(a, name) == getattr(b, name)
+        a, b = r1.final, r2.final
+        assert (a.s, a.L) == (b.s, b.L)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.theta, b.theta)
 
     def test_tail_average(self):
         cfg = self.config(steps=1000, tail_average_from=500, uv_radius=5.0)

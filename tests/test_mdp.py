@@ -253,3 +253,11 @@ class TestChainPeriod:
 
     def test_aperiodic_with_self_loop(self):
         assert chain_period(np.array([[0.5, 0.5], [1.0, 0.0]])) == 1
+
+    def test_memo_keyed_on_support(self):
+        # same size, different supports: a cached period must not leak
+        cycle = np.roll(np.eye(4), 1, axis=1)
+        assert chain_period(cycle) == 4
+        assert chain_period(0.5 * np.eye(4) + 0.5 * cycle) == 1
+        assert chain_period(0.5 * cycle + 0.5 * cycle.T) == 2
+        assert chain_period(cycle) == 4
