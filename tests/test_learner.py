@@ -178,10 +178,25 @@ class TestSingleStep:
             assert np.array_equal(out.v, np.zeros(self.fmap.dim))
             assert np.array_equal(out.theta, pol.theta)
 
+    def test_step_determinism(self):
+        a, b = (self.run_steps(50, seed=11, uv_radius=5.0).final for _ in range(2))
+        assert a.t == b.t == 50
+        assert a.s == b.s and a.L == b.L
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.theta, b.theta)
+
     def test_critic_stays_in_ball(self):
         res = self.run_steps(2000, seed=5, uv_radius=0.5, metrics_every=1)
         assert len(res.rows) == 2000
         assert max(row.v_norm for row in res.rows) <= 0.5 + 1e-12
+
+    def test_actor_radius_flag(self):
+        # rows carry no theta norm, so read the final theta of runs cut at
+        # every step early on and on a grid after; the run is a prefix of
+        # the longest one, so these are its iterates at those steps
+        for steps in [*range(1, 51), *range(100, 2001, 100)]:
+            out = self.run_steps(steps, seed=5, uv_radius=5.0, actor_radius=0.3).final
+            assert np.linalg.norm(out.theta) <= 0.3 + 1e-12
 
     def test_average_tracker_stays_bounded(self):
         # with gamma_t <= 1 throughout, L is a running convex combination of
@@ -190,6 +205,15 @@ class TestSingleStep:
         res = self.run_steps(3000, seed=9, sched=sched, uv_radius=5.0, metrics_every=1)
         assert len(res.rows) == 3000
         assert max(abs(row.L_t) for row in res.rows) <= self.mdp.reward_bound + 1e-12
+
+    def test_reward_noise_respects_bound(self):
+        noisy = self.run_steps(500, seed=13, uv_radius=5.0, reward_noise=0.5,
+                               metrics_every=1)
+        clean = self.run_steps(500, seed=13, uv_radius=5.0)
+        # the trajectory differs from the noiseless one but L stays plausible
+        assert noisy.final.L != clean.final.L
+        assert len(noisy.rows) == 500
+        assert max(abs(row.L_t) for row in noisy.rows) < 2.0
 
 
 class TestRun:
