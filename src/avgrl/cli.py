@@ -25,8 +25,8 @@ from .errors import (
     ParseError,
     PeriodicChain,
 )
-from .features import FeatureMap, check_assumption2, make_features, matrix_A
-from .mdp import differential_value, induced_chain, stationary_distribution
+from .features import FeatureMap, _critic_matrices, check_assumption2, make_features
+from .mdp import _differential, _evaluate
 
 _DEFAULTS = {
     "env": "four-state",
@@ -332,13 +332,11 @@ def cmd_solve(opts: dict) -> int:
         except (json.JSONDecodeError, ValueError) as exc:
             raise ParseError(f"{opts['theta']}: not a JSON float list: {exc}") from exc
         policy = policy.with_theta(theta)
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    gain = float(mu @ chain.expected_reward)
-    V = differential_value(mdp, policy)
-    v_star = oracles.critic_fixed_point(mdp, policy, features)
+    chain, mu, gain = _evaluate(mdp, policy)
+    V = _differential(chain, mu, gain)
+    A, b = _critic_matrices(features.table, chain, mu, gain)
+    v_star = oracles._critic_solve(A, b)
     M = oracles.actor_field_M(mdp, policy, features, v_star)
-    A, _ = matrix_A(mdp, policy, features)
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())
     try:
         profile = oracles.estimate_mixing(mdp, policy, horizon=int(opts["horizon"]))

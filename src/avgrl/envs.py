@@ -167,11 +167,7 @@ def four_state_easy() -> FiniteMdp:
 
 def tabular_action_features(n_states: int, n_actions: int) -> np.ndarray:
     """One-hot (s, a) indicator features, shape (S, A, S*A); score bound 2."""
-    x = np.zeros((n_states, n_actions, n_states * n_actions))
-    for s in range(n_states):
-        for a in range(n_actions):
-            x[s, a, s * n_actions + a] = 1.0
-    return x
+    return np.eye(n_states * n_actions).reshape(n_states, n_actions, n_states * n_actions)
 
 
 def tabular_policy(mdp: FiniteMdp, theta: np.ndarray | None = None) -> SoftmaxLinearPolicy:
@@ -182,23 +178,17 @@ def tabular_policy(mdp: FiniteMdp, theta: np.ndarray | None = None) -> SoftmaxLi
     return SoftmaxLinearPolicy(theta, x)
 
 
-def _nested_floats(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [float(x) for x in arr]
-    return [_nested_floats(sub) for sub in arr]
-
-
 def save_mdp(path: str, mdp: FiniteMdp, features: FeatureMap | None = None) -> None:
     """Write the JSON schema; repr-format floats survive a round trip exactly."""
     doc = {
         "n_states": mdp.n_states,
         "n_actions": mdp.n_actions,
         "reward_bound": mdp.reward_bound,
-        "P": _nested_floats(mdp.transition),
-        "R": _nested_floats(mdp.reward),
+        "P": mdp.transition.tolist(),
+        "R": mdp.reward.tolist(),
     }
     if features is not None:
-        doc["features"] = _nested_floats(features.table)
+        doc["features"] = features.table.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -133,11 +133,16 @@ def matrix_A(
     E[phi(s)(phi(s') - phi(s))^T] under stationarity; b = E[(r - L) phi(s)].
     """
     chain = induced_chain(mdp, policy)
+    # Own solve, not _evaluate: perfbench/test_tracer.py pins it until ROADMAP item 1.
     mu = stationary_distribution(chain)
-    Phi = features.table
-    D = mu[:, None]
-    gain = float(mu @ chain.expected_reward)
-    A = Phi.T @ (D * (chain.kernel @ Phi - Phi))
+    return _critic_matrices(features.table, chain, mu, float(mu @ chain.expected_reward))
+
+
+def _critic_matrices(
+    Phi: np.ndarray, chain: _mdp.PolicyChain, mu: np.ndarray, gain: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, b) of an evaluated chain; see matrix_A."""
+    A = Phi.T @ (mu[:, None] * (chain.kernel @ Phi - Phi))
     b = Phi.T @ (mu * (chain.expected_reward - gain))
     return A, b
 
@@ -223,7 +228,7 @@ def check_assumption2(
     structural reasons); maps that merely fail norm or e-exclusion are allowed
     through so the validator can report the failure.
     """
-    from .oracles import critic_fixed_point
+    from .oracles import _critic_solve
 
     if not features.rank_ok():
         raise InfeasibleDimension("feature map is rank deficient; A(theta) is degenerate")
@@ -238,15 +243,15 @@ def check_assumption2(
     vbar = 0.0
     v_star_norm = np.nan
     for i, theta in enumerate(thetas):
-        pol = policy.with_theta(theta)
-        A, _ = matrix_A(mdp, pol, features)
+        chain, mu, gain = _mdp._evaluate(mdp, policy.with_theta(theta))
+        A, b = _critic_matrices(features.table, chain, mu, gain)
         sym = 0.5 * (A + A.T)
         lambdas.append(float(np.linalg.eigvalsh(sym).max()))
-        V = _mdp.differential_value(mdp, pol)
+        V = _mdp._differential(chain, mu, gain)
         vbar = max(vbar, float(np.abs(V).max()))
         if i == 0:
             try:
-                v_star_norm = float(np.linalg.norm(critic_fixed_point(mdp, pol, features)))
+                v_star_norm = float(np.linalg.norm(_critic_solve(A, b)))
             except SingularA:
                 v_star_norm = np.nan  # no unique fixed point at theta_0
 

@@ -264,24 +264,30 @@ def stationary_distribution(chain: PolicyChain) -> np.ndarray:
     return mu
 
 
+def _evaluate(
+    mdp: FiniteMdp, policy: SoftmaxLinearPolicy
+) -> tuple[PolicyChain, np.ndarray, float]:
+    """(chain, mu, gain) of the policy from one stationary solve.
+
+    Every exact quantity at a fixed theta is a function of these three, so a
+    caller that needs several of them evaluates the policy once.
+    """
+    chain = induced_chain(mdp, policy)
+    mu = stationary_distribution(chain)
+    return chain, mu, float(mu @ chain.expected_reward)
+
+
 def average_reward(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> float:
     """Long-run average reward (gain) L(theta) = mu . R_theta."""
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
-    return float(mu @ chain.expected_reward)
+    return _evaluate(mdp, policy)[2]
 
 
-def _differential_solution(
-    mdp: FiniteMdp, policy: SoftmaxLinearPolicy
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """(mu, gain, V) of the policy chain from one stationary solve; see differential_value."""
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+def _differential(chain: PolicyChain, mu: np.ndarray, gain: float) -> np.ndarray:
+    """Differential value of an evaluated chain; see differential_value."""
     K = chain.kernel
     n = K.shape[0]
     if chain_period(K) > 1:
         warnings.warn("chain is periodic; differential value uses Cesaro-limit semantics")
-    gain = float(mu @ chain.expected_reward)
     rhs = chain.expected_reward - gain
     try:
         V = np.linalg.solve(np.eye(n) - K + np.outer(np.ones(n), mu), rhs)
@@ -290,7 +296,7 @@ def _differential_solution(
     bellman = (np.eye(n) - K) @ V - rhs
     if np.abs(bellman).max() > 1e-9 or abs(mu @ V) > 1e-9:
         raise SingularSystem("differential value residual exceeds 1e-9")
-    return mu, gain, V
+    return V
 
 
 def differential_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
@@ -301,13 +307,13 @@ def differential_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarra
     Warns (without failing) when the chain is periodic, where P^m itself does
     not converge and only Cesaro averages do.
     """
-    return _differential_solution(mdp, policy)[2]
+    return _differential(*_evaluate(mdp, policy))
 
 
 def q_value(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Q(s, a) = R(s, a) - L(theta) + sum_s1 P(s1|s,a) V(s1), shape (S, A)."""
-    _, gain, V = _differential_solution(mdp, policy)
-    return mdp.reward - gain + mdp.transition @ V
+    chain, mu, gain = _evaluate(mdp, policy)
+    return mdp.reward - gain + mdp.transition @ _differential(chain, mu, gain)
 
 
 def _advantage(mdp: FiniteMdp, gain: float, V: np.ndarray) -> np.ndarray:
@@ -316,17 +322,22 @@ def _advantage(mdp: FiniteMdp, gain: float, V: np.ndarray) -> np.ndarray:
 
 def advantage_table(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Advantage A(s, a) = Q(s, a) - V(s); satisfies sum_a pi(a|s) A(s, a) = 0."""
-    _, gain, V = _differential_solution(mdp, policy)
-    return _advantage(mdp, gain, V)
+    chain, mu, gain = _evaluate(mdp, policy)
+    return _advantage(mdp, gain, _differential(chain, mu, gain))
+
+
+def _gradient(
+    mdp: FiniteMdp, policy: SoftmaxLinearPolicy, chain: PolicyChain, mu: np.ndarray,
+    gain: float,
+) -> np.ndarray:
+    """Policy gradient of an evaluated chain; see policy_gradient."""
+    adv = _advantage(mdp, gain, _differential(chain, mu, gain))
+    return np.tensordot(mu[:, None] * policy.prob_table() * adv, policy.score_table(), axes=2)
 
 
 def policy_gradient(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     """Exact gradient of the gain: sum_{s,a} mu(s) pi(a|s) A(s,a) grad log pi(a|s)."""
-    mu, gain, V = _differential_solution(mdp, policy)
-    adv = _advantage(mdp, gain, V)
-    p = policy.prob_table()
-    psi = policy.score_table()
-    return np.tensordot(mu[:, None] * p * adv, psi, axes=2)
+    return _gradient(mdp, policy, *_evaluate(mdp, policy))
 
 
 def grad_stationary(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
@@ -336,8 +347,7 @@ def grad_stationary(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> np.ndarray:
     rank-one matrix with every row equal to mu.  Each row sums to zero
     (probability is conserved along every parameter direction).
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    chain, mu, _ = _evaluate(mdp, policy)
     K = chain.kernel
     n = K.shape[0]
     p = policy.prob_table()

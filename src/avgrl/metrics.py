@@ -68,6 +68,7 @@ def exact_metrics_row(
 
     pol = policy.with_theta(theta)
     chain = induced_chain(mdp, pol)
+    # Own solve, not _evaluate: perfbench/test_tracer.py pins it until ROADMAP item 1.
     mu = stationary_distribution(chain)
     l_theta = float(mu @ chain.expected_reward)
     v_star = critic_fixed_point(mdp, pol, features)
@@ -141,15 +142,14 @@ def windowed_geomean(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     order = np.argsort(ts)
     ts, ys = np.asarray(ts)[order], np.asarray(ys)[order]
-    out_t, out_w = [], []
-    for i, t in enumerate(ts):
-        lo = t / 10.0
-        mask = (ts > lo) & (ts <= t) & (ys > 0.0)
-        if not np.any(mask):
-            continue
-        out_t.append(t)
-        out_w.append(math.exp(float(np.mean(np.log(ys[mask])))))
-    return np.array(out_t), np.array(out_w)
+    positive = ys > 0.0
+    pos_t, log_y = ts[positive], np.log(ys[positive])
+    # each window is the contiguous run of positive samples with t/10 < t' <= t
+    lo = np.searchsorted(pos_t, ts / 10.0, side="right")
+    hi = np.searchsorted(pos_t, ts, side="right")
+    keep = hi > lo
+    out_w = [math.exp(float(np.mean(log_y[i:j]))) for i, j in zip(lo[keep], hi[keep])]
+    return ts[keep], np.array(out_w)
 
 
 def windowed_value_at(ts: np.ndarray, ys: np.ndarray, t: float) -> float:

@@ -30,14 +30,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceeded, PeriodicChain, SingularA, SingularSystem
 from .features import FeatureMap, matrix_A
-from .mdp import (
-    FiniteMdp,
-    SoftmaxLinearPolicy,
-    _solve_stationary,
-    induced_chain,
-    policy_gradient,
-    stationary_distribution,
-)
+from .mdp import FiniteMdp, SoftmaxLinearPolicy, _evaluate, _gradient, _solve_stationary
 
 _DECAY_FLOOR = 1e-12
 
@@ -50,7 +43,11 @@ def critic_fixed_point(
     Singularity is detected by conditioning, not by solve failure: a singular
     A with b in its range still "solves" but the fixed point is not unique.
     """
-    A, b = matrix_A(mdp, policy, features)
+    return _critic_solve(*matrix_A(mdp, policy, features))
+
+
+def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """v* = -A^{-1} b with the conditioning and residual checks of critic_fixed_point."""
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
         raise SingularA(
@@ -75,11 +72,9 @@ def projected_bellman_residual(
     A v + b identically, which is also the expected critic increment; the
     residual vanishes exactly at v*.
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    chain, mu, gain = _evaluate(mdp, policy)
     Phi = features.table
     x = Phi @ v
-    gain = float(mu @ chain.expected_reward)
     bellman = chain.expected_reward - gain + chain.kernel @ x
     return Phi.T @ (mu * (bellman - x))
 
@@ -92,11 +87,9 @@ def expected_critic_drift(
     Computed as the explicit triple sum over (s, a, s') with the exact average
     reward in place of L_t; equals A v + b.
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    _, mu, gain = _evaluate(mdp, policy)
     p = policy.prob_table()
     Phi = features.table
-    gain = float(mu @ chain.expected_reward)
     phi_v = Phi @ v
     # delta(s, a) averaged over s': R(s,a) - L + sum_s' P(s'|s,a) phi(s').v - phi(s).v
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
@@ -112,12 +105,10 @@ def actor_field_M(
     M(theta, v) = sum_{s,a,s'} mu(s) pi(a|s) P(s'|s,a)
                   (R(s,a) - L(theta) + phi(s').v - phi(s).v) grad log pi(a|s).
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    _, mu, gain = _evaluate(mdp, policy)
     p = policy.prob_table()
     psi = policy.score_table()
     phi_v = features.table @ v
-    gain = float(mu @ chain.expected_reward)
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
     return np.tensordot(mu[:, None] * p * delta, psi, axes=2)
 
@@ -132,16 +123,14 @@ def actor_bias(
     - phi(s).v term drops because the scores average to zero under pi(.|s).
     This route never forms M itself, so it cross-validates the triple sum.
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    chain, mu, gain = _evaluate(mdp, policy)
     p = policy.prob_table()
     psi = policy.score_table()
     phi_v = features.table @ v
-    gain = float(mu @ chain.expected_reward)
     inner = mdp.reward - gain + mdp.transition @ phi_v  # (S, A), no - phi(s).v term
     # grad pi(a|s) = pi(a|s) psi(s, a)
     field = np.tensordot(mu[:, None] * p * inner, psi, axes=2)
-    return field - policy_gradient(mdp, policy)
+    return field - _gradient(mdp, policy, chain, mu, gain)
 
 
 @dataclass(frozen=True)
@@ -190,8 +179,7 @@ def estimate_mixing(
     Raises PeriodicChain when the distances never decay below 0.5 * d_1 within
     the horizon (no geometric regime to fit).
     """
-    chain = induced_chain(mdp, policy)
-    mu = stationary_distribution(chain)
+    chain, mu, _ = _evaluate(mdp, policy)
     K = chain.kernel
     power = K.copy()
     ds: list[float] = []
@@ -212,17 +200,12 @@ def estimate_mixing(
     logd = np.log(np.array(ds))
     keep = np.array(ds) > _DECAY_FLOOR
     ms_fit, logd_fit = ms[keep], logd[keep]
-
-    def fit(m, y):
-        slope, intercept = np.polyfit(m, y, 1)
-        return slope, intercept
-
-    slope, intercept = fit(ms_fit, logd_fit)
+    slope, intercept = np.polyfit(ms_fit, logd_fit, 1)
     # Exclude the pre-asymptotic head when m = 1 deviates > 20% from the line.
     if len(ms_fit) > 2 and ms_fit[0] == 1.0:
         predicted_d1 = math.exp(intercept + slope * 1.0)
         if abs(predicted_d1 / ds[0] - 1.0) > 0.2:
-            slope, intercept = fit(ms_fit[1:], logd_fit[1:])
+            slope, intercept = np.polyfit(ms_fit[1:], logd_fit[1:], 1)
     k = math.exp(min(slope, -1e-12))
     b = max(d / k ** m for m, d in zip(range(1, len(ds) + 1), ds))
     return MixingProfile(b=b, k=k, distances=tuple(ds))
@@ -287,13 +270,8 @@ def lp_optimum(mdp: FiniteMdp) -> float:
     S, A = mdp.n_states, mdp.n_actions
     c = -mdp.reward.reshape(S * A)
     # flow conservation: sum_a x(s',a) - sum_{s,a} x(s,a) P(s'|s,a) = 0
-    A_eq = np.zeros((S + 1, S * A))
-    for s1 in range(S):
-        row = np.zeros((S, A))
-        row[s1, :] = 1.0
-        row -= mdp.transition[:, :, s1]
-        A_eq[s1] = row.reshape(S * A)
-    A_eq[S, :] = 1.0
+    flow = np.repeat(np.eye(S), A, axis=1) - mdp.transition.reshape(S * A, S).T
+    A_eq = np.vstack([flow, np.ones(S * A)])
     b_eq = np.zeros(S + 1)
     b_eq[S] = 1.0
     res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")

@@ -40,7 +40,7 @@ from avgrl.mdp import (
     policy_gradient,
     stationary_distribution,
 )
-from avgrl.metrics import read_metrics_csv, windowed_value_at, write_metrics_csv
+from avgrl.metrics import windowed_value_at, write_metrics_csv
 from avgrl.oracles import (
     actor_bias,
     actor_field_M,

@@ -19,7 +19,7 @@ from avgrl.envs import four_state_easy, save_mdp
 from avgrl.errors import ParseError
 from avgrl.features import FeatureMap
 from avgrl.mdp import FiniteMdp
-from avgrl.metrics import CSV_HEADER, read_metrics_csv, read_table
+from avgrl.metrics import CSV_HEADER, read_metrics_csv
 
 
 def write_full_onehot_env(tmp_path):

@@ -1,5 +1,7 @@
 """Metrics rows, CSV round trips, windowing, rate fits, and seed aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,26 @@ class TestWindowing:
         wt, wv = windowed_geomean(ts, ys)
         assert wt.tolist() == [30.0]
         assert wv[0] == pytest.approx(8.0)
+
+    def test_matches_per_row_mask(self):
+        # the definition row by row: a mask over (t/10, t] and y > 0, then the
+        # mean of the logs; ties in t and zeros in y included, bit for bit
+        rng = np.random.default_rng(7)
+        for n in (1, 9, 300):
+            ts = rng.integers(1, 40, size=n) * 10.0
+            ys = rng.lognormal(size=n)
+            ys[rng.random(n) < 0.2] = 0.0
+            order = np.argsort(ts)
+            sts, sys_ = ts[order], ys[order]
+            want_t, want_w = [], []
+            for t in sts:
+                mask = (sts > t / 10.0) & (sts <= t) & (sys_ > 0.0)
+                if mask.any():
+                    want_t.append(t)
+                    want_w.append(math.exp(np.mean(np.log(sys_[mask]))))
+            wt, wv = windowed_geomean(ts, ys)
+            assert wt.tolist() == want_t
+            assert wv.tolist() == want_w
 
     def test_value_at_nearest(self):
         ts = np.array([10.0, 100.0, 1000.0])
