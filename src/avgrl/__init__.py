@@ -20,6 +20,7 @@ from .learner import (
     StepSchedule,
     algo_schedule,
     run,
+    run_batch,
     validate_schedule,
 )
 from .mdp import (

@@ -253,34 +253,46 @@ def cmd_train(opts: dict) -> int:
     return 0
 
 
-def _sweep_worker(config: learner.RunConfig) -> list:
-    return learner.run(config).rows
+def _positive_int(opts: dict, key: str) -> int:
+    try:
+        value = int(opts[key])
+    except (TypeError, ValueError):
+        raise InvalidSpec(f"{key} must be a positive integer, got {opts[key]!r}") from None
+    if value < 1:
+        raise InvalidSpec(f"{key} must be a positive integer, got {value}")
+    return value
+
+
+def _sweep_batch(configs: list[learner.RunConfig]) -> list:
+    """Rows per seed, or the failure message of a seed that failed."""
+    try:
+        results = learner.run_batch(configs)
+    except AvgrlError as exc:  # before any step, e.g. the critic radius: every seed
+        return [str(exc)] * len(configs)
+    return [res.rows if isinstance(res, learner.RunResult) else str(res)
+            for res in results]
 
 
 def cmd_sweep(opts: dict) -> int:
+    n_seeds = _positive_int(opts, "seeds")
+    jobs = _positive_int(opts, "jobs")
     base_seed = int(opts["seed"])
-    seeds = [base_seed + i for i in range(int(opts["seeds"]))]
-    configs = [_make_run_config(opts, seed) for seed in seeds]
+    seeds = [base_seed + i for i in range(n_seeds)]
+    base = _make_run_config(opts, base_seed)
+    configs = [dataclasses.replace(base, seed=seed) for seed in seeds]
     out_dir = opts["out"] or "sweep_out"
     os.makedirs(out_dir, exist_ok=True)
-    jobs = max(1, int(opts["jobs"]))
-    failures: list[tuple[int, str]] = []
-    results: dict[int, list] = {}
-    if jobs == 1:
-        for seed, config in zip(seeds, configs):
-            try:
-                results[seed] = _sweep_worker(config)
-            except AvgrlError as exc:
-                failures.append((seed, str(exc)))
+    # contiguous batches whose sizes differ by at most one, one per process
+    n_batches = min(jobs, n_seeds)
+    bounds = [n_seeds * i // n_batches for i in range(n_batches + 1)]
+    batches = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    if n_batches == 1:
+        outcomes = _sweep_batch(configs)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {seed: pool.submit(_sweep_worker, config)
-                       for seed, config in zip(seeds, configs)}
-            for seed in seeds:
-                try:
-                    results[seed] = futures[seed].result()
-                except AvgrlError as exc:
-                    failures.append((seed, str(exc)))
+        with ProcessPoolExecutor(max_workers=n_batches) as pool:
+            outcomes = [out for batch in pool.map(_sweep_batch, batches) for out in batch]
+    failures = [(seed, out) for seed, out in zip(seeds, outcomes) if isinstance(out, str)]
+    results = {seed: out for seed, out in zip(seeds, outcomes) if not isinstance(out, str)}
     for seed in seeds:
         if seed in results:
             metrics.write_metrics_csv(

@@ -14,15 +14,23 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-One kernel (_make_step) carries these equations for every algorithm, and
-`run` is the only way to drive it: it builds the kernel once per run and
-calls it once per step.  A frozen actor (c_alpha = 0, no radius) is a branch
-inside it that reuses one precomputed policy table.
+Two kernels carry these equations for every algorithm, and two entry points
+drive them.  `run(config)` drives one seed through _make_step, which works on
+Python scalars and small arrays; it is the fast path for a single seed.
+`run_batch(configs)` drives configs that differ only in seed through
+_make_batch_step, which advances all of them in lockstep on (N, .) arrays, so
+one numpy dispatch serves N seeds; `sweep` and the multi-seed checks use it.
+At N = 1 the lockstep step costs more than the scalar one, so both are kept;
+every seed of a batch reproduces `run` bit for bit.  A frozen actor
+(c_alpha = 0, no radius) is a branch inside each kernel that reuses one
+precomputed policy table.
 
-Draws per step come from one counter-based generator in the fixed order
-(action, next state, optional reward noise), so runs are bit-reproducible for
-a given seed.  Both draws invert a cumulative row with bisect.bisect_right on
-a Python list, which returns the same index as np.searchsorted(side="right").
+Draws per step come from one counter-based generator per seed in the fixed
+order (action, next state, optional reward noise), so runs are
+bit-reproducible for a given seed.  The scalar kernel inverts a cumulative row
+with bisect.bisect_right on a Python list and the lockstep kernel with
+(cum <= u).sum(-1); both return the same index as
+np.searchsorted(side="right").
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -224,6 +232,85 @@ def _make_step(
     return kernel
 
 
+def _make_batch_step(
+    mdp: FiniteMdp,
+    policy: SoftmaxLinearPolicy,
+    features: FeatureMap,
+    sched: StepSchedule,
+    theta0: np.ndarray,
+    uv_radius: float,
+    reward_noise: float,
+    actor_radius: float | None,
+):
+    """_make_step for N seeds in lockstep.
+
+    Returns kernel(t, theta, v, L, s, u) -> (next states, updated
+    average-reward iterates, td errors) on theta (N, d2), v (N, d1), L (N,)
+    and s (N,), mutating theta and v in place; u is (k, N), row j holding
+    each seed's j-th draw of the step.  Every product is a stacked matmul
+    (a gemv or dot per seed, as in the scalar kernel) rather than an einsum,
+    so each seed's arithmetic matches _make_step bit for bit.
+    """
+    # take() on the leading axis, with (s, a) flattened to s * A + a, is the
+    # cheapest gather; the ufunc reductions are sum, max and cumsum without
+    # their Python wrappers.
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    pcum_sa = np.cumsum(mdp.transition, axis=2).reshape(n_states * n_actions, n_states)
+    r_sa = mdp.reward.ravel()
+    x, phi = policy.action_features, features.table
+    x_sa = x.reshape(n_states * n_actions, -1)
+    reward_bound = mdp.reward_bound
+    alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
+    frozen = sched.c_alpha == 0.0 and actor_radius is None
+    if frozen:
+        prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1)
+
+    def dots(a, b):
+        """Row-wise a[n] @ b[n] of two (N, d) arrays."""
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    def shrink(w, radius):
+        """Project each row of w onto the ball of the given radius."""
+        w_sq = dots(w, w)
+        over = w_sq > radius * radius
+        if over.any():
+            w[over] *= (radius / np.sqrt(w_sq[over]))[:, None]
+
+    def kernel(t, theta, v, L, s, u):
+        if frozen:
+            cum = prob_cum.take(s, axis=0)
+        else:
+            xs = x.take(s, axis=0)
+            logits = (xs @ theta[:, :, None])[:, :, 0]
+            p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
+            p /= add_reduce(p, axis=1, keepdims=True)
+            cum = np.add.accumulate(p, axis=1)
+        # the cumulative rows may fall a few ulp short of 1, hence the clamps
+        a = np.minimum(add_reduce(cum <= u[0][:, None], axis=1), n_actions - 1)
+        sa = s * n_actions + a
+        s1 = np.minimum(add_reduce(pcum_sa.take(sa, axis=0) <= u[1][:, None], axis=1),
+                        n_states - 1)
+        r = r_sa.take(sa)
+        if reward_noise > 0.0:
+            r = r + reward_noise * (2.0 * u[2] - 1.0)
+            r = np.minimum(np.maximum(r, -reward_bound), reward_bound)
+
+        L1 = L + gamma_f(t) * (r - L)
+        phi_s = phi.take(s, axis=0)
+        delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
+        v += (beta_f(t) * delta)[:, None] * phi_s
+        shrink(v, uv_radius)
+        if not frozen:
+            psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
+            theta += (alpha_f(t) * delta)[:, None] * psi
+            if actor_radius is not None:
+                shrink(theta, actor_radius)
+        return s1, L1, delta
+
+    return kernel
+
+
 @dataclass
 class RunConfig:
     """Resolved inputs for a learning run (objects, not file paths)."""
@@ -339,3 +426,111 @@ def run(config: RunConfig) -> RunResult:
     final = LearnerState(t=config.steps, L=L, v=v, theta=theta, s=s, rng=rng)
     v_tail = tail_acc / tail_n if tail_n else None
     return RunResult(rows=rows, final=final, uv_radius=uv_radius, v_tail_avg=v_tail)
+
+
+# Steps per block of uniforms that run_batch draws from each seed's generator.
+_DRAW_BLOCK = 1024
+
+# RunConfig fields that a batch shares by identity: its kernel is built from one
+# problem.
+_SHARED_OBJECTS = ("mdp", "policy", "features")
+
+
+def _check_batch(configs: list[RunConfig]) -> None:
+    base = configs[0]
+    for cfg in configs[1:]:
+        for name in (f.name for f in fields(RunConfig) if f.name != "seed"):
+            a, b = getattr(base, name), getattr(cfg, name)
+            if not (a is b if name in _SHARED_OBJECTS else a == b):
+                raise InvariantViolation(
+                    f"run_batch configs differ in {name}; only seed may differ "
+                    f"(mdp, policy and features must be the same objects)")
+
+
+def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
+    """`run` for configs that differ only in seed, stepped in lockstep.
+
+    Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
+    (wall_ns aside), or the OracleFailure that run(configs[i]) raises; a
+    failed seed leaves the batch and the others go on unchanged.  Each seed
+    keeps its own generator and draws k = 2 (3 with reward noise) uniforms
+    per step in blocks of at most _DRAW_BLOCK steps, so it stops on the same
+    draw as `run`.  Any difference other than seed raises InvariantViolation.
+    """
+    from .metrics import exact_metrics_row
+
+    if not configs:
+        return []
+    _check_batch(configs)
+    base = configs[0]
+    mdp, policy, features = base.mdp, base.policy, base.features
+    uv_radius = resolve_uv_radius(base)
+    rngs = [np.random.Generator(np.random.Philox(cfg.seed)) for cfg in configs]
+    s = np.array([int(rng.integers(mdp.n_states)) for rng in rngs])
+    n = len(configs)
+    theta0 = np.array(policy.theta, dtype=float)
+    L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(theta0, (n, 1))
+
+    kernel = _make_batch_step(mdp, policy, features, base.schedule, theta0, uv_radius,
+                              base.reward_noise, base.actor_radius)
+
+    steps, every = base.steps, base.metrics_every
+    tail_from = base.tail_average_from
+    tail_acc = np.zeros_like(v) if tail_from is not None else None
+    tail_n = 0
+
+    out: list = [None] * n
+    live = list(range(n))  # configs index of each row of the batch arrays
+    rows: list[list] = [[] for _ in range(n)]
+    abs_delta_sum = np.zeros(n)
+    window = 0
+    k = 3 if base.reward_noise > 0.0 else 2
+    start_ns = time.perf_counter_ns()
+    t = 0
+    while t < steps and live:
+        nb = min(_DRAW_BLOCK, steps - t)
+        # u[i, j, n]: seed n's j-th draw of the block's i-th step
+        u = np.stack([rng.random(k * nb).reshape(nb, k) for rng in rngs], axis=2)
+        for i in range(nb):
+            s, L, delta = kernel(t, theta, v, L, s, u[i])
+            if tail_from is not None and t >= tail_from:
+                tail_acc += v
+                tail_n += 1
+            abs_delta_sum += np.abs(delta)
+            window += 1
+            t += 1
+            if t % every and t != steps:
+                continue
+            keep = np.ones(len(live), dtype=bool)
+            for j, slot in enumerate(live):
+                try:
+                    rows[slot].append(exact_metrics_row(
+                        mdp, policy, features,
+                        t=t, theta=theta[j], v=v[j], L=L[j],
+                        delta_abs_mean=abs_delta_sum[j] / window,
+                        wall_ns=time.perf_counter_ns() - start_ns,
+                    ))
+                except AvgrlError as exc:
+                    failure = OracleFailure(f"exact metrics failed at step {t}: {exc}")
+                    failure.__cause__ = exc
+                    out[slot] = failure
+                    keep[j] = False
+            abs_delta_sum[:] = 0.0
+            window = 0
+            if not keep.all():
+                live = [slot for slot, kept in zip(live, keep) if kept]
+                rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+                s, L, v, theta, abs_delta_sum, u = (
+                    s[keep], L[keep], v[keep], theta[keep], abs_delta_sum[keep], u[:, :, keep])
+                if tail_acc is not None:
+                    tail_acc = tail_acc[keep]
+                if not live:
+                    break
+
+    for j, slot in enumerate(live):
+        final = LearnerState(t=steps, L=float(L[j]), v=v[j].copy(), theta=theta[j].copy(),
+                             s=int(s[j]), rng=rngs[j])
+        v_tail = tail_acc[j] / tail_n if tail_n else None
+        out[slot] = RunResult(rows=rows[slot], final=final, uv_radius=uv_radius,
+                              v_tail_avg=v_tail)
+    return out

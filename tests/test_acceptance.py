@@ -31,6 +31,7 @@ from avgrl.learner import (
     StepSchedule,
     algo_schedule,
     run,
+    run_batch,
     validate_schedule,
 )
 from avgrl.mdp import (
@@ -64,6 +65,15 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         rc = cli_main(argv)
     return rc, out.getvalue()
+
+
+def run_seeds(configs):
+    """run_batch, raising a seed's failure as run would."""
+    results = run_batch(configs)
+    for res in results:
+        if isinstance(res, Exception):
+            raise res
+    return results
 
 
 def garnet_suite(n=20, seed0=0, theta_scale=0.5):
@@ -168,13 +178,11 @@ def test_criterion_03_td_tracks_fixed_point():
                          c_gamma=1.5, gamma_exp=0.5)
     steps = 200_000
     t0 = time.perf_counter()
-    errs = []
-    for seed in range(8):
-        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
-                        steps=steps, seed=seed, metrics_every=steps,
-                        tail_average_from=steps // 2)
-        res = run(cfg)
-        errs.append(float(np.linalg.norm(res.v_tail_avg - v_star)))
+    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                      steps=steps, seed=seed, metrics_every=steps,
+                      tail_average_from=steps // 2)
+            for seed in range(8)]
+    errs = [float(np.linalg.norm(res.v_tail_avg - v_star)) for res in run_seeds(cfgs)]
     elapsed = time.perf_counter() - t0
     n_ok = sum(e <= tol for e in errs)
     ok = n_ok == 8 and elapsed < 30.0
@@ -226,12 +234,10 @@ def test_criterion_07_learning_quality():
     fmap = make_features("one_hot_reduced", mdp)
     l_star, _ = brute_force_optimum(mdp)
     steps = 200_000
-    finals = []
-    for seed in range(10):
-        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
-                        steps=steps, seed=seed, metrics_every=steps)
-        res = run(cfg)
-        finals.append(res.rows[-1].L_theta)
+    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
+                      steps=steps, seed=seed, metrics_every=steps)
+            for seed in range(10)]
+    finals = [res.rows[-1].L_theta for res in run_seeds(cfgs)]
     n_ok = sum(l >= 0.9 * l_star for l in finals)
     ok = n_ok >= 9
     report(7, ok, f"{n_ok}/10 seeds reached L(theta_T) >= 0.9 L* = "
@@ -248,12 +254,12 @@ def test_criterion_08_gridworld_comparison():
     fmap = make_features("one_hot_reduced", mdp)
     l_star = lp_optimum(mdp)
     steps = 200_000
-    finals = {"ca": [], "ac": []}
-    for algo in finals:
-        for seed in range(10):
-            cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule(algo),
-                            steps=steps, algo=algo, seed=seed, metrics_every=steps)
-            finals[algo].append(run(cfg).rows[-1].L_theta)
+    finals = {}
+    for algo in ("ca", "ac"):
+        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule(algo),
+                          steps=steps, algo=algo, seed=seed, metrics_every=steps)
+                for seed in range(10)]
+        finals[algo] = [res.rows[-1].L_theta for res in run_seeds(cfgs)]
     med_ca = float(np.median(finals["ca"]))
     med_ac = float(np.median(finals["ac"]))
     margin = 0.05 * abs(l_star)

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import avgrl
+from avgrl import metrics
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
 from avgrl.envs import four_state_easy, save_mdp
-from avgrl.errors import ParseError
+from avgrl.errors import OracleFailure, ParseError
 from avgrl.features import FeatureMap
 from avgrl.mdp import FiniteMdp
 from avgrl.metrics import CSV_HEADER, read_metrics_csv
@@ -197,6 +198,78 @@ class TestSweep:
         assert rc == 0
         assert (out / "seed_10.csv").exists()
         assert (out / "seed_11.csv").exists()
+
+
+    def test_job_counts_give_identical_outputs(self, tmp_path, monkeypatch, capsys):
+        # 1, 2 and 3 jobs split the 5 seeds into 1, 2 and 3 lockstep batches
+        outs = {}
+        for jobs in (1, 2, 3):
+            work = tmp_path / f"jobs{jobs}"
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert main(["sweep", "--env", "gridworld4", "--algo", "ac",
+                         "--reward-noise", "0.3", "--steps", "1500",
+                         "--metrics-every", "400", "--seeds", "5", "--seed", "7",
+                         "--jobs", str(jobs), "--out", "sweep"]) == 0
+            out = work / "sweep"
+            meta = json.loads((out / "sweep.json").read_text())
+            assert meta["opts"].pop("jobs") == jobs
+            outs[jobs] = {
+                "seeds": {p.name: strip_wall(read_lines(p))
+                          for p in sorted(out.glob("seed_*.csv"))},
+                "aggregate": (out / "aggregate.csv").read_bytes(),
+                "meta": meta,
+            }
+        capsys.readouterr()
+        assert sorted(outs[1]["seeds"]) == sorted(f"seed_{s}.csv" for s in range(7, 12))
+        assert outs[1] == outs[2] == outs[3]
+
+    def test_failing_seed_listed_alone(self, tmp_path, monkeypatch, capsys):
+        args = ["sweep", "--env", "four-state", "--steps", "1000",
+                "--metrics-every", "500", "--seeds", "3", "--seed", "4"]
+        clean = tmp_path / "clean"
+        assert main(args + ["--out", str(clean)]) == 0
+        # seed 5's first row fails; its delta_abs_mean tells it apart
+        target = float(read_lines(clean / "seed_5.csv")[1].split(",")[7])
+        real = metrics.exact_metrics_row
+
+        def flaky(*a, **kw):
+            if kw["t"] == 500 and kw["delta_abs_mean"] == target:
+                raise OracleFailure("A(theta) is singular")
+            return real(*a, **kw)
+
+        monkeypatch.setattr(metrics, "exact_metrics_row", flaky)
+        out = tmp_path / "flaky"
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "seed 5 failed: exact metrics failed at step 500" in err
+        meta = json.loads((out / "sweep.json").read_text())
+        assert meta["failed"] == [[5, "exact metrics failed at step 500: "
+                                       "A(theta) is singular"]]
+        assert not (out / "seed_5.csv").exists()
+        for seed in (4, 6):
+            assert (strip_wall(read_lines(out / f"seed_{seed}.csv"))
+                    == strip_wall(read_lines(clean / f"seed_{seed}.csv")))
+
+    @pytest.mark.parametrize("flag,value", [("seeds", "0"), ("seeds", "-2"),
+                                            ("jobs", "0"), ("jobs", "-1")])
+    def test_invalid_counts_exit_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--env", "four-state", "--steps", "100",
+                   f"--{flag}", value, "--out", str(out)])
+        assert rc == 2
+        assert f"{flag} must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["seeds=0\n", '{"jobs": 0}', "jobs=two\n"])
+    def test_invalid_counts_in_config_exit_two(self, tmp_path, capsys, text):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--config", str(cfg), "--steps", "100", "--out", str(out)])
+        assert rc == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def write_power_law_csv(path, exponent, n=60):

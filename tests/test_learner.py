@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 from avgrl.envs import four_state_easy, frozen_lake_4x4, tabular_policy
-from avgrl.errors import InvalidSpec, InvariantViolation
+from avgrl import metrics
+from avgrl.errors import InvalidSpec, InvariantViolation, OracleFailure
 from avgrl.features import make_features
 from avgrl.learner import (
+    _DRAW_BLOCK,
     ALGO_SCHEDULES,
     RunConfig,
+    RunResult,
     StepSchedule,
     algo_schedule,
     resolve_uv_radius,
     run,
+    run_batch,
     validate_schedule,
 )
 from avgrl.oracles import critic_fixed_point
@@ -366,3 +370,107 @@ def test_run_matches_reference_stepper(algo, noise, radius):
     assert res.rows[-1].delta_abs_mean == delta_abs_mean
     if radius is not None:  # the radius binds, so the projection is exercised
         assert abs(np.linalg.norm(theta) - radius) < 1e-12
+
+
+def without_wall(rows):
+    return [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ns"}
+            for row in rows]
+
+
+# Each case runs N seeds through run_batch; every seed must equal run() of its
+# config.  Steps default to two draw blocks plus a remainder.
+BATCH_CASES = {
+    "ca": dict(algo="ca"),
+    "ac-noise": dict(algo="ac", reward_noise=0.3),
+    "stac-actor-radius": dict(algo="stac", actor_radius=0.05),
+    "frozen-tail": dict(schedule=FROZEN, tail_average_from=700),
+    "frozen-noise-critic-ball": dict(schedule=FROZEN, reward_noise=0.3, uv_radius=0.05),
+    "zero-steps": dict(algo="ac", steps=0),
+}
+
+
+class TestRunBatch:
+    def setup_method(self):
+        self.mdp = frozen_lake_4x4()
+        self.pol = tabular_policy(self.mdp)
+        self.fmap = make_features("one_hot_reduced", self.mdp)
+
+    def configs(self, n, **kw):
+        base = dict(mdp=self.mdp, policy=self.pol, features=self.fmap,
+                    steps=2 * _DRAW_BLOCK + 77, metrics_every=500)
+        base.update(kw)
+        if "schedule" not in base:
+            base["schedule"] = algo_schedule(base.get("algo", "ca"))
+        return [RunConfig(seed=10 + i, **base) for i in range(n)]
+
+    def assert_matches_run(self, cfg, res):
+        ref = run(cfg)
+        assert isinstance(res, RunResult)
+        assert without_wall(res.rows) == without_wall(ref.rows)
+        a, b = res.final, ref.final
+        assert (a.t, a.s, a.L) == (b.t, b.s, b.L)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.theta, b.theta)
+        assert a.rng.random() == b.rng.random()  # both stopped on the same draw
+        assert res.uv_radius == ref.uv_radius
+        if ref.v_tail_avg is None:
+            assert res.v_tail_avg is None
+        else:
+            assert np.array_equal(res.v_tail_avg, ref.v_tail_avg)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_each_seed_matches_run(self, case, n):
+        cfgs = self.configs(n, **BATCH_CASES[case])
+        results = run_batch(cfgs)
+        assert len(results) == n
+        for cfg, res in zip(cfgs, results):
+            self.assert_matches_run(cfg, res)
+        if cfgs[0].steps:
+            assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
+
+    def test_projections_bind(self):
+        # the actor-radius and critic-ball cases above reach their radius
+        res = run_batch(self.configs(3, **BATCH_CASES["stac-actor-radius"]))
+        norms = [np.linalg.norm(r.final.theta) for r in res]
+        assert max(norms) == pytest.approx(0.05, abs=1e-12)
+        res = run_batch(self.configs(3, **BATCH_CASES["frozen-noise-critic-ball"]))
+        norms = [row.v_norm for r in res for row in r.rows]
+        assert max(norms) == pytest.approx(0.05, abs=1e-12)
+
+    def test_empty_batch(self):
+        assert run_batch([]) == []
+
+    def test_configs_must_differ_only_in_seed(self):
+        cfgs = self.configs(2)
+        with pytest.raises(InvariantViolation, match="steps"):
+            run_batch([cfgs[0], dataclasses.replace(cfgs[1], steps=10)])
+        with pytest.raises(InvariantViolation, match="reward_noise"):
+            run_batch([cfgs[0], dataclasses.replace(cfgs[1], reward_noise=0.1)])
+        # an equal but separate problem object is not shared
+        other = dataclasses.replace(cfgs[1], mdp=frozen_lake_4x4())
+        with pytest.raises(InvariantViolation, match="mdp"):
+            run_batch([cfgs[0], other])
+
+    def test_row_failure_drops_only_that_seed(self, monkeypatch):
+        cfgs = self.configs(3, steps=1500)
+        clean = [run(cfg) for cfg in cfgs]
+        target = clean[1].rows[1]  # seed 11's row at step 1000
+        real = metrics.exact_metrics_row
+
+        def flaky(*args, **kw):
+            if kw["t"] == target.t and kw["delta_abs_mean"] == target.delta_abs_mean:
+                raise OracleFailure("A(theta) is singular")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(metrics, "exact_metrics_row", flaky)
+        with pytest.raises(OracleFailure) as expected:
+            run(cfgs[1])
+        results = run_batch(cfgs)
+        assert isinstance(results[1], OracleFailure)
+        assert str(results[1]) == str(expected.value)
+        assert str(results[1]) == "exact metrics failed at step 1000: A(theta) is singular"
+        for i in (0, 2):
+            assert without_wall(results[i].rows) == without_wall(clean[i].rows)
+            assert np.array_equal(results[i].final.theta, clean[i].final.theta)
+            assert results[i].final.rng.random() == clean[i].final.rng.random()
