@@ -55,6 +55,16 @@ _DEFAULTS = {
 }
 
 
+# Config-file keys that hold numbers, with the type of their flag (flags are
+# typed by argparse); seeds and jobs are checked by _positive_int.
+_NUMBER_KEYS = {
+    "steps": int, "seed": int, "metrics_every": int, "policy_samples": int,
+    "horizon": int, "nu": float, "sigma": float, "c_alpha": float, "c_beta": float,
+    "c_gamma": float, "k_coupling": float, "uv": float, "actor_radius": float,
+    "reward_noise": float, "t_min": float,
+}
+
+
 def _parse_scalar(text: str):
     for cast in (int, float):
         try:
@@ -101,6 +111,14 @@ def resolve_options(args: argparse.Namespace) -> dict:
         unknown = set(file_opts) - set(_DEFAULTS)
         if unknown:
             raise ParseError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
+        for key, cast in _NUMBER_KEYS.items():
+            value = file_opts.get(key)
+            if value is None or isinstance(value, (int, float)):
+                continue
+            try:  # a JSON string such as "5" is read as the number it spells
+                file_opts[key] = cast(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"{cfg_path}: {key} must be a number, got {value!r}") from None
         opts.update(file_opts)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
@@ -129,7 +147,10 @@ def resolve_features(spec: str | None, mdp, embedded: FeatureMap | None) -> Feat
             raise ParseError(f"{spec}: no 'features' block in file")
         return fmap
     kind, _, dim = spec.partition(":")
-    d1 = int(dim) if dim else None
+    try:
+        d1 = int(dim) if dim else None
+    except ValueError:
+        raise ParseError(f"features {spec!r}: dimension {dim!r} is not an integer") from None
     return make_features(kind, mdp, d1=d1, seed=0)
 
 

@@ -14,16 +14,20 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-Two kernels carry these equations for every algorithm, and two entry points
-drive them.  `run(config)` drives one seed through _make_step, which works on
-Python scalars and small arrays; it is the fast path for a single seed.
-`run_batch(configs)` drives configs that differ only in seed through
-_make_batch_step, which advances all of them in lockstep on (N, .) arrays, so
-one numpy dispatch serves N seeds; `sweep` and the multi-seed checks use it.
-At N = 1 the lockstep step costs more than the scalar one, so both are kept;
-every seed of a batch reproduces `run` bit for bit.  A frozen actor
-(c_alpha = 0, no radius) is a branch inside each kernel that reuses one
-precomputed policy table.
+One private driver, _drive(configs), runs every seed of configs that differ
+only in seed: `run(config)` is its one-seed case and `run_batch(configs)` the
+checked public way in for several.  The driver loops once per segment (up to
+the next metrics row or the end of a draw block); a kernel runs the segment's
+steps on (N, .) state arrays in place.  Two kernels carry the equations, and
+the driver picks one from N: _make_step works on Python scalars and small
+arrays of row 0, and _make_batch_step advances N seeds in lockstep, so one
+numpy dispatch serves them all.  Both stay: at N = 1 the lockstep step costs
+2-5x the scalar one (one BLAS thread, 2-core host: about 41-59 vs 19-24 us per
+step on four-state with the actor moving, 25-33 vs 5-6 us on gridworld4 with
+it frozen), while at N = 8 it costs less per seed-step than the scalar step
+in every case measured.  Every seed of a batch reproduces its one-seed run bit
+for bit.  A frozen actor (c_alpha = 0, no radius) is a branch inside each
+kernel that reuses one precomputed policy table.
 
 Draws per step come from one counter-based generator per seed in the fixed
 order (action, next state, optional reward noise), so runs are
@@ -171,15 +175,17 @@ def _make_step(
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """The sampled update of one run, with its constants built once.
+    """The sampled update of one seed, with its constants built once.
 
-    Returns kernel(t, theta, v, L, s, rng) -> (next state, updated average-reward
-    iterate, td error), which mutates theta and v in place.  Draw order is
-    (action, next state, optional reward noise); the td error uses the
-    pre-update average-reward iterate.  With a frozen actor (c_alpha = 0, no
-    radius) the policy never leaves theta0, so its cumulative table is
-    precomputed and the actor update is skipped; the arithmetic and draw
-    order match the moving branch bit for bit.
+    Returns the segment stepper advance(t, t_end, u, theta, v, L, s,
+    abs_delta_sum, tail_acc), which runs steps t .. t_end - 1 on row 0 of the
+    (1, .) state arrays in place: u[i, j, 0] is the j-th draw of step t + i,
+    abs_delta_sum accumulates |delta| and tail_acc (unless None) v after each
+    step.  Draw order is (action, next state, optional reward noise); the td
+    error uses the pre-update average-reward iterate.  With a frozen actor
+    (c_alpha = 0, no radius) the policy never leaves theta0, so its cumulative
+    table is precomputed and the actor update is skipped; the arithmetic and
+    draw order match the moving branch bit for bit.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -194,42 +200,52 @@ def _make_step(
     if frozen:
         prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1).tolist()
 
-    def kernel(t, theta, v, L, s, rng):
-        if frozen:
-            cum = prob_cum[s]
-        else:
-            logits = x[s] @ theta
-            p = np.exp(logits - logits.max())
-            p /= p.sum()
-            cum = np.cumsum(p).tolist()
-        a = bisect.bisect_right(cum, rng.random())
-        if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
-            a = n_actions - 1
-        s1 = bisect.bisect_right(pcum_rows[s][a], rng.random())
-        if s1 >= n_states:
-            s1 = n_states - 1
-        r = R[s, a]
-        if reward_noise > 0.0:
-            r = r + reward_noise * (2.0 * rng.random() - 1.0)
-            r = min(max(r, -reward_bound), reward_bound)
+    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
+        draw = iter(u[:, :, 0].ravel().tolist()).__next__
+        theta, v = theta[0], v[0]
+        tail = None if tail_acc is None else tail_acc[0]
+        # starting from the row's running sum, not 0, adds |delta| in step order
+        L_t, s_t, delta_sum = float(L[0]), int(s[0]), float(abs_delta_sum[0])
+        for t in range(t, t_end):
+            if frozen:
+                cum = prob_cum[s_t]
+            else:
+                logits = x[s_t] @ theta
+                p = np.exp(logits - logits.max())
+                p /= p.sum()
+                cum = np.cumsum(p).tolist()
+            a = bisect.bisect_right(cum, draw())
+            if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
+                a = n_actions - 1
+            s1 = bisect.bisect_right(pcum_rows[s_t][a], draw())
+            if s1 >= n_states:
+                s1 = n_states - 1
+            r = R[s_t, a]
+            if reward_noise > 0.0:
+                r = r + reward_noise * (2.0 * draw() - 1.0)
+                r = min(max(r, -reward_bound), reward_bound)
 
-        L1 = L + gamma_f(t) * (r - L)
-        phi_s = phi[s]
-        delta = r - L + phi[s1] @ v - phi_s @ v
-        v += (beta_f(t) * delta) * phi_s
-        v_sq = v @ v
-        if v_sq > uv_sq:
-            v *= uv_radius / math.sqrt(v_sq)
-        if not frozen:
-            psi = x[s, a] - p @ x[s]
-            theta += (alpha_f(t) * delta) * psi
-            if actor_radius is not None:
-                t_sq = theta @ theta
-                if t_sq > actor_radius * actor_radius:
-                    theta *= actor_radius / math.sqrt(t_sq)
-        return s1, L1, delta
+            phi_s = phi[s_t]
+            delta = r - L_t + phi[s1] @ v - phi_s @ v
+            L_t = L_t + gamma_f(t) * (r - L_t)
+            v += (beta_f(t) * delta) * phi_s
+            v_sq = v @ v
+            if v_sq > uv_sq:
+                v *= uv_radius / math.sqrt(v_sq)
+            if not frozen:
+                psi = x[s_t, a] - p @ x[s_t]
+                theta += (alpha_f(t) * delta) * psi
+                if actor_radius is not None:
+                    t_sq = theta @ theta
+                    if t_sq > actor_radius * actor_radius:
+                        theta *= actor_radius / math.sqrt(t_sq)
+            if tail is not None:
+                tail += v
+            delta_sum += abs(delta)
+            s_t = s1
+        L[0], s[0], abs_delta_sum[0] = L_t, s_t, delta_sum
 
-    return kernel
+    return advance
 
 
 def _make_batch_step(
@@ -244,12 +260,11 @@ def _make_batch_step(
 ):
     """_make_step for N seeds in lockstep.
 
-    Returns kernel(t, theta, v, L, s, u) -> (next states, updated
-    average-reward iterates, td errors) on theta (N, d2), v (N, d1), L (N,)
-    and s (N,), mutating theta and v in place; u is (k, N), row j holding
-    each seed's j-th draw of the step.  Every product is a stacked matmul
-    (a gemv or dot per seed, as in the scalar kernel) rather than an einsum,
-    so each seed's arithmetic matches _make_step bit for bit.
+    Returns the same segment stepper, on theta (N, d2), v (N, d1), L (N,),
+    s (N,), abs_delta_sum (N,) and tail_acc (N, d1) or None, all in place;
+    u[i, j, n] is seed n's j-th draw of step t + i.  Every product is a
+    stacked matmul (a gemv or dot per seed, as in the scalar kernel) rather
+    than an einsum, so each seed's arithmetic matches _make_step bit for bit.
     """
     # take() on the leading axis, with (s, a) flattened to s * A + a, is the
     # cheapest gather; the ufunc reductions are sum, max and cumsum without
@@ -277,38 +292,44 @@ def _make_batch_step(
         if over.any():
             w[over] *= (radius / np.sqrt(w_sq[over]))[:, None]
 
-    def kernel(t, theta, v, L, s, u):
-        if frozen:
-            cum = prob_cum.take(s, axis=0)
-        else:
-            xs = x.take(s, axis=0)
-            logits = (xs @ theta[:, :, None])[:, :, 0]
-            p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
-            p /= add_reduce(p, axis=1, keepdims=True)
-            cum = np.add.accumulate(p, axis=1)
-        # the cumulative rows may fall a few ulp short of 1, hence the clamps
-        a = np.minimum(add_reduce(cum <= u[0][:, None], axis=1), n_actions - 1)
-        sa = s * n_actions + a
-        s1 = np.minimum(add_reduce(pcum_sa.take(sa, axis=0) <= u[1][:, None], axis=1),
-                        n_states - 1)
-        r = r_sa.take(sa)
-        if reward_noise > 0.0:
-            r = r + reward_noise * (2.0 * u[2] - 1.0)
-            r = np.minimum(np.maximum(r, -reward_bound), reward_bound)
+    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
+        L_out, s_out = L, s
+        for t, u_t in zip(range(t, t_end), u):
+            if frozen:
+                cum = prob_cum.take(s, axis=0)
+            else:
+                xs = x.take(s, axis=0)
+                logits = (xs @ theta[:, :, None])[:, :, 0]
+                p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
+                p /= add_reduce(p, axis=1, keepdims=True)
+                cum = np.add.accumulate(p, axis=1)
+            # the cumulative rows may fall a few ulp short of 1, hence the clamps
+            a = np.minimum(add_reduce(cum <= u_t[0][:, None], axis=1), n_actions - 1)
+            sa = s * n_actions + a
+            s1 = np.minimum(add_reduce(pcum_sa.take(sa, axis=0) <= u_t[1][:, None], axis=1),
+                            n_states - 1)
+            r = r_sa.take(sa)
+            if reward_noise > 0.0:
+                r = r + reward_noise * (2.0 * u_t[2] - 1.0)
+                r = np.minimum(np.maximum(r, -reward_bound), reward_bound)
 
-        L1 = L + gamma_f(t) * (r - L)
-        phi_s = phi.take(s, axis=0)
-        delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
-        v += (beta_f(t) * delta)[:, None] * phi_s
-        shrink(v, uv_radius)
-        if not frozen:
-            psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
-            theta += (alpha_f(t) * delta)[:, None] * psi
-            if actor_radius is not None:
-                shrink(theta, actor_radius)
-        return s1, L1, delta
+            phi_s = phi.take(s, axis=0)
+            delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
+            L = L + gamma_f(t) * (r - L)
+            v += (beta_f(t) * delta)[:, None] * phi_s
+            shrink(v, uv_radius)
+            if not frozen:
+                psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
+                theta += (alpha_f(t) * delta)[:, None] * psi
+                if actor_radius is not None:
+                    shrink(theta, actor_radius)
+            if tail_acc is not None:
+                tail_acc += v
+            abs_delta_sum += np.abs(delta)
+            s = s1
+        L_out[:], s_out[:] = L, s
 
-    return kernel
+    return advance
 
 
 @dataclass
@@ -335,6 +356,14 @@ class RunConfig:
             raise InvariantViolation("steps must be nonnegative")
         if self.metrics_every <= 0:
             raise InvariantViolation("metrics_every must be positive")
+        if self.actor_radius is not None and not self.actor_radius > 0:
+            raise InvariantViolation(
+                f"actor_radius = {self.actor_radius} must be positive: the projection "
+                "would reflect theta through the origin or pin it there")
+        if not self.reward_noise >= 0:
+            raise InvariantViolation(f"reward_noise = {self.reward_noise} must be nonnegative")
+        if self.tail_average_from is not None and self.tail_average_from < 0:
+            raise InvariantViolation("tail_average_from must be nonnegative")
         if not validate_schedule(self.schedule).tracker_ok:
             raise InvariantViolation(
                 f"c_gamma = {self.schedule.c_gamma} > 2 makes the average-reward "
@@ -377,58 +406,13 @@ def run(config: RunConfig) -> RunResult:
     """Execute a full run, emitting an exact-metrics row every metrics_every
     steps (and at the final step).  Any oracle failure while computing metrics
     aborts with the offending step index."""
-    from .metrics import exact_metrics_row
-
-    mdp, policy, features, sched = (
-        config.mdp,
-        config.policy,
-        config.features,
-        config.schedule,
-    )
-    uv_radius = resolve_uv_radius(config)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    s = int(rng.integers(mdp.n_states))
-    L, v, theta = 0.0, np.zeros(features.dim), np.array(policy.theta, dtype=float)
-
-    kernel = _make_step(mdp, policy, features, sched, theta, uv_radius,
-                        config.reward_noise, config.actor_radius)
-
-    tail_from = config.tail_average_from
-    tail_acc = np.zeros_like(v) if tail_from is not None else None
-    tail_n = 0
-
-    rows = []
-    abs_delta_sum = 0.0
-    window = 0
-    start_ns = time.perf_counter_ns()
-    for t in range(config.steps):
-        s, L, delta = kernel(t, theta, v, L, s, rng)
-        if tail_from is not None and t >= tail_from:
-            tail_acc += v
-            tail_n += 1
-        abs_delta_sum += abs(delta)
-        window += 1
-        t1 = t + 1
-        if t1 % config.metrics_every == 0 or t1 == config.steps:
-            try:
-                row = exact_metrics_row(
-                    mdp, policy, features,
-                    t=t1, theta=theta, v=v, L=L,
-                    delta_abs_mean=abs_delta_sum / window,
-                    wall_ns=time.perf_counter_ns() - start_ns,
-                )
-            except AvgrlError as exc:
-                raise OracleFailure(f"exact metrics failed at step {t1}: {exc}") from exc
-            rows.append(row)
-            abs_delta_sum = 0.0
-            window = 0
-
-    final = LearnerState(t=config.steps, L=L, v=v, theta=theta, s=s, rng=rng)
-    v_tail = tail_acc / tail_n if tail_n else None
-    return RunResult(rows=rows, final=final, uv_radius=uv_radius, v_tail_avg=v_tail)
+    result = _drive([config])[0]
+    if isinstance(result, OracleFailure):
+        raise result
+    return result
 
 
-# Steps per block of uniforms that run_batch draws from each seed's generator.
+# Steps per block of uniforms drawn from each seed's generator.
 _DRAW_BLOCK = 1024
 
 # RunConfig fields that a batch shares by identity: its kernel is built from one
@@ -452,16 +436,26 @@ def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
 
     Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
     (wall_ns aside), or the OracleFailure that run(configs[i]) raises; a
-    failed seed leaves the batch and the others go on unchanged.  Each seed
-    keeps its own generator and draws k = 2 (3 with reward noise) uniforms
-    per step in blocks of at most _DRAW_BLOCK steps, so it stops on the same
-    draw as `run`.  Any difference other than seed raises InvariantViolation.
+    failed seed leaves the batch and the others go on unchanged.  Any
+    difference other than seed raises InvariantViolation.
     """
-    from .metrics import exact_metrics_row
-
     if not configs:
         return []
     _check_batch(configs)
+    return _drive(configs)
+
+
+def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
+    """The run loop for configs that differ only in seed (unchecked).
+
+    Each seed keeps its own generator and draws k = 2 (3 with reward noise)
+    uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
+    the same draw whatever the batch.  The kernel advances every live seed
+    one segment at a time; a segment ends at a draw-block end, a metrics row
+    or the start of the tail average.
+    """
+    from .metrics import exact_metrics_row
+
     base = configs[0]
     mdp, policy, features = base.mdp, base.policy, base.features
     uv_radius = resolve_uv_radius(base)
@@ -471,34 +465,34 @@ def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
     theta0 = np.array(policy.theta, dtype=float)
     L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(theta0, (n, 1))
 
-    kernel = _make_batch_step(mdp, policy, features, base.schedule, theta0, uv_radius,
-                              base.reward_noise, base.actor_radius)
+    make_kernel = _make_step if n == 1 else _make_batch_step
+    advance = make_kernel(mdp, policy, features, base.schedule, theta0, uv_radius,
+                          base.reward_noise, base.actor_radius)
 
     steps, every = base.steps, base.metrics_every
-    tail_from = base.tail_average_from
-    tail_acc = np.zeros_like(v) if tail_from is not None else None
-    tail_n = 0
+    tail_from = steps if base.tail_average_from is None else base.tail_average_from
+    tail_acc = np.zeros_like(v)
 
     out: list = [None] * n
     live = list(range(n))  # configs index of each row of the batch arrays
     rows: list[list] = [[] for _ in range(n)]
     abs_delta_sum = np.zeros(n)
-    window = 0
+    last_row = 0
     k = 3 if base.reward_noise > 0.0 else 2
     start_ns = time.perf_counter_ns()
     t = 0
     while t < steps and live:
-        nb = min(_DRAW_BLOCK, steps - t)
+        block_start, block_end = t, min(t + _DRAW_BLOCK, steps)
         # u[i, j, n]: seed n's j-th draw of the block's i-th step
-        u = np.stack([rng.random(k * nb).reshape(nb, k) for rng in rngs], axis=2)
-        for i in range(nb):
-            s, L, delta = kernel(t, theta, v, L, s, u[i])
-            if tail_from is not None and t >= tail_from:
-                tail_acc += v
-                tail_n += 1
-            abs_delta_sum += np.abs(delta)
-            window += 1
-            t += 1
+        u = np.stack([rng.random(k * (block_end - t)).reshape(-1, k) for rng in rngs],
+                     axis=2)
+        while t < block_end and live:
+            t_end = min(block_end, t - t % every + every)
+            if t < tail_from:
+                t_end = min(t_end, tail_from)
+            advance(t, t_end, u[t - block_start:t_end - block_start], theta, v, L, s,
+                    abs_delta_sum, tail_acc if t >= tail_from else None)
+            t = t_end
             if t % every and t != steps:
                 continue
             keep = np.ones(len(live), dtype=bool)
@@ -507,7 +501,7 @@ def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
                     rows[slot].append(exact_metrics_row(
                         mdp, policy, features,
                         t=t, theta=theta[j], v=v[j], L=L[j],
-                        delta_abs_mean=abs_delta_sum[j] / window,
+                        delta_abs_mean=abs_delta_sum[j] / (t - last_row),
                         wall_ns=time.perf_counter_ns() - start_ns,
                     ))
                 except AvgrlError as exc:
@@ -516,21 +510,19 @@ def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
                     out[slot] = failure
                     keep[j] = False
             abs_delta_sum[:] = 0.0
-            window = 0
+            last_row = t
             if not keep.all():
                 live = [slot for slot, kept in zip(live, keep) if kept]
                 rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-                s, L, v, theta, abs_delta_sum, u = (
-                    s[keep], L[keep], v[keep], theta[keep], abs_delta_sum[keep], u[:, :, keep])
-                if tail_acc is not None:
-                    tail_acc = tail_acc[keep]
-                if not live:
-                    break
+                s, L, v, theta, abs_delta_sum, tail_acc, u = (
+                    s[keep], L[keep], v[keep], theta[keep], abs_delta_sum[keep],
+                    tail_acc[keep], u[:, :, keep])
 
+    tail_n = steps - tail_from
     for j, slot in enumerate(live):
         final = LearnerState(t=steps, L=float(L[j]), v=v[j].copy(), theta=theta[j].copy(),
                              s=int(s[j]), rng=rngs[j])
-        v_tail = tail_acc[j] / tail_n if tail_n else None
+        v_tail = tail_acc[j] / tail_n if tail_n > 0 else None
         out[slot] = RunResult(rows=rows[slot], final=final, uv_radius=uv_radius,
                               v_tail_avg=v_tail)
     return out

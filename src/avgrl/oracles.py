@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BudgetExceeded, PeriodicChain, SingularA, SingularSystem
+from .errors import BudgetExceeded, InvalidSpec, PeriodicChain, SingularA, SingularSystem
 from .features import FeatureMap, matrix_A
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, _evaluate, _gradient, _solve_stationary
 
@@ -177,8 +177,10 @@ def estimate_mixing(
     b = max_m d_m / k^m so the envelope dominates every measured distance.
 
     Raises PeriodicChain when the distances never decay below 0.5 * d_1 within
-    the horizon (no geometric regime to fit).
+    the horizon (no geometric regime to fit), and InvalidSpec when horizon < 1.
     """
+    if horizon < 1:
+        raise InvalidSpec(f"mixing horizon must be at least 1, got {horizon}")
     chain, mu, _ = _evaluate(mdp, policy)
     K = chain.kernel
     power = K.copy()

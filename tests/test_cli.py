@@ -407,6 +407,29 @@ class TestConfigLayering:
         assert "sarsa" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,key", [("steps=abc\n", "steps"),
+                                          ("reward_noise=lots\n", "reward_noise"),
+                                          ('{"uv": [1]}', "uv")])
+    def test_non_number_in_file_exit_two(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out.csv"
+        rc = main(["train", "--env", "four-state", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_number_spelled_as_json_string(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(json.dumps({"steps": "600", "uv": "5", "c_alpha": "1"}))
+        out = tmp_path / "run.csv"
+        rc = main(["train", "--env", "four-state", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        assert (sidecar["steps"], sidecar["uv_radius"]) == (600, 5.0)
+        assert sidecar["schedule"]["c_alpha"] == 1.0
+
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("steps 1000\n")
@@ -445,6 +468,34 @@ class TestErrorPaths:
         else:
             assert "c_gamma" in captured.err
         assert list(tmp_path.rglob("*.csv")) == []
+
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_zero_horizon_exit_two(self, capsys, command):
+        rc = main([command, "--env", "four-state", "--horizon", "0"])
+        assert rc == 2
+        assert "horizon must be at least 1" in capsys.readouterr().err
+
+    def test_bad_feature_dimension_exit_two(self, tmp_path, capsys):
+        rc = main(["train", "--env", "four-state", "--features", "random_unit:abc",
+                   "--steps", "10", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "random_unit:abc" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("flag,value", [("--actor-radius", "-1"),
+                                            ("--actor-radius", "0"),
+                                            ("--reward-noise", "-1")])
+    def test_algorithm_changing_parameter_exit_one(self, tmp_path, capsys, command,
+                                                   flag, value):
+        # a radius <= 0 reflects theta through the origin or pins it there, and
+        # negative noise would be switched off silently
+        out = tmp_path / ("run.csv" if command == "train" else "sweep")
+        rc = main([command, "--env", "four-state", "--steps", "10", flag, value,
+                   "--out", str(out)])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_file_missing_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--env", str(tmp_path / "nope.json")])

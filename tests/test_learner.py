@@ -302,6 +302,16 @@ class TestRun:
         with pytest.raises(InvariantViolation):
             self.config(steps=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("actor_radius", -1.0),  # the projection would reflect theta
+        ("actor_radius", 0.0),  # ... or pin it at 0
+        ("reward_noise", -1.0),  # the kernels would switch the noise off
+        ("tail_average_from", -1),
+    ])
+    def test_algorithm_changing_parameters_rejected(self, field, value):
+        with pytest.raises(InvariantViolation, match=field):
+            self.config(**{field: value})
+
     def test_expanding_tracker_rejected(self):
         # c_gamma <= 2 keeps |1 - gamma_t| <= 1 for every t
         self.config(schedule=algo_schedule("ca", c_alpha=2.0))
@@ -348,28 +358,38 @@ def reference_run(mdp, pol, fmap, sched, steps, seed, uv_radius,
 
 
 REFERENCE_CASES = [
-    (algo, noise, radius)
+    (algo, noise, radius, 300)
     for algo in ALGO_SCHEDULES for noise in (0.0, 0.3) for radius in (None, 0.5)
-] + [("frozen", 0.0, None), ("frozen", 0.3, None)]
+] + [("frozen", 0.0, None, 300), ("frozen", 0.3, None, 300),
+     # one metrics window across a draw-block boundary pins the |delta| sum order
+     ("ca", 0.3, None, _DRAW_BLOCK + 76), ("frozen", 0.3, None, _DRAW_BLOCK + 76)]
+REFERENCE_IDS = ["-".join(map(str, case[:3] if case[3] == 300 else case))
+                 for case in REFERENCE_CASES]
 
 
-@pytest.mark.parametrize("algo,noise,radius", REFERENCE_CASES)
-def test_run_matches_reference_stepper(algo, noise, radius):
+@pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_run_matches_reference_stepper(algo, noise, radius, steps):
+    # run (the scalar kernel) and a 3-seed run_batch (the lockstep kernel),
+    # each seed against the plain stepper
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
     sched = FROZEN if algo == "frozen" else algo_schedule(algo)
-    res = run(RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
-                        steps=300, seed=5, metrics_every=300, uv_radius=5.0,
-                        actor_radius=radius, reward_noise=noise))
-    s, L, v, theta, delta_abs_mean = reference_run(
-        mdp, pol, fmap, sched, 300, 5, 5.0, noise, radius)
-    assert (res.final.s, res.final.L) == (s, L)
-    assert np.array_equal(res.final.v, v)
-    assert np.array_equal(res.final.theta, theta)
-    assert res.rows[-1].delta_abs_mean == delta_abs_mean
-    if radius is not None:  # the radius binds, so the projection is exercised
-        assert abs(np.linalg.norm(theta) - radius) < 1e-12
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                    steps=steps, seed=5, metrics_every=steps, uv_radius=5.0,
+                    actor_radius=radius, reward_noise=noise)
+    batch = run_batch([dataclasses.replace(cfg, seed=seed) for seed in (5, 6, 7)])
+    single = run(cfg)
+    for seed, res in [(5, single)] + list(zip((5, 6, 7), batch)):
+        s, L, v, theta, delta_abs_mean = reference_run(
+            mdp, pol, fmap, sched, steps, seed, 5.0, noise, radius)
+        assert len(res.rows) == 1
+        assert (res.final.s, res.final.L) == (s, L)
+        assert np.array_equal(res.final.v, v)
+        assert np.array_equal(res.final.theta, theta)
+        assert res.rows[-1].delta_abs_mean == delta_abs_mean
+    if radius is not None:  # the radius binds at seed 5, so the projection is exercised
+        assert abs(np.linalg.norm(single.final.theta) - radius) < 1e-12
 
 
 def without_wall(rows):

@@ -16,7 +16,7 @@ from avgrl.envs import (
     frozen_lake_4x4,
     tabular_policy,
 )
-from avgrl.errors import BudgetExceeded, PeriodicChain, SingularA
+from avgrl.errors import BudgetExceeded, InvalidSpec, PeriodicChain, SingularA
 from avgrl.features import FeatureMap, make_features, matrix_A
 from avgrl.learner import algo_schedule
 from avgrl.mdp import FiniteMdp, differential_value, policy_gradient
@@ -160,6 +160,12 @@ class TestMixing:
         mdp = FiniteMdp(transition=P, reward=np.zeros((2, 1)), reward_bound=1.0)
         with pytest.raises(PeriodicChain):
             estimate_mixing(mdp, tabular_policy(mdp))
+
+    def test_horizon_below_one_rejected(self):
+        mdp = two_state_chain()
+        for horizon in (0, -3):
+            with pytest.raises(InvalidSpec, match="horizon"):
+                estimate_mixing(mdp, tabular_policy(mdp), horizon=horizon)
 
     def test_tau_minimal_and_monotone(self):
         prof = MixingProfile(b=0.5, k=0.7, distances=())
