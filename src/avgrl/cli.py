@@ -3,8 +3,8 @@
 Exit codes: 0 on success (for `validate`: all assumptions PASS and the
 average-reward tracker does not expand), 1 when a validation or oracle check
 fails, 2 on I/O or parse problems.  Any flag can also be supplied through
-`--config FILE` holding either a JSON object or flat `key=value` lines;
-explicit flags override file values.
+`--config FILE` holding either a JSON object or flat `key=value` lines, each
+value read with its flag's type; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -28,54 +28,61 @@ from .errors import (
 from .features import FeatureMap, _critic_matrices, check_assumption2, make_features
 from .mdp import _differential, _evaluate
 
-_DEFAULTS = {
-    "env": "four-state",
-    "features": None,
-    "algo": "ca",
-    "steps": 100_000,
-    "seed": 0,
-    "nu": None,
-    "sigma": None,
-    "c_alpha": None,
-    "c_beta": None,
-    "c_gamma": None,
-    "k_coupling": None,
-    "uv": None,
-    "actor_radius": None,
-    "reward_noise": 0.0,
-    "metrics_every": 1000,
-    "out": None,
-    "seeds": 10,
-    "jobs": 1,
-    "metric": "critic_err_sq",
-    "t_min": 1000.0,
-    "policy_samples": 8,
-    "horizon": 300,
-    "theta": None,
+# Every option once: key -> (type, default, help).  The key is the config-file
+# key and, with "-" for "_", the flag; the type reads the flag and the file
+# value alike.  sweep.json writes `opts` in this order.
+_OPTIONS = {
+    "env": (str, "four-state", "builtin name (four-state, gridworld4, garnet) or JSON path"),
+    "features": (str, None,
+                 "kind[:d1] (one_hot_reduced, random_unit, tabular_centered) or JSON path"),
+    "algo": (str, "ca", None),
+    "steps": (int, 100_000, None),
+    "seed": (int, 0, None),
+    "nu": (float, None, None),
+    "sigma": (float, None, None),
+    "c_alpha": (float, None, None),
+    "c_beta": (float, None, None),
+    "c_gamma": (float, None, None),
+    "k_coupling": (float, None, None),
+    "uv": (float, None, "critic projection radius"),
+    "actor_radius": (float, None, None),
+    "reward_noise": (float, 0.0, None),
+    "metrics_every": (int, 1000, None),
+    "out": (str, None, None),
+    "seeds": (int, 10, "number of consecutive seeds"),
+    "jobs": (int, 1, "lockstep batches, one worker process each"),
+    "metric": (str, "critic_err_sq", None),
+    "t_min": (float, 1000.0, None),
+    "policy_samples": (int, 8, None),
+    "horizon": (int, 300, None),
+    "theta": (str, None, "JSON file with the parameter vector"),
 }
 
+_SCHEDULE_KEYS = ("nu", "sigma", "c_alpha", "c_beta", "c_gamma", "k_coupling")
+_RUN_KEYS = ("env", "features", "seed", "algo", *_SCHEDULE_KEYS,
+             "steps", "uv", "actor_radius", "reward_noise", "metrics_every", "out")
 
-# Config-file keys that hold numbers, with the type of their flag (flags are
-# typed by argparse); seeds and jobs are checked by _positive_int.
-_NUMBER_KEYS = {
-    "steps": int, "seed": int, "metrics_every": int, "policy_samples": int,
-    "horizon": int, "nu": float, "sigma": float, "c_alpha": float, "c_beta": float,
-    "c_gamma": float, "k_coupling": float, "uv": float, "actor_radius": float,
-    "reward_noise": float, "t_min": float,
+# command -> (help, the option keys it reads, in --help order)
+_COMMANDS = {
+    "validate": ("check assumptions and report constants",
+                 ("env", "features", "seed", "algo", *_SCHEDULE_KEYS,
+                  "policy_samples", "horizon", "out")),
+    "train": ("run one seed and write a metrics CSV", _RUN_KEYS),
+    "sweep": ("run several seeds and aggregate", (*_RUN_KEYS, "seeds", "jobs")),
+    "rate": ("fit a decay exponent to metrics CSVs", ("metric", "t_min")),
+    "solve": ("print exact quantities at a fixed theta", ("env", "features", "theta", "horizon")),
 }
 
-
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    return text
+# sweep's counts; _positive_int checks them
+_COUNT_KEYS = ("seeds", "jobs")
 
 
 def load_config_file(path: str) -> dict:
-    """JSON object or flat key=value lines; '#' starts a comment."""
+    """JSON object or flat key=value lines; '#' starts a comment.
+
+    A key=value value is returned as its text; `resolve_options` reads it
+    with the type of its flag.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -98,36 +105,49 @@ def load_config_file(path: str) -> dict:
         if "=" not in line:
             raise ParseError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, val = line.split("=", 1)
-        doc[key.strip()] = _parse_scalar(val.strip())
+        doc[key.strip()] = val.strip()
     return doc
+
+
+def _read_value(path: str, key: str, value):
+    """`value` from a config file, read with the type of its flag.
+
+    Text is read as the flag reads it, so "5" is the number 5.  A JSON number
+    serves a float key, and an int key unless it has a fraction or is a
+    boolean.
+    """
+    cast = _OPTIONS[key][0]
+    if isinstance(value, str):
+        try:
+            return cast(value)
+        except ValueError:
+            pass
+    elif type(value) is cast or (cast is float and type(value) is int):
+        return cast(value)
+    kind = ("a positive integer" if key in _COUNT_KEYS else
+            {str: "a string", int: "a number with no fraction", float: "a number"}[cast])
+    raise ParseError(f"{path}: {key} must be {kind}, got {value!r}")
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
-    opts = dict(_DEFAULTS)
+    opts = {key: default for key, (_, default, _) in _OPTIONS.items()}
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         file_opts = load_config_file(cfg_path)
-        unknown = set(file_opts) - set(_DEFAULTS)
+        unknown = set(file_opts) - set(_OPTIONS)
         if unknown:
             raise ParseError(f"{cfg_path}: unknown config keys {sorted(unknown)}")
-        for key, cast in _NUMBER_KEYS.items():
-            value = file_opts.get(key)
-            if value is None or isinstance(value, (int, float)):
-                continue
-            try:  # a JSON string such as "5" is read as the number it spells
-                file_opts[key] = cast(value)
-            except (TypeError, ValueError):
-                raise ParseError(f"{cfg_path}: {key} must be a number, got {value!r}") from None
-        opts.update(file_opts)
-    for key in _DEFAULTS:
+        for key, value in file_opts.items():
+            if value is not None:  # JSON null leaves the default
+                opts[key] = _read_value(cfg_path, key, value)
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
+    if opts["seed"] < 0:  # numpy's generators take no negative seed
+        raise InvalidSpec(f"seed must be nonnegative, got {opts['seed']}")
     return opts
-
-
-_SCHEDULE_KEYS = ("c_alpha", "c_beta", "c_gamma", "nu", "sigma", "k_coupling")
 
 
 def build_schedule(algo: str, opts: dict) -> learner.StepSchedule:
@@ -165,13 +185,13 @@ def cmd_validate(opts: dict) -> int:
     mdp, features, policy = _resolve_problem(opts)
     report = check_assumption2(
         mdp, policy, features,
-        n_theta_samples=int(opts["policy_samples"]), seed=int(opts["seed"]),
+        n_theta_samples=opts["policy_samples"], seed=opts["seed"],
     )
     a1 = report.features_ok
     a2 = report.assumption2_ok
     mixing_error = None
     try:
-        profile = oracles.estimate_mixing(mdp, policy, horizon=int(opts["horizon"]))
+        profile = oracles.estimate_mixing(mdp, policy, horizon=opts["horizon"])
         report.mixing_b, report.mixing_k = profile.b, profile.k
     except PeriodicChain as exc:
         profile = None
@@ -222,13 +242,13 @@ def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
         policy=policy,
         features=features,
         schedule=sched,
-        steps=int(opts["steps"]),
+        steps=opts["steps"],
         algo=opts["algo"],
         seed=seed,
-        metrics_every=int(opts["metrics_every"]),
+        metrics_every=opts["metrics_every"],
         uv_radius=opts["uv"],
         actor_radius=opts["actor_radius"],
-        reward_noise=float(opts["reward_noise"]),
+        reward_noise=opts["reward_noise"],
     )
 
 
@@ -260,7 +280,7 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
 
 
 def cmd_train(opts: dict) -> int:
-    config = _make_run_config(opts, int(opts["seed"]))
+    config = _make_run_config(opts, opts["seed"])
     result = learner.run(config)
     out = opts["out"] or "metrics.csv"
     metrics.write_metrics_csv(out, result.rows)
@@ -275,13 +295,9 @@ def cmd_train(opts: dict) -> int:
 
 
 def _positive_int(opts: dict, key: str) -> int:
-    try:
-        value = int(opts[key])
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"{key} must be a positive integer, got {opts[key]!r}") from None
-    if value < 1:
-        raise InvalidSpec(f"{key} must be a positive integer, got {value}")
-    return value
+    if opts[key] < 1:
+        raise InvalidSpec(f"{key} must be a positive integer, got {opts[key]}")
+    return opts[key]
 
 
 def _sweep_batch(configs: list[learner.RunConfig]) -> list:
@@ -297,7 +313,7 @@ def _sweep_batch(configs: list[learner.RunConfig]) -> list:
 def cmd_sweep(opts: dict) -> int:
     n_seeds = _positive_int(opts, "seeds")
     jobs = _positive_int(opts, "jobs")
-    base_seed = int(opts["seed"])
+    base_seed = opts["seed"]
     seeds = [base_seed + i for i in range(n_seeds)]
     base = _make_run_config(opts, base_seed)
     configs = [dataclasses.replace(base, seed=seed) for seed in seeds]
@@ -336,7 +352,7 @@ def cmd_sweep(opts: dict) -> int:
 
 def cmd_rate(files: list[str], opts: dict) -> int:
     metric = opts["metric"]
-    t_min = float(opts["t_min"])
+    t_min = opts["t_min"]
     by_t: dict[float, list[float]] = {}
     for path in files:
         cols = metrics.read_table(path)
@@ -354,17 +370,26 @@ def cmd_rate(files: list[str], opts: dict) -> int:
     return 0
 
 
+def _read_theta(path: str) -> np.ndarray:
+    """The JSON list of finite numbers in `path`, as a vector."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if isinstance(doc, list) and all(type(x) in (int, float) for x in doc):
+            theta = np.array(doc, dtype=float)
+            if np.isfinite(theta).all():
+                return theta
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, OverflowError):  # an int too large for a float
+        pass
+    raise ParseError(f"{path}: theta must be a JSON list of finite numbers")
+
+
 def cmd_solve(opts: dict) -> int:
     mdp, features, policy = _resolve_problem(opts)
     if opts["theta"]:
-        try:
-            with open(opts["theta"], "r", encoding="utf-8") as fh:
-                theta = np.array(json.load(fh), dtype=float)
-        except OSError as exc:
-            raise ParseError(f"cannot read {opts['theta']}: {exc}") from exc
-        except (json.JSONDecodeError, ValueError) as exc:
-            raise ParseError(f"{opts['theta']}: not a JSON float list: {exc}") from exc
-        policy = policy.with_theta(theta)
+        policy = policy.with_theta(_read_theta(opts["theta"]))
     chain, mu, gain = _evaluate(mdp, policy)
     V = _differential(chain, mu, gain)
     A, b = _critic_matrices(features.table, chain, mu, gain)
@@ -372,7 +397,7 @@ def cmd_solve(opts: dict) -> int:
     M = oracles.actor_field_M(mdp, policy, features, v_star)
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())
     try:
-        profile = oracles.estimate_mixing(mdp, policy, horizon=int(opts["horizon"]))
+        profile = oracles.estimate_mixing(mdp, policy, horizon=opts["horizon"])
         mixing = {"b": profile.b, "k": profile.k}
     except PeriodicChain as exc:
         mixing = {"error": str(exc)}
@@ -395,60 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Average-reward two-timescale learners with exact oracles",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "rate":
+            p.add_argument("files", nargs="+")
         p.add_argument("--config", help="JSON or key=value config file")
-        p.add_argument("--env", help="builtin name (four-state, gridworld4, garnet) or JSON path")
-        p.add_argument("--features",
-                       help="kind[:d1] (one_hot_reduced, random_unit, tabular_centered) or JSON path")
-        p.add_argument("--seed", type=int)
-
-    def add_schedule(p):
-        p.add_argument("--algo", choices=list(learner.ALGO_SCHEDULES))
-        p.add_argument("--nu", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--c-alpha", dest="c_alpha", type=float)
-        p.add_argument("--c-beta", dest="c_beta", type=float)
-        p.add_argument("--c-gamma", dest="c_gamma", type=float)
-        p.add_argument("--k-coupling", dest="k_coupling", type=float)
-
-    def add_run(p):
-        p.add_argument("--steps", type=int)
-        p.add_argument("--uv", type=float, help="critic projection radius")
-        p.add_argument("--actor-radius", dest="actor_radius", type=float)
-        p.add_argument("--reward-noise", dest="reward_noise", type=float)
-        p.add_argument("--metrics-every", dest="metrics_every", type=int)
-        p.add_argument("--out")
-
-    p_val = sub.add_parser("validate", help="check assumptions and report constants")
-    add_common(p_val)
-    add_schedule(p_val)
-    p_val.add_argument("--policy-samples", dest="policy_samples", type=int)
-    p_val.add_argument("--horizon", type=int)
-    p_val.add_argument("--out")
-
-    p_train = sub.add_parser("train", help="run one seed and write a metrics CSV")
-    add_common(p_train)
-    add_schedule(p_train)
-    add_run(p_train)
-
-    p_sweep = sub.add_parser("sweep", help="run several seeds and aggregate")
-    add_common(p_sweep)
-    add_schedule(p_sweep)
-    add_run(p_sweep)
-    p_sweep.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    p_sweep.add_argument("--jobs", type=int, help="parallel worker processes")
-
-    p_rate = sub.add_parser("rate", help="fit a decay exponent to metrics CSVs")
-    p_rate.add_argument("files", nargs="+")
-    p_rate.add_argument("--config")
-    p_rate.add_argument("--metric")
-    p_rate.add_argument("--t-min", dest="t_min", type=float)
-
-    p_solve = sub.add_parser("solve", help="print exact quantities at a fixed theta")
-    add_common(p_solve)
-    p_solve.add_argument("--theta", help="JSON file with the parameter vector")
-    p_solve.add_argument("--horizon", type=int)
+        for key in keys:
+            cast, _, key_help = _OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast, help=key_help,
+                           choices=list(learner.ALGO_SCHEDULES) if key == "algo" else None)
 
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleDimension, InvariantViolation, SingularA
+from .errors import InfeasibleDimension, InvalidSpec, InvariantViolation, SingularA
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distribution
 from . import mdp as _mdp
 
@@ -234,9 +234,11 @@ def check_assumption2(
         raise InfeasibleDimension("feature map is rank deficient; A(theta) is degenerate")
     if features.n_states != mdp.n_states:
         raise InvariantViolation("feature map size does not match the MDP")
+    if n_theta_samples < 1:
+        raise InvalidSpec(f"n_theta_samples must be at least 1, got {n_theta_samples}")
     rng = np.random.default_rng(seed)
     thetas = [np.zeros(policy.dim)]
-    for _ in range(max(0, n_theta_samples - 1)):
+    for _ in range(n_theta_samples - 1):
         thetas.append(theta_scale * rng.standard_normal(policy.dim))
 
     lambdas: list[float] = []

@@ -354,6 +354,8 @@ class RunConfig:
             raise InvariantViolation(f"unknown algo {self.algo!r}")
         if self.steps < 0:
             raise InvariantViolation("steps must be nonnegative")
+        if self.seed < 0:
+            raise InvariantViolation(f"seed = {self.seed} must be nonnegative")
         if self.metrics_every <= 0:
             raise InvariantViolation("metrics_every must be positive")
         if self.actor_radius is not None and not self.actor_radius > 0:

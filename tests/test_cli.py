@@ -261,7 +261,8 @@ class TestSweep:
         assert f"{flag} must be a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["seeds=0\n", '{"jobs": 0}', "jobs=two\n"])
+    @pytest.mark.parametrize("text", ["seeds=0\n", '{"jobs": 0}', "jobs=two\n",
+                                      '{"seeds": 2.9}'])
     def test_invalid_counts_in_config_exit_two(self, tmp_path, capsys, text):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(text)
@@ -354,6 +355,16 @@ class TestSolve:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("text", ['{"a": 1}', "[0, 0, 0, NaN, 0, 0, 0, 0]",
+                                      "[[0, 0, 0, 0, 0, 0, 0, 0]]",
+                                      "[true, 0, 0, 0, 0, 0, 0, 0]"])
+    def test_unusable_theta_exit_two(self, tmp_path, capsys, text):
+        theta = tmp_path / "theta.json"
+        theta.write_text(text)
+        rc = main(["solve", "--env", "four-state", "--theta", str(theta)])
+        assert rc == 2
+        assert "theta must be a JSON list of finite numbers" in capsys.readouterr().err
+
 
 class TestConfigLayering:
     def test_key_value_file(self, tmp_path, capsys):
@@ -409,7 +420,12 @@ class TestConfigLayering:
 
     @pytest.mark.parametrize("text,key", [("steps=abc\n", "steps"),
                                           ("reward_noise=lots\n", "reward_noise"),
-                                          ('{"uv": [1]}', "uv")])
+                                          ('{"uv": [1]}', "uv"),
+                                          # an int key takes no fraction or boolean
+                                          ('{"steps": 2.5}', "steps"),
+                                          ('{"steps": true}', "steps"),
+                                          ("steps=1500.7\n", "steps"),
+                                          ('{"seed": 3.9}', "seed")])
     def test_non_number_in_file_exit_two(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)
@@ -429,6 +445,16 @@ class TestConfigLayering:
         sidecar = json.loads((tmp_path / "run.json").read_text())
         assert (sidecar["steps"], sidecar["uv_radius"]) == (600, 5.0)
         assert sidecar["schedule"]["c_alpha"] == 1.0
+
+    def test_text_key_keeps_text(self, tmp_path, monkeypatch, capsys):
+        # out=7 names a file, not file descriptor 7
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("out=7\nsteps=100\nmetrics_every=50\n")
+        rc = main(["train", "--env", "four-state", "--config", "run.cfg"])
+        capsys.readouterr()
+        assert rc == 0
+        assert read_metrics_csv(str(tmp_path / "7"))["t"].tolist() == [50.0, 100.0]
+        assert json.loads((tmp_path / "7.json").read_text())["steps"] == 100
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -474,6 +500,20 @@ class TestErrorPaths:
         rc = main([command, "--env", "four-state", "--horizon", "0"])
         assert rc == 2
         assert "horizon must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_no_policy_samples_exit_two(self, capsys, value):
+        rc = main(["validate", "--env", "four-state", "--policy-samples", value])
+        assert rc == 2
+        assert "n_theta_samples must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "validate"])
+    def test_negative_seed_exit_two(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        rc = main([command, "--env", "four-state", "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_feature_dimension_exit_two(self, tmp_path, capsys):
         rc = main(["train", "--env", "four-state", "--features", "random_unit:abc",

@@ -301,6 +301,8 @@ class TestRun:
             self.config(algo="sarsa")
         with pytest.raises(InvariantViolation):
             self.config(steps=-1)
+        with pytest.raises(InvariantViolation, match="seed"):
+            self.config(seed=-1)  # numpy's generators take no negative seed
 
     @pytest.mark.parametrize("field,value", [
         ("actor_radius", -1.0),  # the projection would reflect theta
