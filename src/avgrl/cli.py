@@ -234,7 +234,20 @@ def cmd_validate(opts: dict) -> int:
     return 0 if (a1 and a2 and a3 and flags.tracker_ok) else 1
 
 
+def _positive_int(opts: dict, key: str) -> int:
+    if opts[key] < 1:
+        raise InvalidSpec(f"{key} must be a positive integer, got {opts[key]}")
+    return opts[key]
+
+
 def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
+    # exit 2 before anything is built or written; RunConfig and
+    # resolve_uv_radius keep their own checks for library callers
+    if opts["steps"] < 0:
+        raise InvalidSpec(f"steps must be nonnegative, got {opts['steps']}")
+    _positive_int(opts, "metrics_every")
+    if opts["uv"] is not None and not opts["uv"] > 0:
+        raise InvalidSpec(f"uv must be positive, got {opts['uv']}")
     mdp, features, policy = _resolve_problem(opts)
     sched = build_schedule(opts["algo"], opts)
     return learner.RunConfig(
@@ -294,17 +307,11 @@ def cmd_train(opts: dict) -> int:
     return 0
 
 
-def _positive_int(opts: dict, key: str) -> int:
-    if opts[key] < 1:
-        raise InvalidSpec(f"{key} must be a positive integer, got {opts[key]}")
-    return opts[key]
-
-
 def _sweep_batch(configs: list[learner.RunConfig]) -> list:
     """Rows per seed, or the failure message of a seed that failed."""
     try:
         results = learner.run_batch(configs)
-    except AvgrlError as exc:  # before any step, e.g. the critic radius: every seed
+    except AvgrlError as exc:  # before any step, e.g. the default critic radius: every seed
         return [str(exc)] * len(configs)
     return [res.rows if isinstance(res, learner.RunResult) else str(res)
             for res in results]
@@ -353,15 +360,15 @@ def cmd_sweep(opts: dict) -> int:
 def cmd_rate(files: list[str], opts: dict) -> int:
     metric = opts["metric"]
     t_min = opts["t_min"]
-    by_t: dict[float, list[float]] = {}
+    columns = []
     for path in files:
         cols = metrics.read_table(path)
         if "t" not in cols or metric not in cols:
             raise ParseError(f"{path}: need columns 't' and {metric!r}")
-        for t, y in zip(cols["t"], cols[metric]):
-            by_t.setdefault(float(t), []).append(float(y))
-    ts = np.array(sorted(by_t))
-    ys = np.array([np.mean(by_t[t]) for t in ts])
+        if not np.isfinite(cols["t"]).all():
+            raise ParseError(f"{path}: every t must be finite")
+        columns.append((cols["t"], cols[metric]))
+    ts, ys = metrics._mean_by_t(columns)
     est = metrics.rate_slope(ts, ys, t_min=t_min, metric=metric)
     print(json.dumps({
         "metric": est.metric, "slope": est.slope, "r_squared": est.r_squared,
@@ -389,7 +396,11 @@ def _read_theta(path: str) -> np.ndarray:
 def cmd_solve(opts: dict) -> int:
     mdp, features, policy = _resolve_problem(opts)
     if opts["theta"]:
-        policy = policy.with_theta(_read_theta(opts["theta"]))
+        theta = _read_theta(opts["theta"])
+        if theta.shape != policy.theta.shape:
+            raise InvalidSpec(f"{opts['theta']}: theta has {len(theta)} entries, "
+                              f"the policy takes {policy.theta.size}")
+        policy = policy.with_theta(theta)
     chain, mu, gain = _evaluate(mdp, policy)
     V = _differential(chain, mu, gain)
     A, b = _critic_matrices(features.table, chain, mu, gain)

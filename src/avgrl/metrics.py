@@ -7,6 +7,11 @@ The CSV schema is frozen; downstream tooling greps these exact column names:
 Every float is serialized with repr(), which round-trips exactly, and wall_ns
 is the only column allowed to differ between reruns of the same seed.
 
+CSVs are read as columns: `read_table` checks each line's field count, then
+parses every data line in one `np.loadtxt` call.  `rate` merges several files
+with `_mean_by_t`, one vectorised mean per t that sums the samples in the
+order `np.mean` would.
+
 Rate estimation fits an ordinary-least-squares line to log(windowed metric)
 vs log t where the window is a trailing-decade geometric mean; for an exact
 power law t^p the fitted slope is p.
@@ -14,7 +19,6 @@ power law t^p the fitted slope is p.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -104,27 +108,61 @@ def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
 
 
 def read_table(path: str) -> dict[str, np.ndarray]:
-    """Read any metrics-style CSV into column arrays keyed by header name."""
+    """Read any metrics-style CSV into column arrays keyed by header name.
+
+    The header names must be distinct.  Every data line needs one cell per
+    name; a cell is a decimal float as numpy's `loadtxt` reads it (optional
+    sign, `inf` and `nan` too, surrounding blanks and one pair of double
+    quotes allowed).  Anything else is a `ParseError`.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            columns = {name: [] for name in header}
-            for line_no, parts in enumerate(reader, start=2):
-                if len(parts) != len(header):
-                    raise ParseError(
-                        f"{path}:{line_no}: expected {len(header)} fields, got {len(parts)}"
-                    )
-                for name, val in zip(header, parts):
-                    columns[name].append(float(val))
+            # "\n" only: str.splitlines would also break at a form feed in a cell
+            lines = fh.read().split("\n")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if lines[-1] == "":
+        del lines[-1]
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    header = [name[1:-1] if len(name) > 1 and name[0] == name[-1] == '"' else name
+              for name in lines[0].split(",")]
+    repeated = sorted({name for name in header if header.count(name) > 1})
+    if repeated:
+        raise ParseError(f"{path}: repeated column names {repeated}")
+    commas = len(header) - 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line or line.count(",") != commas:
+            got = line.count(",") + 1 if line else 0
+            raise ParseError(f"{path}:{line_no}: expected {len(header)} fields, got {got}")
+    if len(lines) == 1:  # loadtxt warns on no data
+        return {name: np.empty(0) for name in header}
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric cell ({exc})") from exc
-    return {name: np.array(vals) for name, vals in columns.items()}
+    return dict(zip(header, data.T))
+
+
+def _mean_by_t(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct t values, ascending, and the mean of the y samples at each,
+    over the (t, y) column pairs of several files.
+
+    The samples of one t are summed in file order with numpy's pairwise
+    sum, as `np.mean` sums a list of them, so the means are bit for bit
+    those of a per-t `np.mean`.
+    """
+    t_all = np.concatenate([t for t, _ in columns])
+    y_all = np.concatenate([y for _, y in columns])
+    order = np.argsort(t_all, kind="stable")
+    uniq, starts, counts = np.unique(t_all[order], return_index=True, return_counts=True)
+    y_sorted = y_all[order]
+    means = np.empty(len(uniq))
+    for c in np.unique(counts):
+        sel = counts == c
+        block = y_sorted[starts[sel][:, None] + np.arange(c)]
+        means[sel] = np.add.reduce(block, axis=1) / c
+    return uniq, means
 
 
 def read_metrics_csv(path: str) -> dict[str, np.ndarray]:
@@ -148,7 +186,8 @@ def windowed_geomean(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     lo = np.searchsorted(pos_t, ts / 10.0, side="right")
     hi = np.searchsorted(pos_t, ts, side="right")
     keep = hi > lo
-    out_w = [math.exp(float(np.mean(log_y[i:j]))) for i, j in zip(lo[keep], hi[keep])]
+    out_w = [math.exp(float(np.add.reduce(log_y[i:j])) / (j - i))
+             for i, j in zip(lo[keep].tolist(), hi[keep].tolist())]
     return ts[keep], np.array(out_w)
 
 

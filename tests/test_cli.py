@@ -318,6 +318,31 @@ class TestRate:
         capsys.readouterr()
         assert rc == 2
 
+    def test_header_only_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("t,critic_err_sq\n")
+        rc = main(["rate", str(path), "--metric", "critic_err_sq"])
+        assert rc == 1
+        assert "windowed rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_t_exit_two(self, tmp_path, capsys, t):
+        path = tmp_path / "decay.csv"
+        write_power_law_csv(str(path), -0.5)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{t},1.0\n")
+        rc = main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "100"])
+        assert rc == 2
+        assert "every t must be finite" in capsys.readouterr().err
+
+    def test_repeated_column_exit_two(self, tmp_path, capsys):
+        # t,x,x used to fill x with two samples per row, misaligned with t
+        path = tmp_path / "dup.csv"
+        path.write_text("t,x,x\n" + "".join(f"{t},1.0,2.0\n" for t in range(1, 30)))
+        rc = main(["rate", str(path), "--metric", "x", "--t-min", "1"])
+        assert rc == 2
+        assert "repeated column names ['x']" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_exact_quantities(self, capsys):
@@ -364,6 +389,13 @@ class TestSolve:
         rc = main(["solve", "--env", "four-state", "--theta", str(theta)])
         assert rc == 2
         assert "theta must be a JSON list of finite numbers" in capsys.readouterr().err
+
+    def test_theta_of_wrong_length_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "theta.json"
+        path.write_text("[1, 2]")
+        rc = main(["solve", "--env", "four-state", "--theta", str(path)])
+        assert rc == 2
+        assert "theta has 2 entries, the policy takes 8" in capsys.readouterr().err
 
 
 class TestConfigLayering:
@@ -536,6 +568,19 @@ class TestErrorPaths:
         assert rc == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("flag,value", [("--steps", "-5"), ("--metrics-every", "0"),
+                                            ("--uv", "-1"), ("--uv", "0")])
+    def test_out_of_range_run_flag_exit_two(self, tmp_path, capsys, command, flag, value):
+        # refused before anything is written (a bad --uv used to fail each
+        # sweep seed after out/, sweep.json and aggregate.csv were written)
+        out = tmp_path / ("run.csv" if command == "train" else "sweep")
+        argv = [command, "--env", "four-state", "--steps", "10", flag, value, "--out", str(out)]
+        rc = main(argv + (["--seeds", "2"] if command == "sweep" else []))
+        assert rc == 2
+        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_env_file_missing_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--env", str(tmp_path / "nope.json")])

@@ -14,6 +14,7 @@ from avgrl.metrics import (
     MetricsRow,
     aggregate_runs,
     exact_metrics_row,
+    _mean_by_t,
     rate_slope,
     read_metrics_csv,
     read_table,
@@ -106,6 +107,54 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="cannot read"):
             read_table(str(tmp_path / "absent.csv"))
 
+    def test_blank_line_mid_file(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n")
+        with pytest.raises(ParseError, match=r"blank\.csv:3: expected 2 fields, got 0"):
+            read_table(str(path))
+
+    def test_one_column_blank_line(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("t\n1\n\n3\n")
+        with pytest.raises(ParseError, match=r"one\.csv:3:"):
+            read_table(str(path))
+
+    @pytest.mark.parametrize("cell", ["2 # c", "1_0", "0x10", "", "2j"])
+    def test_non_numeric_cells(self, tmp_path, cell):
+        # '#' starts no comment, and an underscore is no digit separator
+        path = tmp_path / "cells.csv"
+        path.write_text(f"a,b\n1,{cell}\n")
+        with pytest.raises(ParseError, match="non-numeric"):
+            read_table(str(path))
+
+    def test_cell_grammar(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        path.write_text('"t",x\n"2", 1.5 \n+1e3,-inf\n.5,nan\n')
+        cols = read_table(str(path))
+        assert list(cols) == ["t", "x"]
+        assert cols["t"].tolist() == [2.0, 1000.0, 0.5]
+        assert cols["x"][:2].tolist() == [1.5, -math.inf]
+        assert math.isnan(cols["x"][2])
+
+    def test_header_only_empty_columns(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("t,x\n")
+        cols = read_table(str(path))
+        assert list(cols) == ["t", "x"]
+        assert all(col.shape == (0,) and col.dtype == float for col in cols.values())
+
+    def test_single_column_and_row(self, tmp_path):
+        path = tmp_path / "single.csv"
+        path.write_text("t\n7")  # no final newline
+        cols = read_table(str(path))
+        assert cols["t"].tolist() == [7.0]
+
+    def test_repeated_column_names(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("t,x,x\n1,2,3\n")
+        with pytest.raises(ParseError, match=r"repeated column names \['x'\]"):
+            read_table(str(path))
+
     def test_serialization_shape(self):
         text = rows_to_csv([make_row(5)])
         lines = text.strip().split("\n")
@@ -162,6 +211,34 @@ class TestWindowing:
         assert windowed_value_at(ts, ys, 90.0) == pytest.approx(4.0)
         with pytest.raises(InsufficientData):
             windowed_value_at(ts, np.zeros(3), 10.0)
+
+
+class TestMeanByT:
+    @pytest.mark.parametrize("n_files", [1, 5, 9])
+    def test_matches_per_t_mean(self, n_files):
+        # unequal, unsorted t grids around a shared core give groups of every
+        # size up to n_files; nine samples cross the 8-way block of numpy's
+        # pairwise sum
+        rng = np.random.default_rng(n_files)
+        columns = []
+        for _ in range(n_files):
+            extra = rng.choice(np.arange(11, 60) * 10.0, size=rng.integers(5, 40), replace=False)
+            ts = rng.permutation(np.concatenate([np.arange(1, 11) * 10.0, extra]))
+            columns.append((ts, rng.lognormal(size=len(ts)) * 1e3 ** rng.random(len(ts))))
+        by_t = {}
+        for ts, ys in columns:
+            for t, y in zip(ts.tolist(), ys.tolist()):
+                by_t.setdefault(t, []).append(y)
+        want_t = sorted(by_t)
+        want_y = [np.mean(by_t[t]) for t in want_t]
+        got_t, got_y = _mean_by_t(columns)
+        assert got_t.tolist() == want_t
+        assert got_y.tolist() == want_y
+        assert max(len(v) for v in by_t.values()) == n_files
+
+    def test_no_rows(self):
+        got_t, got_y = _mean_by_t([(np.empty(0), np.empty(0))])
+        assert got_t.shape == got_y.shape == (0,)
 
 
 class TestRateSlope:
