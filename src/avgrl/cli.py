@@ -1,10 +1,13 @@
 """Command-line harness: validate / train / sweep / rate / solve.
 
 Exit codes: 0 on success (for `validate`: all assumptions PASS and the
-average-reward tracker does not expand), 1 when a validation or oracle check
-fails, 2 on I/O or parse problems.  Any flag can also be supplied through
-`--config FILE` holding either a JSON object or flat `key=value` lines, each
-value read with its flag's type; explicit flags override file values.
+average-reward tracker does not expand).  2 when an input is refused before
+anything runs: a file that cannot be read or parsed, or a value refused by the
+object that holds it (InvalidSpec, InvariantViolation).  1 when a check that a
+command performs fails (`validate`'s verdicts, too few rows for `rate`) or a
+run fails.  Any flag can also be supplied through `--config FILE` holding
+either a JSON object or flat `key=value` lines, each value read with its
+flag's type; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -19,13 +22,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import envs, learner, metrics, oracles
-from .errors import (
-    AvgrlError,
-    InvalidSpec,
-    ParseError,
-    PeriodicChain,
-)
-from .features import FeatureMap, _critic_matrices, check_assumption2, make_features
+from .errors import AvgrlError, InvalidSpec, InvariantViolation, ParseError, PeriodicChain
+from .features import (FeatureMap, _critic_matrices, _critic_solve, check_assumption2,
+                       make_features)
 from .mdp import _differential, _evaluate
 
 # Every option once: key -> (type, default, help).  The key is the config-file
@@ -145,8 +144,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             opts[key] = val
-    if opts["seed"] < 0:  # numpy's generators take no negative seed
-        raise InvalidSpec(f"seed must be nonnegative, got {opts['seed']}")
     return opts
 
 
@@ -182,6 +179,7 @@ def _resolve_problem(opts: dict):
 
 
 def cmd_validate(opts: dict) -> int:
+    sched = build_schedule(opts["algo"], opts)
     mdp, features, policy = _resolve_problem(opts)
     report = check_assumption2(
         mdp, policy, features,
@@ -198,7 +196,6 @@ def cmd_validate(opts: dict) -> int:
         mixing_error = str(exc)
     a3 = report.mixing_ok
 
-    sched = build_schedule(opts["algo"], opts)
     flags = learner.validate_schedule(sched, report)
     if profile is not None:
         report.tau_examples = {t: profile.tau(t, sched) for t in (0, 1000, 1_000_000)}
@@ -241,13 +238,6 @@ def _positive_int(opts: dict, key: str) -> int:
 
 
 def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
-    # exit 2 before anything is built or written; RunConfig and
-    # resolve_uv_radius keep their own checks for library callers
-    if opts["steps"] < 0:
-        raise InvalidSpec(f"steps must be nonnegative, got {opts['steps']}")
-    _positive_int(opts, "metrics_every")
-    if opts["uv"] is not None and not opts["uv"] > 0:
-        raise InvalidSpec(f"uv must be positive, got {opts['uv']}")
     mdp, features, policy = _resolve_problem(opts)
     sched = build_schedule(opts["algo"], opts)
     return learner.RunConfig(
@@ -396,15 +386,11 @@ def _read_theta(path: str) -> np.ndarray:
 def cmd_solve(opts: dict) -> int:
     mdp, features, policy = _resolve_problem(opts)
     if opts["theta"]:
-        theta = _read_theta(opts["theta"])
-        if theta.shape != policy.theta.shape:
-            raise InvalidSpec(f"{opts['theta']}: theta has {len(theta)} entries, "
-                              f"the policy takes {policy.theta.size}")
-        policy = policy.with_theta(theta)
+        policy = policy.with_theta(_read_theta(opts["theta"]))
     chain, mu, gain = _evaluate(mdp, policy)
     V = _differential(chain, mu, gain)
     A, b = _critic_matrices(features.table, chain, mu, gain)
-    v_star = oracles._critic_solve(A, b)
+    v_star = _critic_solve(A, b)
     M = oracles.actor_field_M(mdp, policy, features, v_star)
     lam = float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())
     try:
@@ -460,7 +446,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(opts)
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, InvalidSpec, OSError) as exc:
+    except (ParseError, InvalidSpec, InvariantViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AvgrlError as exc:

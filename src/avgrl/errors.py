@@ -36,7 +36,7 @@ class BudgetExceeded(AvgrlError):
 
 
 class InvalidSpec(AvgrlError):
-    """An environment description is internally inconsistent."""
+    """A requested value or description is out of range or inconsistent."""
 
 
 class ParseError(AvgrlError):
@@ -44,7 +44,8 @@ class ParseError(AvgrlError):
 
 
 class InvariantViolation(AvgrlError):
-    """Loaded or constructed data violates a stated invariant."""
+    """An object refuses a value it would hold: a run or schedule setting, a
+    parameter vector or a loaded environment breaks a stated invariant."""
 
 
 class InsufficientData(AvgrlError):

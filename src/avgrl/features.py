@@ -147,6 +147,23 @@ def _critic_matrices(
     return A, b
 
 
+def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """v* = -A^{-1} b; SingularA when A fails the conditioning or residual test."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+        raise SingularA(
+            f"critic matrix A is singular (smallest/largest singular value "
+            f"{sv[-1]:.3e}/{sv[0]:.3e})"
+        )
+    try:
+        v = np.linalg.solve(A, -b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularA("critic matrix A is singular") from exc
+    if np.linalg.norm(A @ v + b) > 1e-10 * max(1.0, np.linalg.norm(b)):
+        raise SingularA("critic solve residual exceeds tolerance; A is near singular")
+    return v
+
+
 @dataclass
 class AssumptionReport:
     """Sampled validation report for the critic and mixing assumptions.
@@ -228,14 +245,14 @@ def check_assumption2(
     structural reasons); maps that merely fail norm or e-exclusion are allowed
     through so the validator can report the failure.
     """
-    from .oracles import _critic_solve
-
     if not features.rank_ok():
         raise InfeasibleDimension("feature map is rank deficient; A(theta) is degenerate")
     if features.n_states != mdp.n_states:
         raise InvariantViolation("feature map size does not match the MDP")
     if n_theta_samples < 1:
         raise InvalidSpec(f"n_theta_samples must be at least 1, got {n_theta_samples}")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise InvalidSpec(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     thetas = [np.zeros(policy.dim)]
     for _ in range(n_theta_samples - 1):

@@ -49,6 +49,7 @@ import numpy as np
 from .errors import AvgrlError, InvalidSpec, InvariantViolation, OracleFailure
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy
+from .oracles import critic_fixed_point
 
 
 # (nu, sigma) per algorithm; the update equations are shared, only the clocks
@@ -83,12 +84,13 @@ class StepSchedule:
         if self.gamma_exp is None:
             object.__setattr__(self, "gamma_exp", self.nu)
         for name in ("c_alpha", "c_beta", "c_gamma"):
-            if getattr(self, name) < 0:
-                raise InvariantViolation(f"{name} must be nonnegative")
+            val = getattr(self, name)
+            if not 0.0 <= val < math.inf:
+                raise InvariantViolation(f"{name} must be finite and nonnegative, got {val}")
         for name in ("nu", "sigma", "gamma_exp"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
-                raise InvariantViolation(f"{name} = {val} outside [0, 1]")
+                raise InvariantViolation(f"{name} must lie in [0, 1], got {val}")
 
     def alpha(self, t: int) -> float:
         return self.c_alpha / (1.0 + t) ** self.nu
@@ -353,23 +355,26 @@ class RunConfig:
         if self.algo not in ALGO_SCHEDULES:
             raise InvariantViolation(f"unknown algo {self.algo!r}")
         if self.steps < 0:
-            raise InvariantViolation("steps must be nonnegative")
-        if self.seed < 0:
-            raise InvariantViolation(f"seed = {self.seed} must be nonnegative")
+            raise InvariantViolation(f"steps must be nonnegative, got {self.steps}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.metrics_every <= 0:
-            raise InvariantViolation("metrics_every must be positive")
+            raise InvariantViolation(f"metrics_every must be positive, got {self.metrics_every}")
+        if self.uv_radius is not None and not self.uv_radius > 0:
+            raise InvariantViolation(f"uv must be positive, got {self.uv_radius}")
         if self.actor_radius is not None and not self.actor_radius > 0:
             raise InvariantViolation(
-                f"actor_radius = {self.actor_radius} must be positive: the projection "
+                f"actor_radius must be positive, got {self.actor_radius}: the projection "
                 "would reflect theta through the origin or pin it there")
-        if not self.reward_noise >= 0:
-            raise InvariantViolation(f"reward_noise = {self.reward_noise} must be nonnegative")
+        if not 0.0 <= self.reward_noise < math.inf:
+            raise InvariantViolation(
+                f"reward_noise must be finite and nonnegative, got {self.reward_noise}")
         if self.tail_average_from is not None and self.tail_average_from < 0:
             raise InvariantViolation("tail_average_from must be nonnegative")
         if not validate_schedule(self.schedule).tracker_ok:
             raise InvariantViolation(
-                f"c_gamma = {self.schedule.c_gamma} > 2 makes the average-reward "
-                "tracker expand (|1 - gamma_0| > 1); lower c_gamma, c_alpha or K")
+                f"c_gamma must be at most 2, got {self.schedule.c_gamma}: the average-reward "
+                "tracker would expand (|1 - gamma_0| > 1); lower c_gamma, c_alpha or K")
 
 
 @dataclass
@@ -395,11 +400,7 @@ class RunResult:
 def resolve_uv_radius(config: RunConfig) -> float:
     """Default critic radius: 10x the fixed-point norm at theta_0, floor 1."""
     if config.uv_radius is not None:
-        if config.uv_radius <= 0:
-            raise InvariantViolation("uv_radius must be positive")
         return config.uv_radius
-    from .oracles import critic_fixed_point
-
     v_star = critic_fixed_point(config.mdp, config.policy, config.features)
     return max(10.0 * float(np.linalg.norm(v_star)), 1.0)
 

@@ -56,12 +56,12 @@ class FiniteMdp:
             s, a, s1 = np.unravel_index(int(np.argmin(P)), P.shape)
             raise InvariantViolation(f"negative transition probability at (s={s}, a={a}, s'={s1})")
         row_err = np.abs(P.sum(axis=2) - 1.0)
-        if row_err.max() > _ROW_SUM_TOL:
+        if not row_err.max() <= _ROW_SUM_TOL:  # a NaN entry fails too
             s, a = np.unravel_index(int(np.argmax(row_err)), row_err.shape)
             raise InvariantViolation(f"transition row (s={s}, a={a}) sums to {P[s, a].sum():.12g}")
-        if self.reward_bound <= 0:
-            raise InvariantViolation("reward_bound must be positive")
-        if np.abs(R).max() > self.reward_bound + 1e-12:
+        if not self.reward_bound > 0:
+            raise InvariantViolation(f"reward_bound must be positive, got {self.reward_bound}")
+        if not np.abs(R).max() <= self.reward_bound + 1e-12:
             s, a = np.unravel_index(int(np.argmax(np.abs(R))), R.shape)
             raise InvariantViolation(
                 f"|reward| at (s={s}, a={a}) is {abs(R[s, a]):.12g} > bound {self.reward_bound}"
@@ -93,9 +93,8 @@ class SoftmaxLinearPolicy:
         if self.action_features.ndim != 3:
             raise InvariantViolation("action_features must have shape (S, A, d2)")
         if self.theta.shape != (self.action_features.shape[2],):
-            raise InvariantViolation(
-                f"theta has shape {self.theta.shape}, want ({self.action_features.shape[2]},)"
-            )
+            raise InvariantViolation(f"theta has {self.theta.size} entries, the policy takes "
+                                     f"{self.action_features.shape[2]}")
 
     @property
     def dim(self) -> int:

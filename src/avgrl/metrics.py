@@ -33,6 +33,7 @@ from .mdp import (
     induced_chain,
     stationary_distribution,
 )
+from .oracles import actor_field_M, critic_fixed_point
 
 CSV_HEADER = "t,L_t,L_theta,avg_err_sq,critic_err_sq,M_norm_sq,v_norm,delta_abs_mean,wall_ns"
 METRIC_COLUMNS = CSV_HEADER.split(",")[1:]
@@ -68,8 +69,6 @@ def exact_metrics_row(
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
     """
-    from .oracles import actor_field_M, critic_fixed_point
-
     pol = policy.with_theta(theta)
     chain = induced_chain(mdp, pol)
     # Own solve, not _evaluate: perfbench/test_tracer.py pins it until ROADMAP item 1.

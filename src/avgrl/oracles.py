@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from .errors import BudgetExceeded, InvalidSpec, PeriodicChain, SingularA, SingularSystem
-from .features import FeatureMap, matrix_A
+from .errors import BudgetExceeded, InvalidSpec, PeriodicChain, SingularSystem
+from .features import FeatureMap, _critic_solve, matrix_A
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, _evaluate, _gradient, _solve_stationary
 
 _DECAY_FLOOR = 1e-12
@@ -44,23 +44,6 @@ def critic_fixed_point(
     A with b in its range still "solves" but the fixed point is not unique.
     """
     return _critic_solve(*matrix_A(mdp, policy, features))
-
-
-def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """v* = -A^{-1} b with the conditioning and residual checks of critic_fixed_point."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularA(
-            f"critic matrix A is singular (smallest/largest singular value "
-            f"{sv[-1]:.3e}/{sv[0]:.3e})"
-        )
-    try:
-        v = np.linalg.solve(A, -b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularA("critic matrix A is singular") from exc
-    if np.linalg.norm(A @ v + b) > 1e-10 * max(1.0, np.linalg.norm(b)):
-        raise SingularA("critic solve residual exceeds tolerance; A is near singular")
-    return v
 
 
 def projected_bellman_residual(

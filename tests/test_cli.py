@@ -508,19 +508,40 @@ class TestConfigLayering:
         assert sidecar["schedule"]["c_gamma"] == 1.0  # coupled to c_alpha
 
 
+# flag, value, what the refusal says: each is refused by the object that holds
+# the value, before any step or file
+REFUSED_RUN_FLAGS = [
+    ("--steps", "-5", "steps must be nonnegative"),
+    ("--metrics-every", "0", "metrics_every must be positive"),
+    ("--uv", "-1", "uv must be positive"),
+    ("--uv", "0", "uv must be positive"),
+    # a radius <= 0 reflects theta through the origin or pins it there
+    ("--actor-radius", "-1", "actor_radius must be positive"),
+    ("--actor-radius", "0", "actor_radius must be positive"),
+    # negative noise would be switched off silently, infinite noise clips every reward
+    ("--reward-noise", "-1", "reward_noise must be finite and nonnegative"),
+    ("--reward-noise", "inf", "reward_noise must be finite and nonnegative"),
+    ("--nu", "2", "nu must lie in [0, 1]"),
+    ("--c-beta", "-1", "c_beta must be finite and nonnegative"),
+    ("--c-beta", "nan", "c_beta must be finite and nonnegative"),
+    ("--c-alpha", "50", "c_gamma must be at most 2"),
+]
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("command", ["train", "sweep", "validate"])
     def test_expanding_tracker_exit_one(self, tmp_path, capsys, command):
         # c_gamma = K c_alpha = 50 > 2: |1 - gamma_t| > 1 and L_t would blow
-        # up; a run is refused before any step and nothing is written, and
-        # validate (which passes at the default c_alpha) flags the tracker
+        # up; a run is refused before any step and nothing is written (exit 2),
+        # and validate (which passes at the default c_alpha) flags the tracker
+        # as its verdict (exit 1)
         argv = [command, "--env", "four-state", "--c-alpha", "50"]
         if command != "validate":
             out = tmp_path / ("run.csv" if command == "train" else "sweep")
             argv += ["--steps", "5000", "--metrics-every", "1000", "--out", str(out)]
         rc = main(argv)
         captured = capsys.readouterr()
-        assert rc == 1
+        assert rc == (1 if command == "validate" else 2)
         if command == "validate":
             assert "tracker_ok=False" in captured.out
         else:
@@ -555,32 +576,32 @@ class TestErrorPaths:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("flag,value", [("--actor-radius", "-1"),
-                                            ("--actor-radius", "0"),
-                                            ("--reward-noise", "-1")])
-    def test_algorithm_changing_parameter_exit_one(self, tmp_path, capsys, command,
-                                                   flag, value):
-        # a radius <= 0 reflects theta through the origin or pins it there, and
-        # negative noise would be switched off silently
-        out = tmp_path / ("run.csv" if command == "train" else "sweep")
-        rc = main([command, "--env", "four-state", "--steps", "10", flag, value,
-                   "--out", str(out)])
-        assert rc == 1
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("flag,value", [("--steps", "-5"), ("--metrics-every", "0"),
-                                            ("--uv", "-1"), ("--uv", "0")])
-    def test_out_of_range_run_flag_exit_two(self, tmp_path, capsys, command, flag, value):
+    @pytest.mark.parametrize("flag,value,message", REFUSED_RUN_FLAGS,
+                             ids=[f"{flag}-{value}" for flag, value, _ in REFUSED_RUN_FLAGS])
+    def test_out_of_range_run_flag_exit_two(self, tmp_path, capsys, command, flag, value,
+                                            message):
         # refused before anything is written (a bad --uv used to fail each
         # sweep seed after out/, sweep.json and aggregate.csv were written)
         out = tmp_path / ("run.csv" if command == "train" else "sweep")
         argv = [command, "--env", "four-state", "--steps", "10", flag, value, "--out", str(out)]
         rc = main(argv + (["--seeds", "2"] if command == "sweep" else []))
         assert rc == 2
-        assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
-        assert not out.exists()
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["solve", "train", "sweep"])
+    def test_refused_env_file_exit_two(self, tmp_path, capsys, command):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": 1.0,
+                                   "P": [[[0.5, 0.4]], [[0.0, 1.0]]], "R": [[0.0], [0.0]]}))
+        out = tmp_path / "out"
+        argv = [command, "--env", str(env)]
+        rc = main(argv + (["--steps", "10", "--out", str(out)] if command != "solve" else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "transition row (s=0, a=0) sums to 0.9" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [env]
 
     def test_env_file_missing_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--env", str(tmp_path / "nope.json")])

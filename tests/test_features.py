@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, tabular_policy
-from avgrl.errors import InfeasibleDimension
+from avgrl.errors import InfeasibleDimension, InvalidSpec
 from avgrl.features import FeatureMap, check_assumption2, make_features, matrix_A
 from avgrl.mdp import differential_value, induced_chain, stationary_distribution
 
@@ -142,6 +142,12 @@ class TestCheckAssumption2:
         m = garnet(0)
         with pytest.raises(InfeasibleDimension, match="rank"):
             check_assumption2(m, tabular_policy(m), FeatureMap(np.zeros((5, 2))))
+
+    def test_negative_seed_refused(self):
+        m = garnet(0)
+        fmap = make_features("one_hot_reduced", m)
+        with pytest.raises(InvalidSpec, match="seed must be nonnegative, got -1"):
+            check_assumption2(m, tabular_policy(m), fmap, seed=-1)
 
     def test_constants_formulas(self):
         m = four_state_easy()

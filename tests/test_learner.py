@@ -64,6 +64,17 @@ class TestStepSchedule:
         with pytest.raises(InvariantViolation):
             StepSchedule(nu=1.5, sigma=0.51)
 
+    @pytest.mark.parametrize("field", ["c_alpha", "c_beta", "c_gamma"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_coefficients_finite_and_nonnegative(self, field, value):
+        # a NaN or infinite coefficient would step NaN iterates from t = 0
+        with pytest.raises(InvariantViolation, match=f"{field} must be finite"):
+            StepSchedule(**{field: value})
+
+    def test_derived_tracker_coefficient_checked(self):
+        with pytest.raises(InvariantViolation, match="c_gamma must be finite"):
+            StepSchedule(k_coupling=math.nan)
+
 
 class TestAlgoSchedule:
     def test_defaults_on_every_field(self):
@@ -303,11 +314,16 @@ class TestRun:
             self.config(steps=-1)
         with pytest.raises(InvariantViolation, match="seed"):
             self.config(seed=-1)  # numpy's generators take no negative seed
+        for radius in (0.0, -1.0, math.nan):
+            with pytest.raises(InvariantViolation, match="uv must be positive"):
+                self.config(uv_radius=radius)
 
     @pytest.mark.parametrize("field,value", [
         ("actor_radius", -1.0),  # the projection would reflect theta
         ("actor_radius", 0.0),  # ... or pin it at 0
         ("reward_noise", -1.0),  # the kernels would switch the noise off
+        ("reward_noise", math.inf),  # every reward would be clipped to +-reward_bound
+        ("reward_noise", math.nan),
         ("tail_average_from", -1),
     ])
     def test_algorithm_changing_parameters_rejected(self, field, value):

@@ -59,6 +59,22 @@ class TestFiniteMdpInvariants:
         with pytest.raises(InvariantViolation, match="bound"):
             FiniteMdp(P, R, reward_bound=1.0)
 
+    @pytest.mark.parametrize("where,message", [
+        ("P", r"transition row \(s=1, a=0\) sums to nan"),
+        ("R", r"\|reward\| at \(s=1, a=0\) is nan"),
+        ("bound", "reward_bound must be positive, got nan"),
+    ])
+    def test_nan_refused(self, where, message):
+        P, R, bound = np.full((2, 1, 2), 0.5), np.zeros((2, 1)), 1.0
+        if where == "P":
+            P[1, 0, 0] = np.nan
+        elif where == "R":
+            R[1, 0] = np.nan
+        else:
+            bound = np.nan
+        with pytest.raises(InvariantViolation, match=message):
+            FiniteMdp(P, R, reward_bound=bound)
+
     def test_arrays_frozen(self):
         m = single_action_mdp([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0])
         with pytest.raises(ValueError):
@@ -194,6 +210,10 @@ class TestSoftmaxPolicy:
             worst = max(worst, np.linalg.norm(pol.score_table(), axis=2).max())
         assert worst <= bound + 1e-12
         assert abs(pol.score_bound - bound) < 1e-12
+
+    def test_theta_length_checked(self):
+        with pytest.raises(InvariantViolation, match="theta has 2 entries, the policy takes 6"):
+            SoftmaxLinearPolicy(np.zeros(2), np.zeros((4, 3, 6)))
 
     def test_scores_average_to_zero(self):
         m = two_action_garnet(1)
