@@ -3,11 +3,11 @@
 Exit codes: 0 on success (for `validate`: all assumptions PASS and the
 average-reward tracker does not expand).  2 when an input is refused before
 anything runs: a file that cannot be read or parsed, or a value refused by the
-object that holds it (InvalidSpec, InvariantViolation).  1 when a check that a
-command performs fails (`validate`'s verdicts, too few rows for `rate`) or a
-run fails.  Any flag can also be supplied through `--config FILE` holding
-either a JSON object or flat `key=value` lines, each value read with its
-flag's type; explicit flags override file values.
+object that holds it (InvalidSpec, InvariantViolation, InfeasibleDimension for
+`--features`).  1 when a check that a command performs fails (`validate`'s
+verdicts, too few rows for `rate`) or a run fails.  Any flag can also come
+from `--config FILE`, a JSON object or flat `key=value` lines, each value read
+with its flag's type; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import envs, learner, metrics, oracles
-from .errors import AvgrlError, InvalidSpec, InvariantViolation, ParseError, PeriodicChain
+from .errors import (AvgrlError, InfeasibleDimension, InvalidSpec, InvariantViolation, ParseError,
+                     PeriodicChain)
 from .features import (FeatureMap, _critic_matrices, _critic_solve, check_assumption2,
                        make_features)
 from .mdp import _differential, _evaluate
@@ -446,7 +447,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return cmd_solve(opts)
         parser.error(f"unknown command {args.command!r}")
-    except (ParseError, InvalidSpec, InvariantViolation, OSError) as exc:
+    except (ParseError, InvalidSpec, InvariantViolation, InfeasibleDimension, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AvgrlError as exc:

@@ -197,8 +197,8 @@ def save_mdp(path: str, mdp: FiniteMdp, features: FeatureMap | None = None) -> N
 def load_mdp(path: str) -> tuple[FiniteMdp, FeatureMap | None]:
     """Parse and validate the JSON schema.
 
-    ParseError names the missing/misshapen field; InvariantViolation (raised
-    by the constructors) names the offending (s, a) row.
+    ParseError names the missing, mistyped or misshapen field; InvariantViolation
+    (raised by the constructors) names the offending (s, a) row.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -212,6 +212,10 @@ def load_mdp(path: str) -> tuple[FiniteMdp, FeatureMap | None]:
     for key in ("n_states", "n_actions", "reward_bound", "P", "R"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key {key!r}")
+    for key, kind, name in (("n_states", int, "an integer"), ("n_actions", int, "an integer"),
+                            ("reward_bound", (int, float), "a number")):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+            raise ParseError(f"{path}: {key} must be {name}, got {doc[key]!r}")
     S, A = doc["n_states"], doc["n_actions"]
     try:
         P = np.array(doc["P"], dtype=float)

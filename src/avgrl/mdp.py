@@ -10,19 +10,18 @@ Conventions:
   * transition[s, a, s1] = P(s1 | s, a), each (s, a) row a distribution,
   * reward[s, a] with |reward| <= reward_bound everywhere,
   * a policy chain has kernel[s, s1] = sum_a pi(a|s) P(s1|s,a) and
-    expected_reward[s] = sum_a pi(a|s) R(s, a).
+    expected_reward[s] = sum_a pi(a|s) R(s, a),
+  * a kernel's support graph has an edge s -> s1 iff kernel[s, s1] > _SUPPORT_TOL;
+    its closure `_reach` decides irreducibility and, in `oracles`, closed classes.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvariantViolation, NotIrreducible, SingularSystem
 
@@ -162,15 +161,15 @@ def induced_chain(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> PolicyChain:
 def is_irreducible(kernel: np.ndarray) -> bool:
     """True iff the support digraph is a single strongly connected component.
 
-    The answer depends only on the support pattern (entries > 1e-12), so it is
-    memoised per pattern: under a softmax policy every action has positive
+    The answer depends only on the support pattern (entries > _SUPPORT_TOL), so
+    it is memoised per pattern: under a softmax policy every action has positive
     probability and the support is the same at every theta.
     """
     return _support_irreducible(*_packed_support(kernel))
 
 
 def _packed_support(kernel: np.ndarray) -> tuple[int, bytes]:
-    """Hashable key of the support pattern (entries > 1e-12) of a square kernel."""
+    """Hashable key of the support pattern (entries > _SUPPORT_TOL) of a square kernel."""
     return kernel.shape[0], np.packbits(kernel > _SUPPORT_TOL).tobytes()
 
 
@@ -179,11 +178,19 @@ def _unpack_support(n: int, packed: bytes) -> np.ndarray:
     return bits.reshape(n, n).astype(bool)
 
 
+def _reach(support: np.ndarray) -> np.ndarray:
+    """reach[u, v] iff v is reachable from u: the reflexive-transitive closure, by
+    ceil(log2 n) squarings.  A 0/1 float matmul thresholded at zero is exact."""
+    reach = support | np.eye(support.shape[0], dtype=bool)
+    for _ in range((support.shape[0] - 1).bit_length()):
+        walks = reach.astype(float)
+        reach = walks @ walks > 0
+    return reach
+
+
 @functools.lru_cache(maxsize=64)
 def _support_irreducible(n: int, packed: bytes) -> bool:
-    support = sp.csr_matrix(_unpack_support(n, packed))
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return n_comp == 1
+    return bool(_reach(_unpack_support(n, packed)).all())
 
 
 def chain_period(kernel: np.ndarray) -> int:
@@ -199,23 +206,15 @@ def chain_period(kernel: np.ndarray) -> int:
 @functools.lru_cache(maxsize=64)
 def _support_period(n: int, packed: bytes) -> int:
     support = _unpack_support(n, packed)
-    level = np.full(n, -1, dtype=int)
-    level[0] = 0
-    frontier = [0]
-    edges = []
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(support[u])[0]:
-                edges.append((u, int(v)))
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-        frontier = nxt
-    g = 0
-    for u, v in edges:
-        g = math.gcd(g, level[u] + 1 - level[v])
-    return abs(g) if g != 0 else 1
+    level = np.full(n, -1)
+    frontier = np.arange(n) == 0
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = support[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    u, v = np.nonzero(support & (level >= 0)[:, None])
+    return int(np.gcd.reduce(level[u] + 1 - level[v])) or 1
 
 
 def _solve_stationary(kernel: np.ndarray) -> np.ndarray:

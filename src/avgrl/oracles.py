@@ -12,7 +12,8 @@ computational routes:
     checked term by term.
   * estimate_mixing fits a geometric envelope b * k^m to exact total-variation
     distances from matrix powers.
-  * brute_force_optimum enumerates deterministic policies; lp_optimum solves
+  * brute_force_optimum enumerates deterministic policies and scores each by
+    the closed classes of its support graph (mdp._reach); lp_optimum solves
     the stationary-flow linear program.  They agree on small instances, and
     the LP scales to instances where enumeration would blow the budget.
 """
@@ -24,13 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceeded, InvalidSpec, PeriodicChain, SingularSystem
 from .features import FeatureMap, _critic_solve, matrix_A
-from .mdp import FiniteMdp, SoftmaxLinearPolicy, _evaluate, _gradient, _solve_stationary
+from .mdp import (_SUPPORT_TOL, FiniteMdp, SoftmaxLinearPolicy, _evaluate, _gradient, _reach,
+                  _solve_stationary)
 
 _DECAY_FLOOR = 1e-12
 
@@ -200,20 +199,18 @@ def _deterministic_gain(mdp: FiniteMdp, actions: np.ndarray) -> float:
     """Best recurrent-class gain of the chain induced by a deterministic policy.
 
     Multichain policies are scored optimistically by their best closed class,
-    which keeps the enumeration an upper bound on any single-chain gain.
+    which keeps the enumeration an upper bound on any single-chain gain.  A
+    state is recurrent iff every state it reaches reaches it back; the
+    reachable sets of the recurrent states are the closed classes.
     """
     idx = np.arange(mdp.n_states)
     K = mdp.transition[idx, actions, :]
     r = mdp.reward[idx, actions]
-    support = sp.csr_matrix(K > 1e-12)
-    n_comp, labels = connected_components(support, directed=True, connection="strong")
+    reach = _reach(K > _SUPPORT_TOL)
+    recurrent = (reach <= reach.T).all(axis=1)
     best = -np.inf
-    for c in range(n_comp):
-        members = np.nonzero(labels == c)[0]
-        sub = K[np.ix_(members, members)]
-        if np.any(sub.sum(axis=1) < 1.0 - 1e-9):
-            continue  # open class: leaks probability, transient
-        mu = _solve_stationary(sub)
+    for members in np.unique(reach[recurrent], axis=0):
+        mu = _solve_stationary(K[np.ix_(members, members)])
         best = max(best, float(mu @ r[members]))
     return best
 
@@ -252,6 +249,8 @@ def lp_optimum(mdp: FiniteMdp) -> float:
     matches brute_force_optimum while scaling far beyond the enumeration
     budget.
     """
+    from scipy.optimize import linprog  # here, so that only the LP pays for loading scipy
+
     S, A = mdp.n_states, mdp.n_actions
     c = -mdp.reward.reshape(S * A)
     # flow conservation: sum_a x(s',a) - sum_{s,a} x(s,a) P(s'|s,a) = 0

@@ -151,7 +151,7 @@ class TestTrain:
         rc = main(["train", "--env", "four-state", "--features", "fourier",
                    "--steps", "100", "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
-        assert rc == 1
+        assert rc == 2
         assert "fourier" in err
 
     def test_algo_choices(self, tmp_path, capsys):
@@ -525,6 +525,8 @@ REFUSED_RUN_FLAGS = [
     ("--c-beta", "-1", "c_beta must be finite and nonnegative"),
     ("--c-beta", "nan", "c_beta must be finite and nonnegative"),
     ("--c-alpha", "50", "c_gamma must be at most 2"),
+    # four-state has room for at most 3 reduced one-hot features
+    ("--features", "one_hot_reduced:9", "one_hot_reduced needs 1 <= d1 <= 3"),
 ]
 
 
@@ -603,6 +605,16 @@ class TestErrorPaths:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [env]
 
+    def test_mistyped_env_file_exit_two(self, tmp_path, capsys):
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": "x",
+                                   "P": [[[0.5, 0.5]], [[0.5, 0.5]]], "R": [[0.0], [0.0]]}))
+        rc = main(["solve", "--env", str(env)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "reward_bound must be a number" in captured.err
+        assert captured.out == ""
+
     def test_env_file_missing_exit_two(self, tmp_path, capsys):
         rc = main(["solve", "--env", str(tmp_path / "nope.json")])
         capsys.readouterr()
@@ -678,3 +690,23 @@ def test_console_script_entry_point():
     assert target == "avgrl.cli:console_main"
     module_name, _, attr = target.partition(":")
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # scipy serves lp_optimum alone, which imports it on its first call; no
+    # command loads it on the way in
+    code = "\n".join([
+        "import sys",
+        "import avgrl",
+        "import avgrl.cli",
+        f"rc = avgrl.cli.main(['train', '--env', 'gridworld4', '--steps', '0', "
+        f"'--out', {str(tmp_path / 'run.csv')!r}])",
+        "assert rc == 0, rc",
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)",
+        "from avgrl.envs import four_state_easy",
+        "from avgrl.oracles import lp_optimum",
+        "print(repr(lp_optimum(four_state_easy())))",
+    ])
+    proc = run_cli_process([sys.executable, "-c", code], module_env())
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) == pytest.approx(0.738, abs=1e-9)

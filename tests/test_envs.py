@@ -174,6 +174,27 @@ class TestSerialization:
         with pytest.raises(ParseError, match="'R'"):
             load_mdp(str(path))
 
+    @pytest.mark.parametrize("key,value", [
+        ("reward_bound", "x"), ("reward_bound", None), ("reward_bound", [1]),
+        ("reward_bound", True), ("n_states", 2.0), ("n_states", "2"), ("n_actions", None),
+        ("n_actions", False),
+    ])
+    def test_mistyped_number(self, tmp_path, key, value):
+        path = tmp_path / "typed.json"
+        doc = {"n_states": 2, "n_actions": 1, "reward_bound": 1.0,
+               "P": [[[0.5, 0.5]], [[0.5, 0.5]]], "R": [[0.0], [0.0]]}
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"{key} must be"):
+            load_mdp(str(path))
+
+    def test_integer_reward_bound_accepted(self, tmp_path):
+        path = tmp_path / "int_bound.json"
+        doc = {"n_states": 2, "n_actions": 1, "reward_bound": 1,
+               "P": [[[0.5, 0.5]], [[0.5, 0.5]]], "R": [[1.0], [0.0]]}
+        path.write_text(json.dumps(doc))
+        assert load_mdp(str(path))[0].reward_bound == 1.0
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -1,5 +1,7 @@
 """Exact-solver tests: hand-derived chains, finite-difference gradients."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from avgrl.errors import InvariantViolation, NotIrreducible
 from avgrl.mdp import (
     FiniteMdp,
     SoftmaxLinearPolicy,
+    _reach,
     advantage_table,
     average_reward,
     chain_period,
@@ -131,14 +134,19 @@ class TestStationaryDistribution:
             stationary_distribution(induced_chain(m, tabular_policy(m)))
 
     def test_is_irreducible_matches_uncached_check(self):
+        # scipy's strong components are the reference: the closure's mutual
+        # reachability must give the same partition on 1-11 states
         rng = np.random.default_rng(11)
         answers = set()
-        for _ in range(200):
-            support = rng.random((6, 6)) < rng.uniform(0.1, 0.5)
+        for _ in range(1000):
+            n = int(rng.integers(1, 12))
+            support = rng.random((n, n)) < rng.uniform(0.1, 0.5)
             kernel = support / np.maximum(support.sum(axis=1, keepdims=True), 1)
-            n_comp, _ = connected_components(
+            n_comp, labels = connected_components(
                 sp.csr_matrix(kernel > 1e-12), directed=True, connection="strong"
             )
+            reach = _reach(kernel > 1e-12)
+            assert np.array_equal(reach & reach.T, labels[:, None] == labels[None, :])
             assert is_irreducible(kernel) == (n_comp == 1)
             answers.add(n_comp == 1)
         assert answers == {True, False}
@@ -281,3 +289,38 @@ class TestChainPeriod:
         assert chain_period(0.5 * np.eye(4) + 0.5 * cycle) == 1
         assert chain_period(0.5 * cycle + 0.5 * cycle.T) == 2
         assert chain_period(cycle) == 4
+
+    def test_matches_edge_loop_reference(self):
+        # reference: BFS levels from state 0, then the gcd of level[u] + 1 -
+        # level[v] over every edge leaving a reached state, one edge at a time
+        def reference_period(support):
+            level = {0: 0}
+            frontier, edges = [0], []
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in map(int, np.nonzero(support[u])[0]):
+                        edges.append((u, v))
+                        if v not in level:
+                            level[v] = level[u] + 1
+                            nxt.append(v)
+                frontier = nxt
+            g = 0
+            for u, v in edges:
+                g = math.gcd(g, level[u] + 1 - level[v])
+            return g or 1
+
+        rng = np.random.default_rng(12)
+        periods = set()
+        for _ in range(500):
+            # edges only from layer l to layer l + 1 (mod p), so periods up to 4
+            n, p = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+            layer = np.arange(n) % p
+            support = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            support &= layer[None, :] == (layer[:, None] + 1) % p
+            # a ring through every state, with gaps so that some supports are reducible
+            support[np.arange(n), (np.arange(n) + 1) % n] |= rng.random(n) < 0.9
+            kernel = support / np.maximum(support.sum(axis=1, keepdims=True), 1)
+            assert chain_period(kernel) == reference_period(kernel > 1e-12)
+            periods.add(chain_period(kernel))
+        assert len(periods) > 2

@@ -201,19 +201,33 @@ class TestOptima:
         assert lp_optimum(four_state_easy()) == pytest.approx(0.738, abs=1e-9)
         assert lp_optimum(frozen_lake_4x4()) == pytest.approx(0.01755506, abs=1e-6)
 
-    def test_multichain_scored_by_best_closed_class(self):
-        # the stay-stay policy splits into two singleton classes with gains
-        # 0 and 1; optimistic scoring credits the better one
-        P = np.zeros((2, 2, 2))
-        P[0, 0, 0] = 1.0  # stay
-        P[1, 0, 1] = 1.0
-        P[0, 1, 1] = 1.0  # swap
-        P[1, 1, 0] = 1.0
-        R = np.array([[0.0, 0.3], [1.0, 0.3]])
+    @pytest.mark.parametrize("build,best_gain,best_actions", [
+        ("two_loops", 1.0, [0, 0]),
+        ("transient_fork", 0.9, [0, 0, 1]),
+    ], ids=["two_loops", "transient_fork"])
+    def test_multichain_scored_by_best_closed_class(self, build, best_gain, best_actions):
+        if build == "two_loops":
+            # the stay-stay policy splits into two singleton classes with gains
+            # 0 and 1; optimistic scoring credits the better one
+            P = np.zeros((2, 2, 2))
+            P[0, 0, 0] = 1.0  # stay
+            P[1, 0, 1] = 1.0
+            P[0, 1, 1] = 1.0  # swap
+            P[1, 1, 0] = 1.0
+            R = np.array([[0.0, 0.3], [1.0, 0.3]])
+        else:
+            # state 0 pays the most but is transient under every policy: it
+            # feeds the absorbing states 1 and 2, and only their gains count
+            P = np.zeros((3, 2, 3))
+            P[0, 0, 1:] = 0.5
+            P[0, 1, 1] = 1.0
+            P[1, :, 1] = 1.0
+            P[2, :, 2] = 1.0
+            R = np.array([[1.0, 1.0], [0.2, 0.1], [0.5, 0.9]])
         mdp = FiniteMdp(transition=P, reward=R, reward_bound=1.0)
         gain, actions = brute_force_optimum(mdp)
-        assert gain == pytest.approx(1.0, abs=1e-12)
-        assert list(actions) == [0, 0]  # first policy in enumeration order wins
+        assert gain == pytest.approx(best_gain, abs=1e-12)
+        assert list(actions) == best_actions  # first policy in enumeration order wins
 
     def test_tie_breaks_lexicographically(self):
         P = np.ones((1, 2, 1))
