@@ -54,3 +54,7 @@ class InsufficientData(AvgrlError):
 
 class OracleFailure(AvgrlError):
     """An exact solve required during a learning run failed."""
+
+
+class Diverged(AvgrlError):
+    """A sampled iterate left the floating-point range: its squared norm is not finite."""

@@ -21,13 +21,21 @@ the next metrics row or the end of a draw block); a kernel runs the segment's
 steps on (N, .) state arrays in place.  Two kernels carry the equations, and
 the driver picks one from N: _make_step works on Python scalars and small
 arrays of row 0, and _make_batch_step advances N seeds in lockstep, so one
-numpy dispatch serves them all.  Both stay: at N = 1 the lockstep step costs
-2-5x the scalar one (one BLAS thread, 2-core host: about 41-59 vs 19-24 us per
-step on four-state with the actor moving, 25-33 vs 5-6 us on gridworld4 with
-it frozen), while at N = 8 it costs less per seed-step than the scalar step
-in every case measured.  Every seed of a batch reproduces its one-seed run bit
-for bit.  A frozen actor (c_alpha = 0, no radius) is a branch inside each
-kernel that reuses one precomputed policy table.
+numpy dispatch serves them all.  Both stay.  One BLAS thread, 2-core host,
+four-state and gridworld4, us per seed-step: with the actor moving, 20-23
+scalar against 56-72 lockstep at N = 1 and 8.4-10 at N = 8; with it frozen,
+4.2-5.3 scalar against 5.5-5.8 lockstep at N = 8.  Every seed of a batch
+reproduces its one-seed run bit for bit.  A frozen actor (c_alpha = 0, no
+radius) is a branch inside each kernel that reuses one precomputed policy table.
+
+The scalar kernel has a one-hot branch, picked at build time by exact
+comparison: with each x[s, a] a unit vector (distinct within a state) the
+logits are theta[cols[s]] and the actor update touches those A entries; with
+each phi(s) zero or a unit vector phi(s).v is v[j] and the critic update adds
+to v[j].  Products with exact 0s and 1s keep every value bit for bit.  The
+lockstep kernel stays dense: a one-hot lockstep branch built from fancy
+indexing measured no gain (four-state moving, N = 4: 9.0-15.5 us per
+seed-step against 8.4-9.2 dense); sweep-ca-4state fell from 120k to 107-110k.
 
 Draws per step come from one counter-based generator per seed in the fixed
 order (action, next state, optional reward noise), so runs are
@@ -46,7 +54,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import AvgrlError, InvalidSpec, InvariantViolation, OracleFailure
+from .errors import AvgrlError, Diverged, InvalidSpec, InvariantViolation, OracleFailure
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy
 from .oracles import critic_fixed_point
@@ -167,6 +175,28 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
     )
 
 
+def _unit_columns(table: np.ndarray) -> np.ndarray | None:
+    """Column of the 1.0 in each row (last axis) of table, -1 for a zero row, or
+    None unless every row is zero or a unit vector (by exact comparison)."""
+    nonzero = table != 0.0
+    if not ((nonzero.sum(axis=-1) <= 1).all() and (table[nonzero] == 1.0).all()):
+        return None
+    return np.where(nonzero.any(axis=-1), nonzero.argmax(axis=-1), -1)
+
+
+def _action_columns(x: np.ndarray) -> np.ndarray | None:
+    """cols[s, a], the column of the unit vector x[s, a], when every x[s, a] is
+    one and the columns within each state are distinct; otherwise None."""
+    cols = _unit_columns(x)
+    ok = cols is not None and (cols >= 0).all() and np.diff(np.sort(cols), axis=1).all()
+    return cols if ok else None
+
+
+def _diverged(iterate: str, t: int, w_sq: float, coef: str, value: float) -> Diverged:
+    return Diverged(f"{iterate} diverged at step {t}: its squared norm is {w_sq}; "
+                    f"lower {coef} (now {value!r})")
+
+
 def _make_step(
     mdp: FiniteMdp,
     policy: SoftmaxLinearPolicy,
@@ -187,7 +217,8 @@ def _make_step(
     error uses the pre-update average-reward iterate.  With a frozen actor
     (c_alpha = 0, no radius) the policy never leaves theta0, so its cumulative
     table is precomputed and the actor update is skipped; the arithmetic and
-    draw order match the moving branch bit for bit.
+    draw order match the moving branch bit for bit.  One-hot x or phi tables
+    take the lookups of the module docstring; np.exp and the norms stay.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -201,6 +232,8 @@ def _make_step(
     frozen = sched.c_alpha == 0.0 and actor_radius is None
     if frozen:
         prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1).tolist()
+    x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
+    phi_cols = None if phi_cols is None else phi_cols.tolist()
 
     def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
         draw = iter(u[:, :, 0].ravel().tolist()).__next__
@@ -212,7 +245,7 @@ def _make_step(
             if frozen:
                 cum = prob_cum[s_t]
             else:
-                logits = x[s_t] @ theta
+                logits = x[s_t] @ theta if x_cols is None else theta[x_cols[s_t]]
                 p = np.exp(logits - logits.max())
                 p /= p.sum()
                 cum = np.cumsum(p).tolist()
@@ -227,19 +260,33 @@ def _make_step(
                 r = r + reward_noise * (2.0 * draw() - 1.0)
                 r = min(max(r, -reward_bound), reward_bound)
 
-            phi_s = phi[s_t]
-            delta = r - L_t + phi[s1] @ v - phi_s @ v
+            if phi_cols is None:
+                phi_s = phi[s_t]
+                delta = r - L_t + phi[s1] @ v - phi_s @ v
+                v += (beta_f(t) * delta) * phi_s
+            else:  # phi_cols[s] is -1 for a zero row
+                j, j1 = phi_cols[s_t], phi_cols[s1]
+                delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
+                if j >= 0:
+                    v[j] += beta_f(t) * delta
             L_t = L_t + gamma_f(t) * (r - L_t)
-            v += (beta_f(t) * delta) * phi_s
             v_sq = v @ v
-            if v_sq > uv_sq:
+            if not v_sq <= uv_sq:  # NaN too
+                if not math.isfinite(v_sq):
+                    raise _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
                 v *= uv_radius / math.sqrt(v_sq)
             if not frozen:
-                psi = x[s_t, a] - p @ x[s_t]
-                theta += (alpha_f(t) * delta) * psi
+                if x_cols is None:
+                    theta += (alpha_f(t) * delta) * (x[s_t, a] - p @ x[s_t])
+                else:
+                    psi = -p
+                    psi[a] += 1.0
+                    theta[x_cols[s_t]] += (alpha_f(t) * delta) * psi
                 if actor_radius is not None:
                     t_sq = theta @ theta
-                    if t_sq > actor_radius * actor_radius:
+                    if not t_sq <= actor_radius * actor_radius:
+                        if not math.isfinite(t_sq):
+                            raise _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
                         theta *= actor_radius / math.sqrt(t_sq)
             if tail is not None:
                 tail += v
@@ -287,12 +334,14 @@ def _make_batch_step(
         """Row-wise a[n] @ b[n] of two (N, d) arrays."""
         return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    def shrink(w, radius):
-        """Project each row of w onto the ball of the given radius."""
+    def shrink(w, radius, t, iterate, coef):
+        """Project each row of w onto the ball of the given radius, or raise Diverged."""
         w_sq = dots(w, w)
-        over = w_sq > radius * radius
-        if over.any():
-            w[over] *= (radius / np.sqrt(w_sq[over]))[:, None]
+        inside = w_sq <= radius * radius
+        if not inside.all():
+            if not np.isfinite(w_sq).all():
+                raise _diverged(iterate, t, w_sq.max(), coef, getattr(sched, coef))
+            w[~inside] *= (radius / np.sqrt(w_sq[~inside]))[:, None]
 
     def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
         L_out, s_out = L, s
@@ -319,12 +368,12 @@ def _make_batch_step(
             delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
             L = L + gamma_f(t) * (r - L)
             v += (beta_f(t) * delta)[:, None] * phi_s
-            shrink(v, uv_radius)
+            shrink(v, uv_radius, t, "critic", "c_beta")
             if not frozen:
                 psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
                 theta += (alpha_f(t) * delta)[:, None] * psi
                 if actor_radius is not None:
-                    shrink(theta, actor_radius)
+                    shrink(theta, actor_radius, t, "actor", "c_alpha")
             if tail_acc is not None:
                 tail_acc += v
             abs_delta_sum += np.abs(delta)
@@ -477,6 +526,7 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
     tail_acc = np.zeros_like(v)
 
     out: list = [None] * n
+    memo: list = []  # the last row's policy solution, reused while theta stands still
     live = list(range(n))  # configs index of each row of the batch arrays
     rows: list[list] = [[] for _ in range(n)]
     abs_delta_sum = np.zeros(n)
@@ -505,7 +555,7 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
                         mdp, policy, features,
                         t=t, theta=theta[j], v=v[j], L=L[j],
                         delta_abs_mean=abs_delta_sum[j] / (t - last_row),
-                        wall_ns=time.perf_counter_ns() - start_ns,
+                        wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
                     ))
                 except AvgrlError as exc:
                     failure = OracleFailure(f"exact metrics failed at step {t}: {exc}")

@@ -60,6 +60,8 @@ class FiniteMdp:
             raise InvariantViolation(f"transition row (s={s}, a={a}) sums to {P[s, a].sum():.12g}")
         if not self.reward_bound > 0:
             raise InvariantViolation(f"reward_bound must be positive, got {self.reward_bound}")
+        if self.reward_bound == np.inf:  # every reward and |delta| bound would be vacuous
+            raise InvariantViolation("reward_bound must be finite, got inf")
         if not np.abs(R).max() <= self.reward_bound + 1e-12:
             s, a = np.unravel_index(int(np.argmax(np.abs(R))), R.shape)
             raise InvariantViolation(

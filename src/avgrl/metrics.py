@@ -33,7 +33,7 @@ from .mdp import (
     induced_chain,
     stationary_distribution,
 )
-from .oracles import actor_field_M, critic_fixed_point
+from .oracles import _actor_field, actor_field_M, critic_fixed_point
 
 CSV_HEADER = "t,L_t,L_theta,avg_err_sq,critic_err_sq,M_norm_sq,v_norm,delta_abs_mean,wall_ns"
 METRIC_COLUMNS = CSV_HEADER.split(",")[1:]
@@ -62,20 +62,32 @@ def exact_metrics_row(
     L: float,
     delta_abs_mean: float,
     wall_ns: int,
+    *,
+    memo: list | None = None,
 ) -> MetricsRow:
     """Evaluate the exact diagnostics at the current iterate.
 
     Solves for L(theta), v*(theta) and the expected actor field M(theta, v)
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
+
+    memo: a one-slot list, shared only by rows of one (mdp, policy, features),
+    that keeps the last solved theta's (bytes, policy, mu, L(theta), v*).  A row
+    at that theta reuses them with actor_field_M's arithmetic, bit for bit.
     """
-    pol = policy.with_theta(theta)
-    chain = induced_chain(mdp, pol)
-    # Own solve, not _evaluate: perfbench/test_tracer.py pins it until ROADMAP item 1.
-    mu = stationary_distribution(chain)
-    l_theta = float(mu @ chain.expected_reward)
-    v_star = critic_fixed_point(mdp, pol, features)
-    M = actor_field_M(mdp, pol, features, v)
+    if memo and memo[0] == theta.tobytes():
+        _, pol, mu, l_theta, v_star = memo
+        M = _actor_field(mdp, pol.prob_table(), pol.score_table(), features, v, mu, l_theta)
+    else:
+        pol = policy.with_theta(theta)
+        chain = induced_chain(mdp, pol)
+        # Own solve, not _evaluate: perfbench/test_tracer.py pins 3 solves per moving row.
+        mu = stationary_distribution(chain)
+        l_theta = float(mu @ chain.expected_reward)
+        v_star = critic_fixed_point(mdp, pol, features)
+        M = actor_field_M(mdp, pol, features, v)
+        if memo is not None:
+            memo[:] = [theta.tobytes(), pol, mu, l_theta, v_star]
     return MetricsRow(
         t=t,
         L_t=float(L),

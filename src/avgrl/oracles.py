@@ -88,8 +88,12 @@ def actor_field_M(
                   (R(s,a) - L(theta) + phi(s').v - phi(s).v) grad log pi(a|s).
     """
     _, mu, gain = _evaluate(mdp, policy)
-    p = policy.prob_table()
-    psi = policy.score_table()
+    return _actor_field(mdp, policy.prob_table(), policy.score_table(), features, v, mu, gain)
+
+
+def _actor_field(mdp: FiniteMdp, p: np.ndarray, psi: np.ndarray, features: FeatureMap,
+                 v: np.ndarray, mu: np.ndarray, gain: float) -> np.ndarray:
+    """actor_field_M of an evaluated policy with prob and score tables p and psi."""
     phi_v = features.table @ v
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
     return np.tensordot(mu[:, None] * p * delta, psi, axes=2)

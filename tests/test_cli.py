@@ -591,6 +591,38 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_overflowing_critic_exit_one(self, tmp_path, capsys, command):
+        # ||v||^2 overflows to inf; the projection used to scale v by 0 and the
+        # run exited 0 with v_norm 0.0 in every row
+        out = tmp_path / ("run.csv" if command == "train" else "sweep")
+        argv = [command, "--env", "four-state", "--c-beta", "1e300", "--steps", "200",
+                "--out", str(out)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(argv + (["--seeds", "2", "--jobs", "1"] if command == "sweep" else []))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "critic diverged at step" in err and "lower c_beta (now 1e+300)" in err
+        if command == "train":
+            assert list(tmp_path.iterdir()) == []
+        else:  # the batch fails every seed with the message
+            failed = json.loads((out / "sweep.json").read_text())["failed"]
+            assert [seed for seed, _ in failed] == [0, 1]
+            assert all(msg.startswith("critic diverged at step") for _, msg in failed)
+            assert list(out.glob("seed_*.csv")) == []
+
+    def test_infinite_reward_bound_exit_two(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf; validate used to print U_r=inf and pass
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": 1.0,
+                                   "P": [[[0.5, 0.5]], [[0.5, 0.5]]], "R": [[0.0], [0.0]]})
+                       .replace('"reward_bound": 1.0', '"reward_bound": 1e400'))
+        rc = main(["validate", "--env", str(env)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "reward_bound must be finite, got inf" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["solve", "train", "sweep"])
     def test_refused_env_file_exit_two(self, tmp_path, capsys, command):
         env = tmp_path / "env.json"

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from avgrl.envs import four_state_easy, frozen_lake_4x4, tabular_policy
-from avgrl import metrics
-from avgrl.errors import InvalidSpec, InvariantViolation, OracleFailure
+from avgrl import learner, metrics
+from avgrl.errors import Diverged, InvalidSpec, InvariantViolation, OracleFailure
 from avgrl.features import make_features
 from avgrl.learner import (
     _DRAW_BLOCK,
@@ -408,6 +409,102 @@ def test_run_matches_reference_stepper(algo, noise, radius, steps):
         assert res.rows[-1].delta_abs_mean == delta_abs_mean
     if radius is not None:  # the radius binds at seed 5, so the projection is exercised
         assert abs(np.linalg.norm(single.final.theta) - radius) < 1e-12
+
+
+@pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_one_hot_branch_matches_dense_branch(monkeypatch, algo, noise, radius, steps):
+    # the tabular policy and one_hot_reduced features take the one-hot branch
+    # of the scalar kernel; with its detection off they take the dense one
+    mdp = four_state_easy()
+    pol = tabular_policy(mdp)
+    fmap = make_features("one_hot_reduced", mdp)
+    assert learner._action_columns(pol.action_features) is not None
+    assert learner._unit_columns(fmap.table) is not None
+    sched = FROZEN if algo == "frozen" else algo_schedule(algo)
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=steps,
+                    seed=5, metrics_every=100, uv_radius=5.0, actor_radius=radius,
+                    reward_noise=noise)
+    one_hot = run(cfg)
+    monkeypatch.setattr(learner, "_unit_columns", lambda table: None)
+    dense = run(cfg)
+    assert len(dense.rows) == -(-steps // 100)
+    assert without_wall(one_hot.rows) == without_wall(dense.rows)
+    a, b = one_hot.final, dense.final
+    assert (a.s, a.L) == (b.s, b.L)
+    assert np.array_equal(a.v, b.v)
+    assert np.array_equal(a.theta, b.theta)
+
+
+@pytest.mark.parametrize("table,expected", [
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1, -1, 0]),
+    ([[0.0, 0.5, 0.0], [1.0, 0.0, 0.0]], None),
+    ([[0.0, 2.0, 0.0], [1.0, 0.0, 0.0]], None),
+    ([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]], None),
+    ([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]], None),
+    ([[0.0, 1.0, math.nan], [1.0, 0.0, 0.0]], None),
+])
+def test_unit_columns(table, expected):
+    cols = learner._unit_columns(np.array(table))
+    assert (cols is None) if expected is None else cols.tolist() == expected
+
+
+@pytest.mark.parametrize("edit,one_hot", [
+    (None, True),
+    (lambda x: x.__setitem__((1, 0, 2), 0.5), False),
+    (lambda x: x.__setitem__((1, 0, 2), 2.0), False),
+    (lambda x: x.__setitem__((1, 0, 2), -1.0), False),
+    (lambda x: x.__setitem__((1, 0, 0), 1.0), False),  # two nonzeros in x[1, 0]
+    (lambda x: x.__setitem__((1, 0, 2), 0.0), False),  # a zero row
+    (lambda x: x.__setitem__((1, 1), x[1, 0]), False),  # a column repeated within state 1
+])
+def test_action_columns(edit, one_hot):
+    x = np.array(tabular_policy(four_state_easy()).action_features)
+    if edit is not None:
+        edit(x)
+    cols = learner._action_columns(x)
+    if one_hot:
+        assert cols.tolist() == np.argmax(x, axis=2).tolist()
+    else:
+        assert cols is None
+
+
+def diverging_configs(kind, n):
+    mdp = four_state_easy()
+    sched = {"critic": algo_schedule("ca", c_beta=1e300),
+             "actor": algo_schedule("ca", c_alpha=1e300, c_gamma=1.5)}[kind]
+    pol = tabular_policy(mdp)
+    features = [make_features(name, mdp) for name in ("one_hot_reduced", "tabular_centered")]
+    return [[RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                       steps=200, seed=seed, metrics_every=50, uv_radius=5.0,
+                       actor_radius=1.0)
+             for seed in range(n)] for fmap in features]
+
+
+@pytest.mark.parametrize("kind,coef", [("critic", "c_beta"), ("actor", "c_alpha")])
+@pytest.mark.parametrize("n", [1, 3])
+def test_overflow_raises_diverged(kind, coef, n):
+    # an overflowing squared norm used to scale the iterate by 0; both kernels,
+    # on the one-hot and the dense branch, refuse it instead
+    for configs in diverging_configs(kind, n):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as err:
+            run(configs[0]) if n == 1 else run_batch(configs)
+        assert re.fullmatch(rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
+                            rf"lower {coef} \(now 1e\+300\)", str(err.value))
+
+
+@pytest.mark.parametrize("make", [learner._make_step, learner._make_batch_step])
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_nan_iterate_raises_diverged(make, iterate):
+    # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
+    mdp = four_state_easy()
+    pol = tabular_policy(mdp)
+    advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
+                   pol.theta, 5.0, 0.0, 1.0)
+    theta, v = np.zeros((1, pol.dim)), np.zeros((1, 3))
+    (v if iterate == "critic" else theta)[0, 0] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(Diverged, match=f"{iterate} diverged"):
+        advance(0, 1, np.full((1, 2, 1), 0.5), theta, v, np.zeros(1), np.zeros(1, dtype=int),
+                np.zeros(1), None)
 
 
 def without_wall(rows):

@@ -78,6 +78,16 @@ class TestFiniteMdpInvariants:
         with pytest.raises(InvariantViolation, match=message):
             FiniteMdp(P, R, reward_bound=bound)
 
+    @pytest.mark.parametrize("bound,message", [
+        (math.inf, "reward_bound must be finite, got inf"),
+        (-math.inf, "reward_bound must be positive, got -inf"),
+        (0.0, "reward_bound must be positive, got 0.0"),
+    ])
+    def test_reward_bound_must_be_positive_and_finite(self, bound, message):
+        with pytest.raises(InvariantViolation, match=message):
+            FiniteMdp(np.full((2, 1, 2), 0.5), np.zeros((2, 1)), reward_bound=bound)
+        FiniteMdp(np.full((2, 1, 2), 0.5), np.zeros((2, 1)), reward_bound=1e308)
+
     def test_arrays_frozen(self):
         m = single_action_mdp([[0.5, 0.5], [0.5, 0.5]], [0.0, 0.0])
         with pytest.raises(ValueError):
