@@ -14,34 +14,30 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-One private driver, _drive(configs), runs every seed of configs that differ
-only in seed: `run(config)` is its one-seed case and `run_batch(configs)` the
-checked public way in for several.  The driver loops once per segment (up to
-the next metrics row or the end of a draw block); a kernel runs the segment's
-steps on (N, .) state arrays in place.  Two kernels carry the equations, and
-the driver picks one from N: _make_step works on Python scalars and small
-arrays of row 0, and _make_batch_step advances N seeds in lockstep, so one
-numpy dispatch serves them all.  Both stay.  One BLAS thread, 2-core host,
-four-state and gridworld4, us per seed-step: with the actor moving, 20-23
-scalar against 56-72 lockstep at N = 1 and 8.4-10 at N = 8; with it frozen,
-4.2-5.3 scalar against 5.5-5.8 lockstep at N = 8.  Every seed of a batch
-reproduces its one-seed run bit for bit.  A frozen actor (c_alpha = 0, no
-radius) is a branch inside each kernel that reuses one precomputed policy table.
+One private driver, _drive(configs), runs configs that differ only in seed:
+`run(config)` is its one-seed case and `run_batch(configs)` the checked way in
+for several.  A kernel runs one segment (up to the next metrics row or the end
+of a draw block) on (N, .) state arrays in place.  _make_step works on Python
+scalars and small arrays of row 0; _make_batch_step steps N seeds in lockstep,
+one numpy dispatch for all, and each seed matches its one-seed run bit for bit.
+One BLAS thread, 2-core host, four-state and gridworld4, us per seed-step:
+actor moving, 20-23 scalar against 56-72 lockstep at N = 1 and 8.4-10 at N = 8;
+actor frozen (c_alpha = 0, no radius: a branch in each kernel that reuses one
+precomputed policy table), 4.2-5.3 scalar against 5.5-5.8 lockstep at N = 8.
 
 The scalar kernel has a one-hot branch, picked at build time by exact
 comparison: with each x[s, a] a unit vector (distinct within a state) the
 logits are theta[cols[s]] and the actor update touches those A entries; with
 each phi(s) zero or a unit vector phi(s).v is v[j] and the critic update adds
 to v[j].  Products with exact 0s and 1s keep every value bit for bit.  The
-lockstep kernel stays dense: a one-hot lockstep branch built from fancy
-indexing measured no gain (four-state moving, N = 4: 9.0-15.5 us per
-seed-step against 8.4-9.2 dense); sweep-ca-4state fell from 120k to 107-110k.
+lockstep kernel stays dense: a one-hot branch of fancy indexing measured no
+gain (four-state moving, N = 4: 9.0-15.5 us per seed-step against 8.4-9.2
+dense), and sweep-ca-4state fell from 120k to 107-110k with it.
 
-Draws per step come from one counter-based generator per seed in the fixed
-order (action, next state, optional reward noise), so runs are
-bit-reproducible for a given seed.  The scalar kernel inverts a cumulative row
-with bisect.bisect_right on a Python list and the lockstep kernel with
-(cum <= u).sum(-1); both return the same index as
+Each seed draws from its own counter-based generator in the fixed order
+(action, next state, optional reward noise), so runs are bit-reproducible.
+The scalar kernel inverts a cumulative row with bisect.bisect_right on a list
+and the lockstep kernel with (cum <= u).sum(-1), both as
 np.searchsorted(side="right").
 """
 
@@ -159,8 +155,7 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
     )
     asymptotic_ok = 0.5 < nu <= 1.0 and 0.5 < sigma <= 1.0
     ratio = sched.c_alpha / sched.c_gamma if sched.c_gamma > 0 else np.inf
-    ratio_ok = None
-    ratio_bound = None
+    ratio_ok = ratio_bound = None
     if report is not None:
         ratio_bound = report.constants.get("ratio_bound")
         if ratio_bound is not None and np.isfinite(ratio_bound):
@@ -210,15 +205,16 @@ def _make_step(
     """The sampled update of one seed, with its constants built once.
 
     Returns the segment stepper advance(t, t_end, u, theta, v, L, s,
-    abs_delta_sum, tail_acc), which runs steps t .. t_end - 1 on row 0 of the
-    (1, .) state arrays in place: u[i, j, 0] is the j-th draw of step t + i,
-    abs_delta_sum accumulates |delta| and tail_acc (unless None) v after each
-    step.  Draw order is (action, next state, optional reward noise); the td
-    error uses the pre-update average-reward iterate.  With a frozen actor
-    (c_alpha = 0, no radius) the policy never leaves theta0, so its cumulative
-    table is precomputed and the actor update is skipped; the arithmetic and
-    draw order match the moving branch bit for bit.  One-hot x or phi tables
-    take the lookups of the module docstring; np.exp and the norms stay.
+    abs_delta_sum, tail_acc, failed), which runs steps t .. t_end - 1 (t_end > t)
+    on row 0 of the (1, .) state arrays in place and returns the step after the
+    last one run: u[i, j, 0] is the j-th draw of step t + i, abs_delta_sum sums
+    |delta| and tail_acc (unless None) v after each step.  An iterate whose
+    squared norm is not finite puts a Diverged in failed[0] and ends the segment.
+    The td error uses the pre-update average-reward iterate.  A frozen actor
+    (c_alpha = 0, no radius) never leaves theta0: its cumulative table is
+    precomputed and the actor update skipped, bit for bit as the moving branch.
+    One-hot x or phi tables take the lookups of the module docstring; np.exp
+    and the norms stay.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -235,7 +231,7 @@ def _make_step(
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
     phi_cols = None if phi_cols is None else phi_cols.tolist()
 
-    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
+    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc, failed):
         draw = iter(u[:, :, 0].ravel().tolist()).__next__
         theta, v = theta[0], v[0]
         tail = None if tail_acc is None else tail_acc[0]
@@ -273,7 +269,8 @@ def _make_step(
             v_sq = v @ v
             if not v_sq <= uv_sq:  # NaN too
                 if not math.isfinite(v_sq):
-                    raise _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
+                    failed[0] = _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
+                    break
                 v *= uv_radius / math.sqrt(v_sq)
             if not frozen:
                 if x_cols is None:
@@ -286,13 +283,15 @@ def _make_step(
                     t_sq = theta @ theta
                     if not t_sq <= actor_radius * actor_radius:
                         if not math.isfinite(t_sq):
-                            raise _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
+                            failed[0] = _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
+                            break
                         theta *= actor_radius / math.sqrt(t_sq)
             if tail is not None:
                 tail += v
             delta_sum += abs(delta)
             s_t = s1
         L[0], s[0], abs_delta_sum[0] = L_t, s_t, delta_sum
+        return t + 1
 
     return advance
 
@@ -311,9 +310,10 @@ def _make_batch_step(
 
     Returns the same segment stepper, on theta (N, d2), v (N, d1), L (N,),
     s (N,), abs_delta_sum (N,) and tail_acc (N, d1) or None, all in place;
-    u[i, j, n] is seed n's j-th draw of step t + i.  Every product is a
-    stacked matmul (a gemv or dot per seed, as in the scalar kernel) rather
-    than an einsum, so each seed's arithmetic matches _make_step bit for bit.
+    u[i, j, n] is seed n's j-th draw of step t + i.  Row n's Diverged goes in
+    failed[n]; the other rows finish that step, where the segment ends.  Every
+    product is a stacked matmul (a gemv or dot per seed, as in the scalar
+    kernel) rather than an einsum, so each seed matches _make_step bit for bit.
     """
     # take() on the leading axis, with (s, a) flattened to s * A + a, is the
     # cheapest gather; the ufunc reductions are sum, max and cumsum without
@@ -334,16 +334,17 @@ def _make_batch_step(
         """Row-wise a[n] @ b[n] of two (N, d) arrays."""
         return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    def shrink(w, radius, t, iterate, coef):
-        """Project each row of w onto the ball of the given radius, or raise Diverged."""
+    def shrink(w, radius, t, iterate, coef, failed):
+        """Project each row of w into the radius ball; a non-finite row goes in failed."""
         w_sq = dots(w, w)
         inside = w_sq <= radius * radius
         if not inside.all():
-            if not np.isfinite(w_sq).all():
-                raise _diverged(iterate, t, w_sq.max(), coef, getattr(sched, coef))
-            w[~inside] *= (radius / np.sqrt(w_sq[~inside]))[:, None]
+            for n in np.flatnonzero(~np.isfinite(w_sq)).tolist():
+                failed.setdefault(n, _diverged(iterate, t, w_sq[n], coef, getattr(sched, coef)))
+            out = ~inside & np.isfinite(w_sq)
+            w[out] *= (radius / np.sqrt(w_sq[out]))[:, None]
 
-    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc):
+    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc, failed):
         L_out, s_out = L, s
         for t, u_t in zip(range(t, t_end), u):
             if frozen:
@@ -368,17 +369,20 @@ def _make_batch_step(
             delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
             L = L + gamma_f(t) * (r - L)
             v += (beta_f(t) * delta)[:, None] * phi_s
-            shrink(v, uv_radius, t, "critic", "c_beta")
+            shrink(v, uv_radius, t, "critic", "c_beta", failed)
             if not frozen:
                 psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
                 theta += (alpha_f(t) * delta)[:, None] * psi
                 if actor_radius is not None:
-                    shrink(theta, actor_radius, t, "actor", "c_alpha")
+                    shrink(theta, actor_radius, t, "actor", "c_alpha", failed)
             if tail_acc is not None:
                 tail_acc += v
             abs_delta_sum += np.abs(delta)
             s = s1
+            if failed:
+                break
         L_out[:], s_out[:] = L, s
+        return t + 1
 
     return advance
 
@@ -456,10 +460,10 @@ def resolve_uv_radius(config: RunConfig) -> float:
 
 def run(config: RunConfig) -> RunResult:
     """Execute a full run, emitting an exact-metrics row every metrics_every
-    steps (and at the final step).  Any oracle failure while computing metrics
-    aborts with the offending step index."""
+    steps (and at the final step).  Raises OracleFailure (a row's exact solve
+    failed) or Diverged (an iterate's squared norm is not finite), with the step."""
     result = _drive([config])[0]
-    if isinstance(result, OracleFailure):
+    if isinstance(result, AvgrlError):
         raise result
     return result
 
@@ -483,13 +487,13 @@ def _check_batch(configs: list[RunConfig]) -> None:
                     f"(mdp, policy and features must be the same objects)")
 
 
-def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
+def run_batch(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     """`run` for configs that differ only in seed, stepped in lockstep.
 
     Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
-    (wall_ns aside), or the OracleFailure that run(configs[i]) raises; a
-    failed seed leaves the batch and the others go on unchanged.  Any
-    difference other than seed raises InvariantViolation.
+    (wall_ns aside), or the OracleFailure or Diverged that run(configs[i])
+    raises; a failed seed leaves the batch at its failing step and the others
+    go on unchanged.  Any difference other than seed raises InvariantViolation.
     """
     if not configs:
         return []
@@ -497,14 +501,14 @@ def run_batch(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
     return _drive(configs)
 
 
-def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
+def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     """The run loop for configs that differ only in seed (unchecked).
 
     Each seed keeps its own generator and draws k = 2 (3 with reward noise)
     uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
     the same draw whatever the batch.  The kernel advances every live seed
-    one segment at a time; a segment ends at a draw-block end, a metrics row
-    or the start of the tail average.
+    one segment at a time; a segment ends at a draw-block end, a metrics row,
+    the start of the tail average or a step at which a seed diverged.
     """
     from .metrics import exact_metrics_row
 
@@ -526,6 +530,7 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
     tail_acc = np.zeros_like(v)
 
     out: list = [None] * n
+    failed: dict = {}  # batch row -> its Diverged or OracleFailure; the row then leaves
     memo: list = []  # the last row's policy solution, reused while theta stands still
     live = list(range(n))  # configs index of each row of the batch arrays
     rows: list[list] = [[] for _ in range(n)]
@@ -543,28 +548,29 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | OracleFailure]:
             t_end = min(block_end, t - t % every + every)
             if t < tail_from:
                 t_end = min(t_end, tail_from)
-            advance(t, t_end, u[t - block_start:t_end - block_start], theta, v, L, s,
-                    abs_delta_sum, tail_acc if t >= tail_from else None)
-            t = t_end
-            if t % every and t != steps:
-                continue
-            keep = np.ones(len(live), dtype=bool)
-            for j, slot in enumerate(live):
-                try:
-                    rows[slot].append(exact_metrics_row(
-                        mdp, policy, features,
-                        t=t, theta=theta[j], v=v[j], L=L[j],
-                        delta_abs_mean=abs_delta_sum[j] / (t - last_row),
-                        wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
-                    ))
-                except AvgrlError as exc:
-                    failure = OracleFailure(f"exact metrics failed at step {t}: {exc}")
-                    failure.__cause__ = exc
-                    out[slot] = failure
-                    keep[j] = False
-            abs_delta_sum[:] = 0.0
-            last_row = t
-            if not keep.all():
+            t = advance(t, t_end, u[t - block_start:t_end - block_start], theta, v, L, s,
+                        abs_delta_sum, tail_acc if t >= tail_from else None, failed)
+            if t % every == 0 or t == steps:
+                for j, slot in enumerate(live):
+                    if j in failed:  # diverged at step t - 1
+                        continue
+                    try:
+                        rows[slot].append(exact_metrics_row(
+                            mdp, policy, features,
+                            t=t, theta=theta[j], v=v[j], L=L[j],
+                            delta_abs_mean=abs_delta_sum[j] / (t - last_row),
+                            wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
+                        ))
+                    except AvgrlError as exc:
+                        failed[j] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
+                        failed[j].__cause__ = exc
+                abs_delta_sum[:] = 0.0
+                last_row = t
+            if failed:
+                for j, exc in failed.items():
+                    out[live[j]] = exc
+                keep = np.array([j not in failed for j in range(len(live))])
+                failed.clear()
                 live = [slot for slot, kept in zip(live, keep) if kept]
                 rngs = [rng for rng, kept in zip(rngs, keep) if kept]
                 s, L, v, theta, abs_delta_sum, tail_acc, u = (

@@ -27,12 +27,7 @@ import numpy as np
 
 from .errors import InsufficientData, ParseError
 from .features import FeatureMap
-from .mdp import (
-    FiniteMdp,
-    SoftmaxLinearPolicy,
-    induced_chain,
-    stationary_distribution,
-)
+from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distribution
 from .oracles import _actor_field, actor_field_M, critic_fixed_point
 
 CSV_HEADER = "t,L_t,L_theta,avg_err_sq,critic_err_sq,M_norm_sq,v_norm,delta_abs_mean,wall_ns"
@@ -63,7 +58,7 @@ def exact_metrics_row(
     delta_abs_mean: float,
     wall_ns: int,
     *,
-    memo: list | None = None,
+    memo: list,
 ) -> MetricsRow:
     """Evaluate the exact diagnostics at the current iterate.
 
@@ -71,9 +66,9 @@ def exact_metrics_row(
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
 
-    memo: a one-slot list, shared only by rows of one (mdp, policy, features),
-    that keeps the last solved theta's (bytes, policy, mu, L(theta), v*).  A row
-    at that theta reuses them with actor_field_M's arithmetic, bit for bit.
+    memo: a one-slot list ([] for a fresh row), shared only by rows of one
+    (mdp, policy, features), that keeps the last solved theta's (bytes, policy,
+    mu, L(theta), v*).  A row at that theta reuses them, bit for bit.
     """
     if memo and memo[0] == theta.tobytes():
         _, pol, mu, l_theta, v_star = memo
@@ -86,8 +81,7 @@ def exact_metrics_row(
         l_theta = float(mu @ chain.expected_reward)
         v_star = critic_fixed_point(mdp, pol, features)
         M = actor_field_M(mdp, pol, features, v)
-        if memo is not None:
-            memo[:] = [theta.tobytes(), pol, mu, l_theta, v_star]
+        memo[:] = [theta.tobytes(), pol, mu, l_theta, v_star]
     return MetricsRow(
         t=t,
         L_t=float(L),

@@ -605,11 +605,28 @@ class TestErrorPaths:
         assert "critic diverged at step" in err and "lower c_beta (now 1e+300)" in err
         if command == "train":
             assert list(tmp_path.iterdir()) == []
-        else:  # the batch fails every seed with the message
+        else:  # both seeds diverge, each with its own message
             failed = json.loads((out / "sweep.json").read_text())["failed"]
             assert [seed for seed, _ in failed] == [0, 1]
             assert all(msg.startswith("critic diverged at step") for _, msg in failed)
             assert list(out.glob("seed_*.csv")) == []
+
+    def test_sweep_keeps_the_seeds_that_stay_finite(self, tmp_path, capsys):
+        # at c_beta = 3e153 seeds 1-3 of four-state overflow and seed 0 does not;
+        # a diverged seed used to fail its whole lockstep batch
+        argv = ["--env", "four-state", "--c-beta", "3e153", "--steps", "300"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["sweep", *argv, "--seeds", "4", "--jobs", "1",
+                       "--out", str(tmp_path / "sweep")])
+            assert main(["train", *argv, "--out", str(tmp_path / "run.csv")]) == 0
+        assert rc == 1
+        failed = json.loads((tmp_path / "sweep" / "sweep.json").read_text())["failed"]
+        assert [seed for seed, _ in failed] == [1, 2, 3]
+        assert all(msg.startswith("critic diverged at step") for _, msg in failed)
+        swept = read_metrics_csv(str(tmp_path / "sweep" / "seed_0.csv"))
+        alone = read_metrics_csv(str(tmp_path / "run.csv"))
+        for name in CSV_HEADER.split(",")[:-1]:
+            assert np.array_equal(swept[name], alone[name])
 
     def test_infinite_reward_bound_exit_two(self, tmp_path, capsys):
         # JSON reads 1e400 as inf; validate used to print U_r=inf and pass

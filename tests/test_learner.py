@@ -482,29 +482,70 @@ def diverging_configs(kind, n):
 
 @pytest.mark.parametrize("kind,coef", [("critic", "c_beta"), ("actor", "c_alpha")])
 @pytest.mark.parametrize("n", [1, 3])
-def test_overflow_raises_diverged(kind, coef, n):
+def test_overflow_gives_diverged(kind, coef, n):
     # an overflowing squared norm used to scale the iterate by 0; both kernels,
     # on the one-hot and the dense branch, refuse it instead
+    pattern = (rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
+               rf"lower {coef} \(now 1e\+300\)")
     for configs in diverging_configs(kind, n):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged) as err:
-            run(configs[0]) if n == 1 else run_batch(configs)
-        assert re.fullmatch(rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
-                            rf"lower {coef} \(now 1e\+300\)", str(err.value))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n == 1:
+                with pytest.raises(Diverged) as err:
+                    run(configs[0])
+                results = [err.value]
+            else:
+                results = run_batch(configs)
+        assert len(results) == n
+        for res in results:
+            assert isinstance(res, Diverged)
+            assert re.fullmatch(pattern, str(res))
 
 
-@pytest.mark.parametrize("make", [learner._make_step, learner._make_batch_step])
-@pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_nan_iterate_raises_diverged(make, iterate):
-    # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
+def nan_kernel_inputs(make, iterate, n, nan_row):
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
                    pol.theta, 5.0, 0.0, 1.0)
-    theta, v = np.zeros((1, pol.dim)), np.zeros((1, 3))
-    (v if iterate == "critic" else theta)[0, 0] = math.nan
-    with np.errstate(invalid="ignore"), pytest.raises(Diverged, match=f"{iterate} diverged"):
-        advance(0, 1, np.full((1, 2, 1), 0.5), theta, v, np.zeros(1), np.zeros(1, dtype=int),
-                np.zeros(1), None)
+    theta, v = np.zeros((n, pol.dim)), np.zeros((n, 3))
+    (v if iterate == "critic" else theta)[nan_row, 0] = math.nan
+    return advance, [theta, v, np.zeros(n), np.arange(n) % mdp.n_states, np.zeros(n), None]
+
+
+@pytest.mark.parametrize("make", [learner._make_step, learner._make_batch_step])
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_nan_iterate_reports_diverged(make, iterate):
+    # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
+    advance, state = nan_kernel_inputs(make, iterate, 1, 0)
+    failed = {}
+    with np.errstate(invalid="ignore"):
+        assert advance(0, 5, np.full((5, 2, 1), 0.5), *state, failed) == 1
+    assert list(failed) == [0]
+    assert isinstance(failed[0], Diverged)
+    assert str(failed[0]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
+
+
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_nan_row_leaves_the_other_rows(iterate):
+    # the lockstep kernel reports row 1 alone and ends the segment after step 0,
+    # which rows 0 and 2 finish as the scalar kernel does
+    u = np.random.default_rng(3).random((5, 2, 3))
+    advance, state = nan_kernel_inputs(learner._make_batch_step, iterate, 3, 1)
+    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
+    failed = {}
+    with np.errstate(invalid="ignore"):
+        assert advance(0, 5, u, *state, failed) == 1
+    assert list(failed) == [1]
+    step, _ = nan_kernel_inputs(learner._make_step, iterate, 1, 0)
+    for i, row in enumerate(rows):
+        one = {}
+        with np.errstate(invalid="ignore"):
+            assert step(0, 1, u[:1, :, i:i + 1], *row, one) == 1
+        if i == 1:
+            assert str(one[0]) == str(failed[1])
+        else:
+            assert one == {}
+            for a, b in zip(state[:5], row[:5]):
+                assert np.array_equal(a[i:i + 1], b)
 
 
 def without_wall(rows):
@@ -609,3 +650,39 @@ class TestRunBatch:
             assert without_wall(results[i].rows) == without_wall(clean[i].rows)
             assert np.array_equal(results[i].final.theta, clean[i].final.theta)
             assert results[i].final.rng.random() == clean[i].final.rng.random()
+
+    @pytest.mark.parametrize("overrides,every,diverge", [
+        (dict(c_beta=1e154), 100, [1, 2, 3, 4, 5, 7]),
+        # seed 3's actor overflows at step 1, just before a row
+        (dict(c_alpha=1e154, c_gamma=1.5, actor_radius=1.0), 2, [3]),
+    ])
+    def test_diverged_seed_drops_only_that_seed(self, monkeypatch, overrides, every, diverge):
+        # near the overflow threshold divergence depends on the sampled path;
+        # the seeds that stay finite keep their rows whatever the batch
+        radius = overrides.pop("actor_radius", None)
+        mdp = four_state_easy()
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300, seed=seed,
+                          schedule=algo_schedule("ca", **overrides), metrics_every=every,
+                          uv_radius=5.0, actor_radius=radius)
+                for seed in range(8)]
+        real, solved = metrics.exact_metrics_row, []
+
+        def counting(*args, **kw):
+            solved.append(kw["t"])
+            return real(*args, **kw)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            monkeypatch.setattr(metrics, "exact_metrics_row", counting)
+            results = run_batch(cfgs)
+            monkeypatch.undo()
+            # no row is solved for a seed that diverged before it
+            assert len(solved) == sum(len(r.rows) for r in results if isinstance(r, RunResult))
+            for cfg, res in zip(cfgs, results):
+                if cfg.seed in diverge:
+                    with pytest.raises(Diverged) as expected:
+                        run(cfg)
+                    assert isinstance(res, Diverged)
+                    assert str(res) == str(expected.value)
+                else:
+                    self.assert_matches_run(cfg, res)

@@ -41,7 +41,7 @@ class TestExactMetricsRow:
         pol = tabular_policy(mdp)
         fmap = make_features("one_hot_reduced", mdp)
         row = exact_metrics_row(mdp, pol, fmap, t=1, theta=np.zeros(8),
-                                v=np.zeros(3), L=0.0, delta_abs_mean=0.3, wall_ns=5)
+                                v=np.zeros(3), L=0.0, delta_abs_mean=0.3, wall_ns=5, memo=[])
         assert row.L_theta == pytest.approx(0.25, abs=1e-12)
         assert row.avg_err_sq == pytest.approx(0.0625, abs=1e-12)
         assert row.critic_err_sq == pytest.approx(477.0 / 169.0, abs=1e-12)
@@ -55,7 +55,7 @@ class TestExactMetricsRow:
         pol = tabular_policy(mdp)
         fmap = make_features("one_hot_reduced", mdp)
         row = exact_metrics_row(mdp, pol, fmap, t=1, theta=np.zeros(8),
-                                v=np.zeros(3), L=0.25, delta_abs_mean=0.0, wall_ns=0)
+                                v=np.zeros(3), L=0.25, delta_abs_mean=0.0, wall_ns=0, memo=[])
         assert row.avg_err_sq == pytest.approx(0.0, abs=1e-12)
 
 
