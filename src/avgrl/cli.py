@@ -50,7 +50,7 @@ _OPTIONS = {
     "metrics_every": (int, 1000, None),
     "out": (str, None, None),
     "seeds": (int, 10, "number of consecutive seeds"),
-    "jobs": (int, 1, "lockstep batches, one worker process each"),
+    "jobs": (int, 1, "seed batches, one worker process each"),
     "metric": (str, "critic_err_sq", None),
     "t_min": (float, 1000.0, None),
     "policy_samples": (int, 8, None),

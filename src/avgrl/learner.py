@@ -17,28 +17,29 @@ optional radius reproduces the projected variant.
 One private driver, _drive(configs), runs configs that differ only in seed:
 `run(config)` is its one-seed case and `run_batch(configs)` the checked way in
 for several.  A kernel runs one segment (up to the next metrics row or the end
-of a draw block) on (N, .) state arrays in place.  _make_step works on Python
-scalars and small arrays of row 0; _make_batch_step steps N seeds in lockstep,
-one numpy dispatch for all, and each seed matches its one-seed run bit for bit.
-One BLAS thread, 2-core host, four-state and gridworld4, us per seed-step:
-actor moving, 20-23 scalar against 56-72 lockstep at N = 1 and 8.4-10 at N = 8;
-actor frozen (c_alpha = 0, no radius: a branch in each kernel that reuses one
-precomputed policy table), 4.2-5.3 scalar against 5.5-5.8 lockstep at N = 8.
+of a draw block) on (N, .) state arrays in place, each seed bit for bit as its
+one-seed run.  _make_step steps the rows in turn on Python scalars; it serves
+N = 1 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
+precomputed policy table).  _make_batch_step steps a moving actor's N >= 2
+seeds in lockstep, one numpy dispatch for all.  One BLAS thread, 2-core host,
+us per seed-step: moving, 20-23 scalar against 56-72 lockstep at N = 1 and
+8.4-10 at N = 8; frozen run_batch, 20k steps, scalar (lockstep it replaced):
+
+    N            2            4            8
+    four-state   2.3 (11.6)   2.3 (5.8)    2.3 (3.0)
+    gridworld4   2.4 (11.0)   2.6 (5.6)    2.4 (3.0)
 
 The scalar kernel has a one-hot branch, picked at build time by exact
 comparison: with each x[s, a] a unit vector (distinct within a state) the
 logits are theta[cols[s]] and the actor update touches those A entries; with
 each phi(s) zero or a unit vector phi(s).v is v[j] and the critic update adds
-to v[j].  Products with exact 0s and 1s keep every value bit for bit.  The
-lockstep kernel stays dense: a one-hot branch of fancy indexing measured no
-gain (four-state moving, N = 4: 9.0-15.5 us per seed-step against 8.4-9.2
-dense), and sweep-ca-4state fell from 120k to 107-110k with it.
+to v[j], bit for bit.  A lockstep one-hot branch measured no gain (four-state
+moving, N = 4: 9.0-15.5 us per seed-step against 8.4-9.2 dense).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
-The scalar kernel inverts a cumulative row with bisect.bisect_right on a list
-and the lockstep kernel with (cum <= u).sum(-1), both as
-np.searchsorted(side="right").
+Cumulative rows are inverted as np.searchsorted(side="right") would: by
+bisect.bisect_right on a list (scalar) or (cum <= u).sum(-1) (lockstep).
 """
 
 from __future__ import annotations
@@ -187,6 +188,11 @@ def _action_columns(x: np.ndarray) -> np.ndarray | None:
     return cols if ok else None
 
 
+def _actor_frozen(sched: StepSchedule, actor_radius: float | None) -> bool:
+    """No actor step and no projection: theta never leaves policy.theta."""
+    return sched.c_alpha == 0.0 and actor_radius is None
+
+
 def _diverged(iterate: str, t: int, w_sq: float, coef: str, value: float) -> Diverged:
     return Diverged(f"{iterate} diverged at step {t}: its squared norm is {w_sq}; "
                     f"lower {coef} (now {value!r})")
@@ -197,24 +203,21 @@ def _make_step(
     policy: SoftmaxLinearPolicy,
     features: FeatureMap,
     sched: StepSchedule,
-    theta0: np.ndarray,
     uv_radius: float,
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """The sampled update of one seed, with its constants built once.
+    """The sampled update of each seed, with its constants built once.
 
     Returns the segment stepper advance(t, t_end, u, theta, v, L, s,
-    abs_delta_sum, tail_acc, failed), which runs steps t .. t_end - 1 (t_end > t)
-    on row 0 of the (1, .) state arrays in place and returns the step after the
-    last one run: u[i, j, 0] is the j-th draw of step t + i, abs_delta_sum sums
-    |delta| and tail_acc (unless None) v after each step.  An iterate whose
-    squared norm is not finite puts a Diverged in failed[0] and ends the segment.
-    The td error uses the pre-update average-reward iterate.  A frozen actor
-    (c_alpha = 0, no radius) never leaves theta0: its cumulative table is
-    precomputed and the actor update skipped, bit for bit as the moving branch.
-    One-hot x or phi tables take the lookups of the module docstring; np.exp
-    and the norms stay.
+    abs_delta_sum, tail_acc, failed).  It runs steps t .. t_end - 1 (t_end > t)
+    on each row n of theta (N, d2), v (N, d1), L, s, abs_delta_sum (N,) and
+    tail_acc (N, d1) or None in turn, in place, and returns the step after the
+    last one any row ran: u[i, j, n] is row n's j-th draw of step t + i,
+    abs_delta_sum sums |delta| and tail_acc (unless None) v after each step.
+    An iterate whose squared norm is not finite puts a Diverged in failed[n]
+    and ends row n's segment.  A frozen actor's cumulative policy table is
+    precomputed and its update skipped, bit for bit as the moving branch.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -225,73 +228,76 @@ def _make_step(
     reward_bound = mdp.reward_bound
     uv_sq = uv_radius * uv_radius
     alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
-    frozen = sched.c_alpha == 0.0 and actor_radius is None
+    frozen = _actor_frozen(sched, actor_radius)
     if frozen:
-        prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1).tolist()
+        prob_cum = np.cumsum(policy.prob_table(), axis=1).tolist()
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
     phi_cols = None if phi_cols is None else phi_cols.tolist()
 
-    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc, failed):
-        draw = iter(u[:, :, 0].ravel().tolist()).__next__
-        theta, v = theta[0], v[0]
-        tail = None if tail_acc is None else tail_acc[0]
-        # starting from the row's running sum, not 0, adds |delta| in step order
-        L_t, s_t, delta_sum = float(L[0]), int(s[0]), float(abs_delta_sum[0])
-        for t in range(t, t_end):
-            if frozen:
-                cum = prob_cum[s_t]
-            else:
-                logits = x[s_t] @ theta if x_cols is None else theta[x_cols[s_t]]
-                p = np.exp(logits - logits.max())
-                p /= p.sum()
-                cum = np.cumsum(p).tolist()
-            a = bisect.bisect_right(cum, draw())
-            if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
-                a = n_actions - 1
-            s1 = bisect.bisect_right(pcum_rows[s_t][a], draw())
-            if s1 >= n_states:
-                s1 = n_states - 1
-            r = R[s_t, a]
-            if reward_noise > 0.0:
-                r = r + reward_noise * (2.0 * draw() - 1.0)
-                r = min(max(r, -reward_bound), reward_bound)
-
-            if phi_cols is None:
-                phi_s = phi[s_t]
-                delta = r - L_t + phi[s1] @ v - phi_s @ v
-                v += (beta_f(t) * delta) * phi_s
-            else:  # phi_cols[s] is -1 for a zero row
-                j, j1 = phi_cols[s_t], phi_cols[s1]
-                delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
-                if j >= 0:
-                    v[j] += beta_f(t) * delta
-            L_t = L_t + gamma_f(t) * (r - L_t)
-            v_sq = v @ v
-            if not v_sq <= uv_sq:  # NaN too
-                if not math.isfinite(v_sq):
-                    failed[0] = _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
-                    break
-                v *= uv_radius / math.sqrt(v_sq)
-            if not frozen:
-                if x_cols is None:
-                    theta += (alpha_f(t) * delta) * (x[s_t, a] - p @ x[s_t])
+    def advance(t_start, t_end, u, theta_rows, v_rows, L, s, abs_delta_sum, tail_acc, failed):
+        t_last = t_start
+        for n in range(len(L)):
+            draw = iter(u[:, :, n].ravel().tolist()).__next__
+            theta, v = theta_rows[n], v_rows[n]
+            tail = None if tail_acc is None else tail_acc[n]
+            # starting from the row's running sum, not 0, adds |delta| in step order
+            L_t, s_t, delta_sum = float(L[n]), int(s[n]), float(abs_delta_sum[n])
+            for t in range(t_start, t_end):
+                if frozen:
+                    cum = prob_cum[s_t]
                 else:
-                    psi = -p
-                    psi[a] += 1.0
-                    theta[x_cols[s_t]] += (alpha_f(t) * delta) * psi
-                if actor_radius is not None:
-                    t_sq = theta @ theta
-                    if not t_sq <= actor_radius * actor_radius:
-                        if not math.isfinite(t_sq):
-                            failed[0] = _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
-                            break
-                        theta *= actor_radius / math.sqrt(t_sq)
-            if tail is not None:
-                tail += v
-            delta_sum += abs(delta)
-            s_t = s1
-        L[0], s[0], abs_delta_sum[0] = L_t, s_t, delta_sum
-        return t + 1
+                    logits = x[s_t] @ theta if x_cols is None else theta[x_cols[s_t]]
+                    p = np.exp(logits - logits.max())
+                    p /= p.sum()
+                    cum = np.cumsum(p).tolist()
+                a = bisect.bisect_right(cum, draw())
+                if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
+                    a = n_actions - 1
+                s1 = bisect.bisect_right(pcum_rows[s_t][a], draw())
+                if s1 >= n_states:
+                    s1 = n_states - 1
+                r = R[s_t, a]
+                if reward_noise > 0.0:
+                    r = r + reward_noise * (2.0 * draw() - 1.0)
+                    r = min(max(r, -reward_bound), reward_bound)
+
+                if phi_cols is None:
+                    phi_s = phi[s_t]
+                    delta = r - L_t + phi[s1] @ v - phi_s @ v
+                    v += (beta_f(t) * delta) * phi_s
+                else:  # phi_cols[s] is -1 for a zero row
+                    j, j1 = phi_cols[s_t], phi_cols[s1]
+                    delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
+                    if j >= 0:
+                        v[j] += beta_f(t) * delta
+                L_t = L_t + gamma_f(t) * (r - L_t)
+                v_sq = v @ v
+                if not v_sq <= uv_sq:  # NaN too
+                    if not math.isfinite(v_sq):
+                        failed[n] = _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
+                        break
+                    v *= uv_radius / math.sqrt(v_sq)
+                if not frozen:
+                    if x_cols is None:
+                        theta += (alpha_f(t) * delta) * (x[s_t, a] - p @ x[s_t])
+                    else:
+                        psi = -p
+                        psi[a] += 1.0
+                        theta[x_cols[s_t]] += (alpha_f(t) * delta) * psi
+                    if actor_radius is not None:
+                        t_sq = theta @ theta
+                        if not t_sq <= actor_radius * actor_radius:
+                            if not math.isfinite(t_sq):
+                                failed[n] = _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
+                                break
+                            theta *= actor_radius / math.sqrt(t_sq)
+                if tail is not None:
+                    tail += v
+                delta_sum += abs(delta)
+                s_t = s1
+            L[n], s[n], abs_delta_sum[n] = L_t, s_t, delta_sum
+            t_last = max(t_last, t + 1)
+        return t_last
 
     return advance
 
@@ -301,19 +307,17 @@ def _make_batch_step(
     policy: SoftmaxLinearPolicy,
     features: FeatureMap,
     sched: StepSchedule,
-    theta0: np.ndarray,
     uv_radius: float,
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """_make_step for N seeds in lockstep.
+    """_make_step's segment stepper for the N seeds of a moving actor, in
+    lockstep (a frozen actor is cheaper in _make_step at any N).
 
-    Returns the same segment stepper, on theta (N, d2), v (N, d1), L (N,),
-    s (N,), abs_delta_sum (N,) and tail_acc (N, d1) or None, all in place;
-    u[i, j, n] is seed n's j-th draw of step t + i.  Row n's Diverged goes in
-    failed[n]; the other rows finish that step, where the segment ends.  Every
-    product is a stacked matmul (a gemv or dot per seed, as in the scalar
-    kernel) rather than an einsum, so each seed matches _make_step bit for bit.
+    Row n's Diverged goes in failed[n]; the other rows finish that step, where
+    the segment ends.  Every product is a stacked matmul (a gemv or dot per
+    seed, as in the scalar kernel) rather than an einsum, so each seed matches
+    _make_step bit for bit.
     """
     # take() on the leading axis, with (s, a) flattened to s * A + a, is the
     # cheapest gather; the ufunc reductions are sum, max and cumsum without
@@ -326,9 +330,6 @@ def _make_batch_step(
     x_sa = x.reshape(n_states * n_actions, -1)
     reward_bound = mdp.reward_bound
     alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
-    frozen = sched.c_alpha == 0.0 and actor_radius is None
-    if frozen:
-        prob_cum = np.cumsum(policy.with_theta(theta0).prob_table(), axis=1)
 
     def dots(a, b):
         """Row-wise a[n] @ b[n] of two (N, d) arrays."""
@@ -347,14 +348,11 @@ def _make_batch_step(
     def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc, failed):
         L_out, s_out = L, s
         for t, u_t in zip(range(t, t_end), u):
-            if frozen:
-                cum = prob_cum.take(s, axis=0)
-            else:
-                xs = x.take(s, axis=0)
-                logits = (xs @ theta[:, :, None])[:, :, 0]
-                p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
-                p /= add_reduce(p, axis=1, keepdims=True)
-                cum = np.add.accumulate(p, axis=1)
+            xs = x.take(s, axis=0)
+            logits = (xs @ theta[:, :, None])[:, :, 0]
+            p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
+            p /= add_reduce(p, axis=1, keepdims=True)
+            cum = np.add.accumulate(p, axis=1)
             # the cumulative rows may fall a few ulp short of 1, hence the clamps
             a = np.minimum(add_reduce(cum <= u_t[0][:, None], axis=1), n_actions - 1)
             sa = s * n_actions + a
@@ -370,11 +368,10 @@ def _make_batch_step(
             L = L + gamma_f(t) * (r - L)
             v += (beta_f(t) * delta)[:, None] * phi_s
             shrink(v, uv_radius, t, "critic", "c_beta", failed)
-            if not frozen:
-                psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
-                theta += (alpha_f(t) * delta)[:, None] * psi
-                if actor_radius is not None:
-                    shrink(theta, actor_radius, t, "actor", "c_alpha", failed)
+            psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
+            theta += (alpha_f(t) * delta)[:, None] * psi
+            if actor_radius is not None:
+                shrink(theta, actor_radius, t, "actor", "c_alpha", failed)
             if tail_acc is not None:
                 tail_acc += v
             abs_delta_sum += np.abs(delta)
@@ -518,12 +515,11 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     rngs = [np.random.Generator(np.random.Philox(cfg.seed)) for cfg in configs]
     s = np.array([int(rng.integers(mdp.n_states)) for rng in rngs])
     n = len(configs)
-    theta0 = np.array(policy.theta, dtype=float)
-    L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(theta0, (n, 1))
+    L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(policy.theta, (n, 1))
 
-    make_kernel = _make_step if n == 1 else _make_batch_step
-    advance = make_kernel(mdp, policy, features, base.schedule, theta0, uv_radius,
-                          base.reward_noise, base.actor_radius)
+    scalar = n == 1 or _actor_frozen(base.schedule, base.actor_radius)
+    advance = (_make_step if scalar else _make_batch_step)(
+        mdp, policy, features, base.schedule, uv_radius, base.reward_noise, base.actor_radius)
 
     steps, every = base.steps, base.metrics_every
     tail_from = steps if base.tail_average_from is None else base.tail_average_from

@@ -96,6 +96,8 @@ class SoftmaxLinearPolicy:
         if self.theta.shape != (self.action_features.shape[2],):
             raise InvariantViolation(f"theta has {self.theta.size} entries, the policy takes "
                                      f"{self.action_features.shape[2]}")
+        if not np.isfinite(self.theta).all():
+            raise InvariantViolation("theta has a non-finite entry")
 
     @property
     def dim(self) -> int:
@@ -142,9 +144,11 @@ class PolicyChain:
             raise InvariantViolation(f"kernel has shape {K.shape}, want square")
         if self.expected_reward.shape != (K.shape[0],):
             raise InvariantViolation("expected_reward length must match kernel size")
+        if not np.isfinite(self.expected_reward).all():
+            raise InvariantViolation("expected_reward must be finite")
         if np.any(K < -_SUPPORT_TOL):
             raise InvariantViolation("kernel has a negative entry")
-        if np.abs(K.sum(axis=1) - 1.0).max() > _ROW_SUM_TOL:
+        if not np.abs(K.sum(axis=1) - 1.0).max() <= _ROW_SUM_TOL:  # a NaN entry fails too
             raise InvariantViolation("kernel rows must sum to 1")
 
     @property

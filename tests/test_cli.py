@@ -200,14 +200,18 @@ class TestSweep:
         assert (out / "seed_11.csv").exists()
 
 
-    def test_job_counts_give_identical_outputs(self, tmp_path, monkeypatch, capsys):
-        # 1, 2 and 3 jobs split the 5 seeds into 1, 2 and 3 lockstep batches
+    @pytest.mark.parametrize("schedule", [
+        ["--algo", "ac"],
+        ["--c-alpha", "0", "--c-gamma", "1.5"],  # a frozen actor: batches step seed by seed
+    ], ids=["moving", "frozen"])
+    def test_job_counts_give_identical_outputs(self, tmp_path, monkeypatch, capsys, schedule):
+        # 1, 2 and 3 jobs split the 5 seeds into 1, 2 and 3 batches
         outs = {}
         for jobs in (1, 2, 3):
             work = tmp_path / f"jobs{jobs}"
             work.mkdir()
             monkeypatch.chdir(work)
-            assert main(["sweep", "--env", "gridworld4", "--algo", "ac",
+            assert main(["sweep", "--env", "gridworld4", *schedule,
                          "--reward-noise", "0.3", "--steps", "1500",
                          "--metrics-every", "400", "--seeds", "5", "--seed", "7",
                          "--jobs", str(jobs), "--out", "sweep"]) == 0

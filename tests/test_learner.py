@@ -388,8 +388,8 @@ REFERENCE_IDS = ["-".join(map(str, case[:3] if case[3] == 300 else case))
 
 @pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_run_matches_reference_stepper(algo, noise, radius, steps):
-    # run (the scalar kernel) and a 3-seed run_batch (the lockstep kernel),
-    # each seed against the plain stepper
+    # run and a 3-seed run_batch (the lockstep kernel for a moving actor, the
+    # scalar one seed by seed for a frozen one), each seed against the plain stepper
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
@@ -505,7 +505,7 @@ def nan_kernel_inputs(make, iterate, n, nan_row):
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
-                   pol.theta, 5.0, 0.0, 1.0)
+                   5.0, 0.0, 1.0)
     theta, v = np.zeros((n, pol.dim)), np.zeros((n, 3))
     (v if iterate == "critic" else theta)[nan_row, 0] = math.nan
     return advance, [theta, v, np.zeros(n), np.arange(n) % mdp.n_states, np.zeros(n), None]
@@ -546,6 +546,25 @@ def test_nan_row_leaves_the_other_rows(iterate):
             assert one == {}
             for a, b in zip(state[:5], row[:5]):
                 assert np.array_equal(a[i:i + 1], b)
+
+
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_scalar_kernel_steps_every_row(iterate):
+    # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
+    u = np.random.default_rng(3).random((5, 2, 3))
+    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
+    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
+    failed = {}
+    with np.errstate(invalid="ignore"):
+        assert advance(0, 5, u, *state, failed) == 5
+    assert list(failed) == [1]
+    assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
+    for i in (0, 2):
+        one = {}
+        assert advance(0, 5, u[:, :, i:i + 1], *rows[i], one) == 5
+        assert one == {}
+        for a, b in zip(state[:5], rows[i][:5]):
+            assert np.array_equal(a[i:i + 1], b)
 
 
 def without_wall(rows):
@@ -604,6 +623,27 @@ class TestRunBatch:
             self.assert_matches_run(cfg, res)
         if cfgs[0].steps:
             assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
+
+    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
+        real, built = learner._make_batch_step, []
+
+        def refuse(*args):
+            raise AssertionError("the lockstep kernel was built for a frozen actor")
+
+        monkeypatch.setattr(learner, "_make_batch_step", refuse)
+        cfgs = self.configs(3, schedule=FROZEN, reward_noise=0.3)
+        for cfg, res in zip(cfgs, run_batch(cfgs)):
+            self.assert_matches_run(cfg, res)  # run itself is the N = 1 case
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_make_batch_step", counting)
+        run_batch(self.configs(3, steps=300))
+        # an actor radius may move theta_0, so c_alpha = 0 alone is not frozen
+        run_batch(self.configs(3, steps=300, schedule=FROZEN, actor_radius=0.05))
+        assert len(built) == 2
 
     def test_projections_bind(self):
         # the actor-radius and critic-ball cases above reach their radius

@@ -11,6 +11,7 @@ from avgrl.envs import GarnetSpec, build_garnet, tabular_policy
 from avgrl.errors import InvariantViolation, NotIrreducible
 from avgrl.mdp import (
     FiniteMdp,
+    PolicyChain,
     SoftmaxLinearPolicy,
     _reach,
     advantage_table,
@@ -77,6 +78,26 @@ class TestFiniteMdpInvariants:
             bound = np.nan
         with pytest.raises(InvariantViolation, match=message):
             FiniteMdp(P, R, reward_bound=bound)
+
+    @pytest.mark.parametrize("kernel,reward,message", [
+        # NaN > tol is false: the row-sum test used to pass a NaN kernel
+        (np.full((2, 2), np.nan), np.zeros(2), "kernel rows must sum to 1"),
+        (np.full((2, 2), 0.5), np.array([0.0, np.nan]), "expected_reward must be finite"),
+        (np.full((2, 2), 0.5), np.array([np.inf, 0.0]), "expected_reward must be finite"),
+    ])
+    def test_policy_chain_nan_refused(self, kernel, reward, message):
+        with pytest.raises(InvariantViolation, match=message):
+            PolicyChain(kernel, reward)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_policy_non_finite_theta_refused(self, bad):
+        # theta = [inf, 0] used to give a NaN prob_table
+        x = np.eye(2)[None]
+        policy = SoftmaxLinearPolicy(np.zeros(2), x)
+        for make in (lambda: SoftmaxLinearPolicy(np.array([bad, 0.0]), x),
+                     lambda: policy.with_theta(np.array([0.0, bad]))):
+            with pytest.raises(InvariantViolation, match="theta has a non-finite entry"):
+                make()
 
     @pytest.mark.parametrize("bound,message", [
         (math.inf, "reward_bound must be finite, got inf"),
