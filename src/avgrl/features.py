@@ -33,6 +33,7 @@ class FeatureMap:
     """State features Phi, one row per state, shape (S, d1)."""
 
     table: np.ndarray
+    __reduce__ = _mdp._reduce_to_fields
 
     def __post_init__(self):
         object.__setattr__(self, "table", _mdp._frozen_array(self.table))

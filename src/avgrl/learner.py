@@ -19,11 +19,12 @@ One private driver, _drive(configs), runs configs that differ only in seed:
 for several.  A kernel runs one segment (up to the next metrics row or the end
 of a draw block) on (N, .) state arrays in place, each seed bit for bit as its
 one-seed run.  _make_step steps the rows in turn on Python scalars; it serves
-N = 1 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
-precomputed policy table).  _make_batch_step steps a moving actor's N >= 2
+N <= 2 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
+precomputed policy table).  _make_batch_step steps a moving actor's N >= 3
 seeds in lockstep, one numpy dispatch for all.  One BLAS thread, 2-core host,
-us per seed-step: moving, 20-23 scalar against 56-72 lockstep at N = 1 and
-8.4-10 at N = 8; frozen run_batch, 20k steps, scalar (lockstep it replaced):
+us per seed-step: moving, 20-23 scalar against 56-72 lockstep at N = 1,
+13-21 against 23-33 at N = 2, 17-21 against 19-23 at N = 3 and 8.4-10
+lockstep at N = 8; frozen run_batch, 20k steps, scalar (lockstep it replaced):
 
     N            2            4            8
     four-state   2.3 (11.6)   2.3 (5.8)    2.3 (3.0)
@@ -311,8 +312,8 @@ def _make_batch_step(
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """_make_step's segment stepper for the N seeds of a moving actor, in
-    lockstep (a frozen actor is cheaper in _make_step at any N).
+    """_make_step's segment stepper for the N >= 3 seeds of a moving actor, in
+    lockstep (fewer seeds, or a frozen actor at any N, are cheaper in _make_step).
 
     Row n's Diverged goes in failed[n]; the other rows finish that step, where
     the segment ends.  Every product is a stacked matmul (a gemv or dot per
@@ -517,7 +518,7 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     n = len(configs)
     L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(policy.theta, (n, 1))
 
-    scalar = n == 1 or _actor_frozen(base.schedule, base.actor_radius)
+    scalar = n <= 2 or _actor_frozen(base.schedule, base.actor_radius)
     advance = (_make_step if scalar else _make_batch_step)(
         mdp, policy, features, base.schedule, uv_radius, base.reward_noise, base.actor_radius)
 

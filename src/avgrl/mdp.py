@@ -13,13 +13,21 @@ Conventions:
     expected_reward[s] = sum_a pi(a|s) R(s, a),
   * a kernel's support graph has an edge s -> s1 iff kernel[s, s1] > _SUPPORT_TOL;
     its closure `_reach` decides irreducibility and, in `oracles`, closed classes.
+
+Every array a FiniteMdp, SoftmaxLinearPolicy or PolicyChain holds is read-only,
+and so is every table a policy caches: its pi and psi tables are built at most
+once per instance and its last induced chain is kept with it, so the oracles
+that evaluate one theta share them.  `_frozen_array` copies its input unless it
+already is a read-only float64 array owning its memory, which nothing can write
+to, so a policy made by `with_theta` shares the action features.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,10 +37,22 @@ _ROW_SUM_TOL = 1e-9
 _SUPPORT_TOL = 1e-12
 
 
-def _frozen_array(x, dtype=float) -> np.ndarray:
-    out = np.array(x, dtype=dtype)
+def _frozen_array(x) -> np.ndarray:
+    """x as a read-only float64 array.  An x that already is one and owns its
+    memory is returned as it is, since nothing can write to it; any other x, a
+    writeable array or a view included, is copied."""
+    if (type(x) is np.ndarray and x.dtype == np.float64 and not x.flags.writeable
+            and x.flags.owndata):
+        return x
+    out = np.array(x, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _reduce_to_fields(obj):
+    """Pickle and copy a frozen dataclass as a call to its constructor, so the
+    copy is checked and frozen like the original and leaves its caches behind."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 @dataclass(frozen=True)
@@ -42,6 +62,7 @@ class FiniteMdp:
     transition: np.ndarray  # (S, A, S)
     reward: np.ndarray  # (S, A)
     reward_bound: float
+    __reduce__ = _reduce_to_fields
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen_array(self.transition))
@@ -83,10 +104,18 @@ class SoftmaxLinearPolicy:
 
     The score function is grad log pi(a|s) = x(s,a) - sum_a' pi(a'|s) x(s,a'),
     so its norm never exceeds 2 * max ||x(s,a)|| (the `score_bound`).
+
+    The pi and psi tables are built at most once per instance, on first use,
+    and handed out read-only; the last chain `induced_chain` built for the
+    policy is kept with it.  Every array the policy holds is read-only, so
+    `with_theta` shares the action features instead of copying them.
     """
 
     theta: np.ndarray  # (d2,)
     action_features: np.ndarray  # (S, A, d2)
+    # (mdp, chain) of the last induced_chain call on this policy
+    _chain_memo: ClassVar[tuple] = (None, None)
+    __reduce__ = _reduce_to_fields
 
     def __post_init__(self):
         object.__setattr__(self, "theta", _frozen_array(self.theta))
@@ -112,21 +141,32 @@ class SoftmaxLinearPolicy:
         return 2.0 * self.feature_bound
 
     def with_theta(self, theta: np.ndarray) -> "SoftmaxLinearPolicy":
+        """The policy at theta, sharing this one's (read-only) action features."""
         return SoftmaxLinearPolicy(theta, self.action_features)
 
     def prob_table(self) -> np.ndarray:
-        """Full pi(a|s) table, shape (S, A); rows sum to 1."""
+        """Full pi(a|s) table, shape (S, A), read-only; rows sum to 1."""
+        return self._prob
+
+    def score_table(self) -> np.ndarray:
+        """grad log pi for every (s, a), shape (S, A, d2), read-only."""
+        return self._score
+
+    @functools.cached_property
+    def _prob(self) -> np.ndarray:
         logits = self.action_features @ self.theta  # (S, A)
         logits = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
+        p.flags.writeable = False
         return p
 
-    def score_table(self) -> np.ndarray:
-        """grad log pi for every (s, a), shape (S, A, d2)."""
-        p = self.prob_table()
-        mean_feat = np.einsum("sa,sad->sd", p, self.action_features)
-        return self.action_features - mean_feat[:, None, :]
+    @functools.cached_property
+    def _score(self) -> np.ndarray:
+        mean_feat = np.einsum("sa,sad->sd", self._prob, self.action_features)
+        psi = self.action_features - mean_feat[:, None, :]
+        psi.flags.writeable = False
+        return psi
 
 
 @dataclass(frozen=True)
@@ -135,6 +175,7 @@ class PolicyChain:
 
     kernel: np.ndarray  # (S, S)
     expected_reward: np.ndarray  # (S,)
+    __reduce__ = _reduce_to_fields
 
     def __post_init__(self):
         object.__setattr__(self, "kernel", _frozen_array(self.kernel))
@@ -157,11 +198,20 @@ class PolicyChain:
 
 
 def induced_chain(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> PolicyChain:
-    """Average the transition tensor and rewards under pi(.|s)."""
+    """Average the transition tensor and rewards under pi(.|s).
+
+    The chain is kept on the policy, keyed by the identity of mdp, so the
+    oracles that evaluate one policy on one MDP build and check it once.
+    """
+    memo_mdp, chain = policy._chain_memo
+    if memo_mdp is mdp:
+        return chain
     p = policy.prob_table()
     kernel = np.einsum("sa,sat->st", p, mdp.transition)
     expected_reward = np.einsum("sa,sa->s", p, mdp.reward)
-    return PolicyChain(kernel, expected_reward)
+    chain = PolicyChain(kernel, expected_reward)
+    object.__setattr__(policy, "_chain_memo", (mdp, chain))
+    return chain
 
 
 def is_irreducible(kernel: np.ndarray) -> bool:

@@ -66,9 +66,14 @@ def exact_metrics_row(
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
 
+    A fresh row builds one policy at theta; its pi and psi tables and its chain
+    are built once and shared by the row's own solve, critic_fixed_point and
+    actor_field_M, which still solve for mu once each.
+
     memo: a one-slot list ([] for a fresh row), shared only by rows of one
     (mdp, policy, features), that keeps the last solved theta's (bytes, policy,
-    mu, L(theta), v*).  A row at that theta reuses them, bit for bit.
+    mu, L(theta), v*).  A row at that theta reuses them and the policy's cached
+    pi and psi tables, bit for bit.
     """
     if memo and memo[0] == theta.tobytes():
         _, pol, mu, l_theta, v_star = memo

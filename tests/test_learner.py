@@ -645,6 +645,23 @@ class TestRunBatch:
         run_batch(self.configs(3, steps=300, schedule=FROZEN, actor_radius=0.05))
         assert len(built) == 2
 
+    @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
+    def test_moving_pair_takes_the_scalar_kernel(self, monkeypatch, case):
+        # with the actor moving, the lockstep kernel pays off from 3 seeds on
+        real, built = learner._make_batch_step, []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_make_batch_step", counting)
+        cfgs = self.configs(2, **BATCH_CASES[case])
+        for cfg, res in zip(cfgs, run_batch(cfgs), strict=True):
+            self.assert_matches_run(cfg, res)
+        assert built == []
+        run_batch(self.configs(3, steps=300, **BATCH_CASES[case]))
+        assert len(built) == 1
+
     def test_projections_bind(self):
         # the actor-radius and critic-ball cases above reach their radius
         res = run_batch(self.configs(3, **BATCH_CASES["stac-actor-radius"]))

@@ -1,6 +1,8 @@
 """Exact-solver tests: hand-derived chains, finite-difference gradients."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from avgrl.envs import GarnetSpec, build_garnet, tabular_policy
 from avgrl.errors import InvariantViolation, NotIrreducible
+from avgrl.features import FeatureMap
 from avgrl.mdp import (
     FiniteMdp,
     PolicyChain,
@@ -260,6 +263,114 @@ class TestSoftmaxPolicy:
         p = pol.prob_table()
         psi = pol.score_table()
         assert np.abs(np.einsum("sa,sad->sd", p, psi)).max() < 1e-14
+
+
+class TestSharedTables:
+    """A policy builds its pi and psi tables and its chain once and hands them
+    out read-only; only arrays nobody can write to are shared, never copied."""
+
+    def policy(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return SoftmaxLinearPolicy(rng.normal(size=6), rng.normal(size=(4, 3, 6)))
+
+    def test_tables_built_once_read_only(self):
+        pol = self.policy()
+        for table in (pol.prob_table, pol.score_table):
+            first = table()
+            assert table() is first
+            assert not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0, 0] = 0.5
+
+    def test_tables_equal_their_formulas_bit_for_bit(self):
+        pol = self.policy(1)
+        x, theta = np.array(pol.action_features), np.array(pol.theta)
+        logits = x @ theta
+        logits = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        psi = x - np.einsum("sa,sad->sd", p, x)[:, None, :]
+        fresh = SoftmaxLinearPolicy(theta, x)
+        for got in (pol, fresh, pol.with_theta(theta)):
+            assert got.prob_table().tobytes() == p.tobytes()
+            assert got.score_table().tobytes() == psi.tobytes()
+
+    def test_with_theta_shares_action_features(self):
+        pol = self.policy()
+        other = pol.with_theta(np.ones(pol.dim))
+        assert np.shares_memory(other.action_features, pol.action_features)
+
+    def test_writeable_inputs_copied(self):
+        rng = np.random.default_rng(3)
+        P, R = np.full((2, 1, 2), 0.5), np.zeros((2, 1))
+        theta, x = rng.normal(size=6), rng.normal(size=(2, 3, 6))
+        K, r = np.full((2, 2), 0.5), np.zeros(2)
+        Phi = np.eye(2)[:, :1]
+        made = {
+            "transition": (FiniteMdp(P, R, reward_bound=1.0), P),
+            "reward": (FiniteMdp(P, R, reward_bound=1.0), R),
+            "theta": (SoftmaxLinearPolicy(theta, x), theta),
+            "action_features": (SoftmaxLinearPolicy(theta, x), x),
+            "kernel": (PolicyChain(K, r), K),
+            "expected_reward": (PolicyChain(K, r), r),
+            "table": (FeatureMap(Phi), Phi),
+        }
+        for name, (obj, given) in made.items():
+            held = getattr(obj, name)
+            kept = held.copy()
+            assert not np.shares_memory(held, given), name
+            given[...] = 0.25  # in range for every field
+            assert np.array_equal(held, kept), name
+
+    def test_driver_theta_row_copied(self):
+        # the run loop passes a writeable row of its (N, d2) theta array
+        pol = self.policy()
+        thetas = np.tile(pol.theta, (2, 1))
+        at = pol.with_theta(thetas[1])
+        p = at.prob_table().copy()
+        thetas[1] += 1.0
+        assert np.array_equal(at.theta, pol.theta)
+        assert np.array_equal(at.prob_table(), p)
+
+    def test_read_only_view_copied(self):
+        # a read-only view shares the memory of an array that may be writeable
+        x = self.policy().action_features
+        base = np.array(x)
+        view = base[:, :, :]
+        view.flags.writeable = False
+        pol = SoftmaxLinearPolicy(np.zeros(6), view)
+        assert not np.shares_memory(pol.action_features, base)
+        base[...] = 0.0
+        assert np.array_equal(pol.action_features, x)
+
+    def test_chain_kept_per_mdp_object(self):
+        m = two_action_garnet(0)
+        twin = FiniteMdp(m.transition, m.reward, m.reward_bound)
+        other = two_action_garnet(1)
+        pol = tabular_policy(m, np.random.default_rng(4).normal(size=15))
+        chain = induced_chain(m, pol)
+        assert induced_chain(m, pol) is chain
+        for mdp in (twin, other, m):  # one slot: each new object rebuilds
+            again = induced_chain(mdp, pol)
+            assert again is not chain
+            assert induced_chain(mdp, pol) is again
+            fresh = induced_chain(mdp, SoftmaxLinearPolicy(pol.theta, pol.action_features))
+            assert again.kernel.tobytes() == fresh.kernel.tobytes()
+            assert again.expected_reward.tobytes() == fresh.expected_reward.tobytes()
+            chain = again
+        assert not np.array_equal(induced_chain(other, pol).kernel, chain.kernel)
+
+    def test_copies_checked_and_frozen(self):
+        m = two_action_garnet(0)
+        pol = tabular_policy(m, np.random.default_rng(5).normal(size=15))
+        induced_chain(m, pol), pol.score_table()
+        assert set(vars(pol)) == {"theta", "action_features", "_prob", "_score", "_chain_memo"}
+        for copy_of in (lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy, copy.copy):
+            got = copy_of(pol)
+            assert set(vars(got)) == {"theta", "action_features"}  # caches left behind
+            assert not got.theta.flags.writeable
+            assert not got.action_features.flags.writeable
+            assert got.prob_table().tobytes() == pol.prob_table().tobytes()
 
 
 class TestGradients:

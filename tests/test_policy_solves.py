@@ -1,7 +1,8 @@
 """One stationary solve per policy evaluation, and the routes that share it.
 
 A run's metrics rows share one policy solution while theta stands still, so a
-frozen-actor run solves once in all and a moving one three times per row.
+frozen-actor run solves once in all and a moving one three times per row.  The
+three solves of a moving row share one pi table, one psi table and one chain.
 
 Counting wraps `stationary_distribution` in every `avgrl` namespace that binds
 it, so a solve is counted whichever module calls it.
@@ -9,6 +10,7 @@ it, so a solve is counted whichever module calls it.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import sys
 
@@ -22,7 +24,7 @@ from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x
 from avgrl.features import check_assumption2, make_features, matrix_A
 from avgrl.learner import RunConfig, algo_schedule, run, run_batch
 from avgrl.mdp import differential_value
-from avgrl.oracles import actor_bias, critic_fixed_point
+from avgrl.oracles import actor_bias, actor_field_M, critic_fixed_point
 
 
 @pytest.fixture
@@ -133,3 +135,48 @@ def test_moving_run_solves_three_per_row(solves):
     res = run(run_config("four-state", algo_schedule("ca"), 1000))
     assert len(res.rows) == 10
     assert len(solves) == 3 * len(res.rows)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of pi tables, psi tables and PolicyChains built."""
+    counts = {"prob": 0, "score": 0, "chain": 0}
+    policy_cls, chain_cls = mdp_module.SoftmaxLinearPolicy, mdp_module.PolicyChain
+
+    def counted(key, fn):
+        @functools.wraps(fn)
+        def wrapper(self):
+            counts[key] += 1
+            return fn(self)
+        return wrapper
+
+    for key, attr in (("prob", "_prob"), ("score", "_score")):
+        prop = functools.cached_property(counted(key, vars(policy_cls)[attr].func))
+        prop.__set_name__(policy_cls, attr)
+        monkeypatch.setattr(policy_cls, attr, prop)
+    monkeypatch.setattr(chain_cls, "__post_init__",
+                        counted("chain", chain_cls.__post_init__))
+    return counts
+
+
+@pytest.mark.parametrize("name", ["four-state", "gridworld4", "garnet"])
+def test_moving_row_builds_tables_once(solves, builds, name):
+    mdp, policy, fmap = problem(name)
+    theta = np.random.default_rng(6).normal(size=policy.dim)
+    v = np.random.default_rng(7).normal(size=fmap.dim)
+    builds.update(prob=0, score=0, chain=0)  # building gridworld4 checks a chain
+    memo = []
+    row = metrics.exact_metrics_row(mdp, policy, fmap, t=1, theta=theta, v=v, L=0.1,
+                                    delta_abs_mean=0.0, wall_ns=0, memo=memo)
+    assert builds == {"prob": 1, "score": 1, "chain": 1}
+    assert len(solves) == 3  # perfbench/test_tracer.py pins three per moving row
+    # a row at the same theta (a memo hit) builds nothing
+    metrics.exact_metrics_row(mdp, policy, fmap, t=2, theta=theta, v=2 * v, L=0.1,
+                              delta_abs_mean=0.0, wall_ns=0, memo=memo)
+    assert builds == {"prob": 1, "score": 1, "chain": 1}
+    assert len(solves) == 3
+    # the shared tables give the row of the separately built oracles, bit for bit
+    pol = policy.with_theta(theta)
+    assert row.critic_err_sq == float(np.sum((v - critic_fixed_point(mdp, pol, fmap)) ** 2))
+    M = actor_field_M(mdp, policy.with_theta(theta), fmap, v)
+    assert row.M_norm_sq == float(np.sum(M * M))
