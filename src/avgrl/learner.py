@@ -19,23 +19,30 @@ One private driver, _drive(configs), runs configs that differ only in seed:
 for several.  A kernel runs one segment (up to the next metrics row or the end
 of a draw block) on (N, .) state arrays in place, each seed bit for bit as its
 one-seed run.  _make_step steps the rows in turn on Python scalars; it serves
-N <= 2 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
-precomputed policy table).  _make_batch_step steps a moving actor's N >= 3
-seeds in lockstep, one numpy dispatch for all.  One BLAS thread, 2-core host,
-us per seed-step: moving, 20-23 scalar against 56-72 lockstep at N = 1,
-13-21 against 23-33 at N = 2, 17-21 against 19-23 at N = 3 and 8.4-10
-lockstep at N = 8; frozen run_batch, 20k steps, scalar (lockstep it replaced):
+N < 8 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
+precomputed policy table) at any N.  _make_batch_step steps a moving actor's
+N >= 8 seeds in lockstep, one numpy dispatch for all.  One BLAS thread, 2-core
+host, moving ca actor, 10k steps, min us per seed-step over two interleaved
+runs of 7 (frozen: 2.3-3.0 scalar at any N, against 3.0-11.6 lockstep):
 
-    N            2            4            8
-    four-state   2.3 (11.6)   2.3 (5.8)    2.3 (3.0)
-    gridworld4   2.4 (11.0)   2.6 (5.6)    2.4 (3.0)
+    N                      1        2        4         7        8        10
+    four-state  scalar     5.9      5.5-5.9  6.0-8.8   5.6-5.9  5.9-6.0  5.8-6.3
+                lockstep   37-39    17-20    9.3-16    5.5-5.6  4.9      3.9-4.4
+    gridworld4  scalar     6.3-7.0  6.0-6.6  6.8       5.9-7.2  6.3-6.6  6.2-7.0
+                lockstep   35-40    18       9.5-10.5  5.4-6.2  4.9-5.3  4.4-4.5
 
-The scalar kernel has a one-hot branch, picked at build time by exact
-comparison: with each x[s, a] a unit vector (distinct within a state) the
-logits are theta[cols[s]] and the actor update touches those A entries; with
-each phi(s) zero or a unit vector phi(s).v is v[j] and the critic update adds
-to v[j], bit for bit.  A lockstep one-hot branch measured no gain (four-state
-moving, N = 4: 9.0-15.5 us per seed-step against 8.4-9.2 dense).
+The scalar kernel has one-hot branches, picked at build time by exact
+comparison.  With each x[s, a] a unit vector (distinct within a state) and
+A < 8, a moving actor holds theta as a Python list for the segment: the logits
+are th[cols[s]], one np.exp call runs on the shifted list, the normaliser and
+the cumulative row are left-to-right sums and the update touches those A
+entries.  numpy's add.reduce and cumsum on fewer than 8 float64 entries sum
+left to right (pairwise from 8 on, hence A < 8), and np.exp on a list gives the
+array loop's bits (math.exp does not), so this is bit for bit the dense branch
+(12-14 us per step on four-state).  With each phi(s) zero or a unit vector
+phi(s).v is v[j] and the critic update adds to v[j], bit for bit.  A lockstep
+one-hot branch measured no gain (four-state moving, N = 4: 9.0-15.5 us per
+seed-step against 8.4-9.2 dense).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
@@ -49,6 +56,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -218,7 +226,10 @@ def _make_step(
     abs_delta_sum sums |delta| and tail_acc (unless None) v after each step.
     An iterate whose squared norm is not finite puts a Diverged in failed[n]
     and ends row n's segment.  A frozen actor's cumulative policy table is
-    precomputed and its update skipped, bit for bit as the moving branch.
+    precomputed and its update skipped, bit for bit as the moving branch.  A
+    moving one-hot actor (A < 8) steps a list copy of theta[n], written back
+    when the segment ends, and into theta[n] each step under an actor radius,
+    whose squared norm stays the BLAS dot of theta[n].
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -234,23 +245,36 @@ def _make_step(
         prob_cum = np.cumsum(policy.prob_table(), axis=1).tolist()
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
     phi_cols = None if phi_cols is None else phi_cols.tolist()
+    # A moving one-hot actor steps on a list copy of theta: below 8 entries
+    # numpy's sum equals the left-to-right one (pairwise from 8 on).
+    cols = None if frozen or x_cols is None or n_actions >= 8 else x_cols.tolist()
 
     def advance(t_start, t_end, u, theta_rows, v_rows, L, s, abs_delta_sum, tail_acc, failed):
         t_last = t_start
         for n in range(len(L)):
             draw = iter(u[:, :, n].ravel().tolist()).__next__
             theta, v = theta_rows[n], v_rows[n]
+            th = None if cols is None else theta.tolist()
             tail = None if tail_acc is None else tail_acc[n]
             # starting from the row's running sum, not 0, adds |delta| in step order
             L_t, s_t, delta_sum = float(L[n]), int(s[n]), float(abs_delta_sum[n])
             for t in range(t_start, t_end):
                 if frozen:
                     cum = prob_cum[s_t]
-                else:
-                    logits = x[s_t] @ theta if x_cols is None else theta[x_cols[s_t]]
+                elif cols is None:
+                    logits = x[s_t] @ theta
                     p = np.exp(logits - logits.max())
                     p /= p.sum()
                     cum = np.cumsum(p).tolist()
+                else:
+                    c_s = cols[s_t]
+                    logits = [th[c] for c in c_s]
+                    top = max(logits)
+                    # np.exp, not math.exp, whose bits differ from the array loop's
+                    e = np.exp([z - top for z in logits]).tolist()
+                    *_, total = accumulate(e)
+                    p = [e_b / total for e_b in e]
+                    cum = list(accumulate(p))
                 a = bisect.bisect_right(cum, draw())
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
@@ -279,12 +303,15 @@ def _make_step(
                         break
                     v *= uv_radius / math.sqrt(v_sq)
                 if not frozen:
-                    if x_cols is None:
+                    if cols is None:
                         theta += (alpha_f(t) * delta) * (x[s_t, a] - p @ x[s_t])
-                    else:
-                        psi = -p
-                        psi[a] += 1.0
-                        theta[x_cols[s_t]] += (alpha_f(t) * delta) * psi
+                    else:  # psi is 1 - p at a, -p elsewhere
+                        g = float(alpha_f(t) * delta)  # keeps th on Python floats
+                        for b, c in enumerate(c_s):
+                            th[c] = th[c] + g * (1.0 - p[b] if b == a else -p[b])
+                        if actor_radius is not None:  # the ddot below reads theta
+                            for c in c_s:
+                                theta[c] = th[c]
                     if actor_radius is not None:
                         t_sq = theta @ theta
                         if not t_sq <= actor_radius * actor_radius:
@@ -292,10 +319,14 @@ def _make_step(
                                 failed[n] = _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
                                 break
                             theta *= actor_radius / math.sqrt(t_sq)
+                            if cols is not None:
+                                th = theta.tolist()
                 if tail is not None:
                     tail += v
                 delta_sum += abs(delta)
                 s_t = s1
+            if th is not None:
+                theta[:] = th
             L[n], s[n], abs_delta_sum[n] = L_t, s_t, delta_sum
             t_last = max(t_last, t + 1)
         return t_last
@@ -312,7 +343,7 @@ def _make_batch_step(
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """_make_step's segment stepper for the N >= 3 seeds of a moving actor, in
+    """_make_step's segment stepper for the N >= 8 seeds of a moving actor, in
     lockstep (fewer seeds, or a frozen actor at any N, are cheaper in _make_step).
 
     Row n's Diverged goes in failed[n]; the other rows finish that step, where
@@ -486,7 +517,8 @@ def _check_batch(configs: list[RunConfig]) -> None:
 
 
 def run_batch(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
-    """`run` for configs that differ only in seed, stepped in lockstep.
+    """`run` for configs that differ only in seed, stepped together: in
+    lockstep from 8 seeds of a moving actor on, seed by seed otherwise.
 
     Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
     (wall_ns aside), or the OracleFailure or Diverged that run(configs[i])
@@ -518,7 +550,8 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     n = len(configs)
     L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(policy.theta, (n, 1))
 
-    scalar = n <= 2 or _actor_frozen(base.schedule, base.actor_radius)
+    # lockstep pays off from 8 moving seeds on (module docstring)
+    scalar = n < 8 or _actor_frozen(base.schedule, base.actor_radius)
     advance = (_make_step if scalar else _make_batch_step)(
         mdp, policy, features, base.schedule, uv_radius, base.reward_noise, base.actor_radius)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import avgrl
-from avgrl import metrics
+from avgrl import learner, metrics
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
 from avgrl.envs import four_state_easy, save_mdp
@@ -227,6 +227,29 @@ class TestSweep:
         capsys.readouterr()
         assert sorted(outs[1]["seeds"]) == sorted(f"seed_{s}.csv" for s in range(7, 12))
         assert outs[1] == outs[2] == outs[3]
+
+    def test_jobs_across_the_lockstep_crossover(self, tmp_path, monkeypatch, capsys):
+        # 8 moving seeds: --jobs 1 is one lockstep batch, --jobs 2 two batches
+        # of 4 that the scalar kernel steps seed by seed
+        real, built = learner._make_batch_step, []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_make_batch_step", counting)
+        outs = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--env", "four-state", "--reward-noise", "0.3",
+                         "--actor-radius", "2.0", "--steps", "1500", "--metrics-every", "500",
+                         "--seeds", "8", "--jobs", str(jobs), "--out", str(out)]) == 0
+            outs[jobs] = ({p.name: strip_wall(read_lines(p)) for p in out.glob("seed_*.csv")},
+                          (out / "aggregate.csv").read_bytes())
+        capsys.readouterr()
+        assert len(built) == 1  # the in-process --jobs 1 batch; workers build their own
+        assert sorted(outs[1][0]) == [f"seed_{s}.csv" for s in range(8)]
+        assert outs[1] == outs[2]
 
     def test_failing_seed_listed_alone(self, tmp_path, monkeypatch, capsys):
         args = ["sweep", "--env", "four-state", "--steps", "1000",
@@ -617,7 +640,7 @@ class TestErrorPaths:
 
     def test_sweep_keeps_the_seeds_that_stay_finite(self, tmp_path, capsys):
         # at c_beta = 3e153 seeds 1-3 of four-state overflow and seed 0 does not;
-        # a diverged seed used to fail its whole lockstep batch
+        # a diverged seed used to fail its whole batch
         argv = ["--env", "four-state", "--c-beta", "3e153", "--steps", "300"]
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["sweep", *argv, "--seeds", "4", "--jobs", "1",

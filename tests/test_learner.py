@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from avgrl.envs import four_state_easy, frozen_lake_4x4, tabular_policy
+from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x4, tabular_policy
 from avgrl import learner, metrics
 from avgrl.errors import Diverged, InvalidSpec, InvariantViolation, OracleFailure
 from avgrl.features import make_features
@@ -388,8 +388,9 @@ REFERENCE_IDS = ["-".join(map(str, case[:3] if case[3] == 300 else case))
 
 @pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_run_matches_reference_stepper(algo, noise, radius, steps):
-    # run and a 3-seed run_batch (the lockstep kernel for a moving actor, the
-    # scalar one seed by seed for a frozen one), each seed against the plain stepper
+    # run, a 3-seed run_batch (the scalar kernel, seed by seed) and an 8-seed
+    # one (the lockstep kernel for a moving actor, the scalar one for a frozen
+    # one), each seed against the plain stepper
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
@@ -397,11 +398,15 @@ def test_run_matches_reference_stepper(algo, noise, radius, steps):
     cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
                     steps=steps, seed=5, metrics_every=steps, uv_radius=5.0,
                     actor_radius=radius, reward_noise=noise)
-    batch = run_batch([dataclasses.replace(cfg, seed=seed) for seed in (5, 6, 7)])
     single = run(cfg)
-    for seed, res in [(5, single)] + list(zip((5, 6, 7), batch)):
-        s, L, v, theta, delta_abs_mean = reference_run(
-            mdp, pol, fmap, sched, steps, seed, 5.0, noise, radius)
+    results = [(5, single)]
+    for seeds in (range(5, 8), range(5, 13)):
+        batch = run_batch([dataclasses.replace(cfg, seed=seed) for seed in seeds])
+        results += zip(seeds, batch, strict=True)
+    expected = {seed: reference_run(mdp, pol, fmap, sched, steps, seed, 5.0, noise, radius)
+                for seed in range(5, 13)}
+    for seed, res in results:
+        s, L, v, theta, delta_abs_mean = expected[seed]
         assert len(res.rows) == 1
         assert (res.final.s, res.final.L) == (s, L)
         assert np.array_equal(res.final.v, v)
@@ -433,6 +438,26 @@ def test_one_hot_branch_matches_dense_branch(monkeypatch, algo, noise, radius, s
     assert (a.s, a.L) == (b.s, b.L)
     assert np.array_equal(a.v, b.v)
     assert np.array_equal(a.theta, b.theta)
+
+
+def test_eight_tabular_actions_take_the_dense_branch():
+    # numpy sums 8 entries pairwise, not left to right, so A = 8 stays on numpy
+    mdp = build_garnet(GarnetSpec(n_states=3, n_actions=8, branching=2, seed=4))
+    pol = tabular_policy(mdp)
+    pol = pol.with_theta(np.random.default_rng(4).normal(size=pol.dim))
+    fmap = make_features("one_hot_reduced", mdp)
+    assert learner._action_columns(pol.action_features) is not None
+    for noise, radius in [(0.0, None), (0.3, 1.0)]:
+        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
+                        steps=600, seed=9, metrics_every=600, uv_radius=5.0,
+                        actor_radius=radius, reward_noise=noise)
+        res = run(cfg)
+        s, L, v, theta, delta_abs_mean = reference_run(
+            mdp, pol, fmap, cfg.schedule, 600, 9, 5.0, noise, radius)
+        assert (res.final.s, res.final.L) == (s, L)
+        assert np.array_equal(res.final.v, v)
+        assert np.array_equal(res.final.theta, theta)
+        assert res.rows[-1].delta_abs_mean == delta_abs_mean
 
 
 @pytest.mark.parametrize("table,expected", [
@@ -481,10 +506,11 @@ def diverging_configs(kind, n):
 
 
 @pytest.mark.parametrize("kind,coef", [("critic", "c_beta"), ("actor", "c_alpha")])
-@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("n", [1, 3, 8])
 def test_overflow_gives_diverged(kind, coef, n):
-    # an overflowing squared norm used to scale the iterate by 0; both kernels,
-    # on the one-hot and the dense branch, refuse it instead
+    # an overflowing squared norm used to scale the iterate by 0; both kernels
+    # (scalar below 8 seeds, lockstep at 8), on the one-hot and the dense
+    # branch, refuse it instead
     pattern = (rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
                rf"lower {coef} \(now 1e\+300\)")
     for configs in diverging_configs(kind, n):
@@ -624,42 +650,41 @@ class TestRunBatch:
         if cfgs[0].steps:
             assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
 
-    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
+    def count_lockstep_builds(self, monkeypatch):
         real, built = learner._make_batch_step, []
 
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_make_batch_step", counting)
+        return built
+
+    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the lockstep kernel was built for a frozen actor")
 
         monkeypatch.setattr(learner, "_make_batch_step", refuse)
-        cfgs = self.configs(3, schedule=FROZEN, reward_noise=0.3)
+        cfgs = self.configs(8, schedule=FROZEN, reward_noise=0.3)
         for cfg, res in zip(cfgs, run_batch(cfgs)):
             self.assert_matches_run(cfg, res)  # run itself is the N = 1 case
 
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(learner, "_make_batch_step", counting)
-        run_batch(self.configs(3, steps=300))
+        monkeypatch.undo()
+        built = self.count_lockstep_builds(monkeypatch)
+        run_batch(self.configs(8, steps=300))
         # an actor radius may move theta_0, so c_alpha = 0 alone is not frozen
-        run_batch(self.configs(3, steps=300, schedule=FROZEN, actor_radius=0.05))
+        run_batch(self.configs(8, steps=300, schedule=FROZEN, actor_radius=0.05))
         assert len(built) == 2
 
     @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
-    def test_moving_pair_takes_the_scalar_kernel(self, monkeypatch, case):
-        # with the actor moving, the lockstep kernel pays off from 3 seeds on
-        real, built = learner._make_batch_step, []
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(learner, "_make_batch_step", counting)
-        cfgs = self.configs(2, **BATCH_CASES[case])
+    def test_moving_batch_below_8_takes_the_scalar_kernel(self, monkeypatch, case):
+        # with the actor moving, the lockstep kernel pays off from 8 seeds on
+        built = self.count_lockstep_builds(monkeypatch)
+        cfgs = self.configs(7, **BATCH_CASES[case])
         for cfg, res in zip(cfgs, run_batch(cfgs), strict=True):
             self.assert_matches_run(cfg, res)
         assert built == []
-        run_batch(self.configs(3, steps=300, **BATCH_CASES[case]))
+        run_batch(self.configs(8, steps=300, **BATCH_CASES[case]))
         assert len(built) == 1
 
     def test_projections_bind(self):
