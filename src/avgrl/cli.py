@@ -256,6 +256,30 @@ def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
     )
 
 
+def _host() -> dict:
+    """What makes output bytes host-specific: numpy's SIMD dispatch (np.exp in
+    the kernel), the OpenBLAS core (its dots and LAPACK) and the C library."""
+    import ctypes
+    import glob
+    import platform
+
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    blas = {"openblas_core": None, "openblas_config": None}
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        for key, name in (("openblas_core", "corename"), ("openblas_config", "config")):
+            getter = getattr(lib, f"scipy_openblas_get_{name}64_", None)
+            if getter is not None:
+                getter.restype = ctypes.c_char_p
+                blas[key] = getter().decode()
+    return {"numpy": np.__version__, "x86_v4": bool(__cpu_features__.get("X86_V4", False)),
+            **blas, "libc": " ".join(platform.libc_ver()).strip() or None}
+
+
 def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -> dict:
     sched = config.schedule
     return {
@@ -280,6 +304,7 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
             "v": [float(x) for x in result.final.v],
             "theta": [float(x) for x in result.final.theta],
         },
+        "host": _host(),
     }
 
 
@@ -339,7 +364,7 @@ def cmd_sweep(opts: dict) -> int:
         fh.write(agg)
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
         json.dump({"seeds": seeds, "failed": failures,
-                   "opts": {k: v for k, v in opts.items() if k != "theta"}},
+                   "opts": {k: v for k, v in opts.items() if k != "theta"}, "host": _host()},
                   fh, indent=2)
         fh.write("\n")
     for seed, msg in failures:

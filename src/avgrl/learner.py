@@ -16,38 +16,32 @@ optional radius reproduces the projected variant.
 
 One private driver, _drive(configs), runs configs that differ only in seed:
 `run(config)` is its one-seed case and `run_batch(configs)` the checked way in
-for several.  A kernel runs one segment (up to the next metrics row or the end
-of a draw block) on (N, .) state arrays in place, each seed bit for bit as its
-one-seed run.  _make_step steps the rows in turn on Python scalars; it serves
-N < 8 and a frozen actor (c_alpha = 0, no radius: average-reward TD(0) on one
-precomputed policy table) at any N.  _make_batch_step steps a moving actor's
-N >= 8 seeds in lockstep, one numpy dispatch for all.  One BLAS thread, 2-core
-host, moving ca actor, 10k steps, min us per seed-step over two interleaved
-runs of 7 (frozen: 2.3-3.0 scalar at any N, against 3.0-11.6 lockstep):
+for several.  Its one kernel, _make_step, runs a segment (up to the next
+metrics row or the end of a draw block) on (N, .) state arrays in place, step
+by step and within a step every live seed in turn on Python scalars, each seed
+bit for bit as its one-seed run.  One BLAS thread, 2-core host, ca schedule
+(frozen: c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
 
-    N                      1        2        4         7        8        10
-    four-state  scalar     5.9      5.5-5.9  6.0-8.8   5.6-5.9  5.9-6.0  5.8-6.3
-                lockstep   37-39    17-20    9.3-16    5.5-5.6  4.9      3.9-4.4
-    gridworld4  scalar     6.3-7.0  6.0-6.6  6.8       5.9-7.2  6.3-6.6  6.2-7.0
-                lockstep   35-40    18       9.5-10.5  5.4-6.2  4.9-5.3  4.4-4.5
+    moving / frozen, N =   1          4          8          10
+    four-state, one-hot    4.6 / 1.3  3.2 / 0.8  3.0 / 0.7  2.9 / 0.7
+    gridworld4, one-hot    5.2 / 1.5  4.0 / 0.9  3.7 / 0.8  3.5 / 0.7
+    random_unit:6 critic   8.6 / 5.0  7.1 / 3.7  7.1 / 3.7  6.6 / 3.6
 
-The scalar kernel has one-hot branches, picked at build time by exact
-comparison.  With each x[s, a] a unit vector (distinct within a state) and
-A < 8, a moving actor holds theta as a Python list for the segment: the logits
-are th[cols[s]], one np.exp call runs on the shifted list, the normaliser and
-the cumulative row are left-to-right sums and the update touches those A
-entries.  numpy's add.reduce and cumsum on fewer than 8 float64 entries sum
-left to right (pairwise from 8 on, hence A < 8), and np.exp on a list gives the
-array loop's bits (math.exp does not), so this is bit for bit the dense branch
-(12-14 us per step on four-state).  With each phi(s) zero or a unit vector
-phi(s).v is v[j] and the critic update adds to v[j], bit for bit.  A lockstep
-one-hot branch measured no gain (four-state moving, N = 4: 9.0-15.5 us per
-seed-step against 8.4-9.2 dense).
+One-hot branches are picked at build time by exact comparison.  With each
+x[s, a] a unit vector (distinct within a state) and A < 8, a moving actor holds
+theta as a Python list: the logits are th[cols[s]], one np.exp call per step
+takes the shifted logits of all live seeds, and the normaliser and cumulative
+row are left-to-right sums.  numpy's add.reduce and cumsum on fewer than 8
+float64 entries sum left to right (pairwise from 8 on), and np.exp is
+elementwise and on a list gives the array loop's bits (math.exp does not), so
+this is bit for bit the dense branch.  With each phi(s) zero or a unit vector,
+v is a list too and phi(s).v is v[j].  An iterate's ball test runs only when a
+bound on its norm could reach the radius (_BOUND_SLACK).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
-Cumulative rows are inverted as np.searchsorted(side="right") would: by
-bisect.bisect_right on a list (scalar) or (cum <= u).sum(-1) (lockstep).
+Cumulative rows are inverted as np.searchsorted(side="right") would, by
+bisect.bisect_right on a list.
 """
 
 from __future__ import annotations
@@ -197,14 +191,19 @@ def _action_columns(x: np.ndarray) -> np.ndarray | None:
     return cols if ok else None
 
 
-def _actor_frozen(sched: StepSchedule, actor_radius: float | None) -> bool:
-    """No actor step and no projection: theta never leaves policy.theta."""
-    return sched.c_alpha == 0.0 and actor_radius is None
+# An iterate's ball test (w @ w, a BLAS dot) runs only when a bound on ||w||
+# could reach the radius.  Each step the bound gains |step * delta| times a
+# bound on the update direction's norm and grows by 1 + _BOUND_SLACK; a test
+# resets it to sqrt(w @ w) (1 + _BOUND_SLACK).  A d-term dot or norm is off by
+# about d units of 2**-53 relative and a step by a few, so this covers any d
+# below 2**20.  A skipped test could not have projected: bit for bit.
+_BOUND_SLACK = 2.0 ** 20 * float(np.finfo(float).eps)
 
 
-def _diverged(iterate: str, t: int, w_sq: float, coef: str, value: float) -> Diverged:
-    return Diverged(f"{iterate} diverged at step {t}: its squared norm is {w_sq}; "
-                    f"lower {coef} (now {value!r})")
+def _ball_limit(radius: float, dim: int) -> float:
+    """The largest bound on ||w|| at which the ball test is skipped; 2**-500
+    covers underflow in a squared norm."""
+    return radius * (1.0 - _BOUND_SLACK) - 2.0 ** -500 if dim < 2 ** 20 else -math.inf
 
 
 def _make_step(
@@ -216,201 +215,155 @@ def _make_step(
     reward_noise: float,
     actor_radius: float | None,
 ):
-    """The sampled update of each seed, with its constants built once.
+    """The sampled update of a batch of seeds, with its constants built once.
 
     Returns the segment stepper advance(t, t_end, u, theta, v, L, s,
     abs_delta_sum, tail_acc, failed).  It runs steps t .. t_end - 1 (t_end > t)
-    on each row n of theta (N, d2), v (N, d1), L, s, abs_delta_sum (N,) and
-    tail_acc (N, d1) or None in turn, in place, and returns the step after the
-    last one any row ran: u[i, j, n] is row n's j-th draw of step t + i,
-    abs_delta_sum sums |delta| and tail_acc (unless None) v after each step.
-    An iterate whose squared norm is not finite puts a Diverged in failed[n]
-    and ends row n's segment.  A frozen actor's cumulative policy table is
-    precomputed and its update skipped, bit for bit as the moving branch.  A
-    moving one-hot actor (A < 8) steps a list copy of theta[n], written back
-    when the segment ends, and into theta[n] each step under an actor radius,
-    whose squared norm stays the BLAS dot of theta[n].
+    on the rows n of theta (N, d2), v (N, d1), L, s, abs_delta_sum (N,) and
+    tail_acc (N, d1) or None in place, each step on every live row in turn, and
+    returns the step after the last one any row ran: u[i, j, n] is row n's j-th
+    draw of step t + i, abs_delta_sum sums |delta| and tail_acc (unless None) v
+    after each step.  An iterate whose squared norm is not finite puts a
+    Diverged in failed[n] and ends row n's segment; the other rows go on.  A
+    frozen actor's policy table is precomputed and its update skipped.  The
+    one-hot branches step list copies of v and theta, written back before a
+    ball test reads them and when the segment ends.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
     pcum_rows = np.cumsum(mdp.transition, axis=2).tolist()
-    R = mdp.reward
+    R = mdp.reward.tolist()
     x, phi = policy.action_features, features.table
     n_states, n_actions = mdp.n_states, x.shape[1]
     reward_bound = mdp.reward_bound
-    uv_sq = uv_radius * uv_radius
     alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
-    frozen = _actor_frozen(sched, actor_radius)
+    # no actor step and no projection: theta never leaves policy.theta
+    frozen = sched.c_alpha == 0.0 and actor_radius is None
     if frozen:
         prob_cum = np.cumsum(policy.prob_table(), axis=1).tolist()
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
     phi_cols = None if phi_cols is None else phi_cols.tolist()
-    # A moving one-hot actor steps on a list copy of theta: below 8 entries
-    # numpy's sum equals the left-to-right one (pairwise from 8 on).
     cols = None if frozen or x_cols is None or n_actions >= 8 else x_cols.tolist()
+    # skip limits, and per state bounds on ||phi(s)|| and ||psi|| (<= sqrt 2 one-hot)
+    grow = 1.0 + _BOUND_SLACK
+    v_lim, phi_norm = _ball_limit(uv_radius, phi.shape[1]), np.linalg.norm(phi, axis=1).tolist()
+    if actor_radius is not None:
+        th_lim = _ball_limit(actor_radius, x.shape[2])
+        psi_norm = ([math.sqrt(2.0)] * n_states if x_cols is not None else
+                    (2.0 * np.linalg.norm(x, axis=2).max(axis=1)).tolist())
+
+    def ball_test(iterate, rows, lists, t, n, failed):
+        """The exact ball test of rows[n], the critic's v or the actor's theta,
+        written from lists[n] first unless lists is None: returns the new bound
+        on its norm, or None after putting a Diverged in failed[n]."""
+        radius, coef = (uv_radius, "c_beta") if iterate == "critic" else (actor_radius, "c_alpha")
+        w = rows[n]
+        if lists is not None:
+            w[:] = lists[n]
+        w_sq = w @ w
+        if not w_sq <= radius * radius:  # NaN too
+            if not math.isfinite(w_sq):
+                failed[n] = Diverged(f"{iterate} diverged at step {t}: its squared norm is "
+                                     f"{w_sq}; lower {coef} (now {getattr(sched, coef)!r})")
+                return None
+            w *= radius / math.sqrt(w_sq)
+            if lists is not None:
+                lists[n] = w.tolist()
+        return math.sqrt(w_sq) * grow
 
     def advance(t_start, t_end, u, theta_rows, v_rows, L, s, abs_delta_sum, tail_acc, failed):
-        t_last = t_start
-        for n in range(len(L)):
-            draw = iter(u[:, :, n].ravel().tolist()).__next__
-            theta, v = theta_rows[n], v_rows[n]
-            th = None if cols is None else theta.tolist()
-            tail = None if tail_acc is None else tail_acc[n]
-            # starting from the row's running sum, not 0, adds |delta| in step order
-            L_t, s_t, delta_sum = float(L[n]), int(s[n]), float(abs_delta_sum[n])
-            for t in range(t_start, t_end):
+        live = list(range(len(L)))
+        L_n, s_n, delta_sums = L.tolist(), s.tolist(), abs_delta_sum.tolist()
+        vs, thetas = list(v_rows), list(theta_rows)
+        # list copies of the one-hot rows (of v only while no tail sum reads it)
+        vls = None if phi_cols is None or tail_acc is not None else v_rows.tolist()
+        ths = None if cols is None else theta_rows.tolist()
+        tails = None if tail_acc is None else list(tail_acc)
+        # bounds on each row's ||v|| and ||theta||; inf tests the first step exactly
+        v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
+        for t, (u_a, u_s, *u_r) in zip(range(t_start, t_end), u.tolist()):
+            alpha, beta, gamma = (0.0 if frozen else alpha_f(t)), beta_f(t), gamma_f(t)
+            if cols is not None:
+                shifted = []
+                for n in live:
+                    logits = [ths[n][c] for c in cols[s_n[n]]]
+                    top = max(logits)
+                    shifted += [z - top for z in logits]
+                # np.exp, not math.exp, whose bits differ from the array loop's;
+                # it is elementwise, so one call serves every row
+                e_all = np.exp(shifted).tolist()
+            for k, n in enumerate(live):
+                s_t, L_t = s_n[n], L_n[n]
                 if frozen:
                     cum = prob_cum[s_t]
                 elif cols is None:
-                    logits = x[s_t] @ theta
+                    logits = x[s_t] @ thetas[n]
                     p = np.exp(logits - logits.max())
                     p /= p.sum()
                     cum = np.cumsum(p).tolist()
                 else:
-                    c_s = cols[s_t]
-                    logits = [th[c] for c in c_s]
-                    top = max(logits)
-                    # np.exp, not math.exp, whose bits differ from the array loop's
-                    e = np.exp([z - top for z in logits]).tolist()
+                    e = e_all[k * n_actions:(k + 1) * n_actions]
                     *_, total = accumulate(e)
                     p = [e_b / total for e_b in e]
                     cum = list(accumulate(p))
-                a = bisect.bisect_right(cum, draw())
+                a = bisect.bisect_right(cum, u_a[n])
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
-                s1 = bisect.bisect_right(pcum_rows[s_t][a], draw())
+                s1 = bisect.bisect_right(pcum_rows[s_t][a], u_s[n])
                 if s1 >= n_states:
                     s1 = n_states - 1
-                r = R[s_t, a]
+                r = R[s_t][a]
                 if reward_noise > 0.0:
-                    r = r + reward_noise * (2.0 * draw() - 1.0)
+                    r = r + reward_noise * (2.0 * u_r[0][n] - 1.0)
                     r = min(max(r, -reward_bound), reward_bound)
 
                 if phi_cols is None:
-                    phi_s = phi[s_t]
+                    v, phi_s = vs[n], phi[s_t]
                     delta = r - L_t + phi[s1] @ v - phi_s @ v
-                    v += (beta_f(t) * delta) * phi_s
+                    g = beta * delta
+                    v += g * phi_s
                 else:  # phi_cols[s] is -1 for a zero row
-                    j, j1 = phi_cols[s_t], phi_cols[s1]
+                    v, j, j1 = vs[n] if vls is None else vls[n], phi_cols[s_t], phi_cols[s1]
                     delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
+                    g = beta * delta
                     if j >= 0:
-                        v[j] += beta_f(t) * delta
-                L_t = L_t + gamma_f(t) * (r - L_t)
-                v_sq = v @ v
-                if not v_sq <= uv_sq:  # NaN too
-                    if not math.isfinite(v_sq):
-                        failed[n] = _diverged("critic", t, v_sq, "c_beta", sched.c_beta)
-                        break
-                    v *= uv_radius / math.sqrt(v_sq)
+                        v[j] += g
+                L_n[n] = L_t + gamma * (r - L_t)
+                bound = (v_up[n] + abs(g) * phi_norm[s_t]) * grow
+                if not bound <= v_lim:  # NaN too
+                    bound = ball_test("critic", vs, vls, t, n, failed)
+                    if bound is None:
+                        continue
+                v_up[n] = bound
                 if not frozen:
+                    g = alpha * delta
                     if cols is None:
-                        theta += (alpha_f(t) * delta) * (x[s_t, a] - p @ x[s_t])
+                        thetas[n] += g * (x[s_t, a] - p @ x[s_t])
                     else:  # psi is 1 - p at a, -p elsewhere
-                        g = float(alpha_f(t) * delta)  # keeps th on Python floats
-                        for b, c in enumerate(c_s):
+                        th, g = ths[n], float(g)  # keeps th on Python floats
+                        for b, c in enumerate(cols[s_t]):
                             th[c] = th[c] + g * (1.0 - p[b] if b == a else -p[b])
-                        if actor_radius is not None:  # the ddot below reads theta
-                            for c in c_s:
-                                theta[c] = th[c]
                     if actor_radius is not None:
-                        t_sq = theta @ theta
-                        if not t_sq <= actor_radius * actor_radius:
-                            if not math.isfinite(t_sq):
-                                failed[n] = _diverged("actor", t, t_sq, "c_alpha", sched.c_alpha)
-                                break
-                            theta *= actor_radius / math.sqrt(t_sq)
-                            if cols is not None:
-                                th = theta.tolist()
-                if tail is not None:
-                    tail += v
-                delta_sum += abs(delta)
-                s_t = s1
-            if th is not None:
-                theta[:] = th
-            L[n], s[n], abs_delta_sum[n] = L_t, s_t, delta_sum
-            t_last = max(t_last, t + 1)
-        return t_last
-
-    return advance
-
-
-def _make_batch_step(
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float,
-    actor_radius: float | None,
-):
-    """_make_step's segment stepper for the N >= 8 seeds of a moving actor, in
-    lockstep (fewer seeds, or a frozen actor at any N, are cheaper in _make_step).
-
-    Row n's Diverged goes in failed[n]; the other rows finish that step, where
-    the segment ends.  Every product is a stacked matmul (a gemv or dot per
-    seed, as in the scalar kernel) rather than an einsum, so each seed matches
-    _make_step bit for bit.
-    """
-    # take() on the leading axis, with (s, a) flattened to s * A + a, is the
-    # cheapest gather; the ufunc reductions are sum, max and cumsum without
-    # their Python wrappers.
-    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    pcum_sa = np.cumsum(mdp.transition, axis=2).reshape(n_states * n_actions, n_states)
-    r_sa = mdp.reward.ravel()
-    x, phi = policy.action_features, features.table
-    x_sa = x.reshape(n_states * n_actions, -1)
-    reward_bound = mdp.reward_bound
-    alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
-
-    def dots(a, b):
-        """Row-wise a[n] @ b[n] of two (N, d) arrays."""
-        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-    def shrink(w, radius, t, iterate, coef, failed):
-        """Project each row of w into the radius ball; a non-finite row goes in failed."""
-        w_sq = dots(w, w)
-        inside = w_sq <= radius * radius
-        if not inside.all():
-            for n in np.flatnonzero(~np.isfinite(w_sq)).tolist():
-                failed.setdefault(n, _diverged(iterate, t, w_sq[n], coef, getattr(sched, coef)))
-            out = ~inside & np.isfinite(w_sq)
-            w[out] *= (radius / np.sqrt(w_sq[out]))[:, None]
-
-    def advance(t, t_end, u, theta, v, L, s, abs_delta_sum, tail_acc, failed):
-        L_out, s_out = L, s
-        for t, u_t in zip(range(t, t_end), u):
-            xs = x.take(s, axis=0)
-            logits = (xs @ theta[:, :, None])[:, :, 0]
-            p = np.exp(logits - max_reduce(logits, axis=1, keepdims=True))
-            p /= add_reduce(p, axis=1, keepdims=True)
-            cum = np.add.accumulate(p, axis=1)
-            # the cumulative rows may fall a few ulp short of 1, hence the clamps
-            a = np.minimum(add_reduce(cum <= u_t[0][:, None], axis=1), n_actions - 1)
-            sa = s * n_actions + a
-            s1 = np.minimum(add_reduce(pcum_sa.take(sa, axis=0) <= u_t[1][:, None], axis=1),
-                            n_states - 1)
-            r = r_sa.take(sa)
-            if reward_noise > 0.0:
-                r = r + reward_noise * (2.0 * u_t[2] - 1.0)
-                r = np.minimum(np.maximum(r, -reward_bound), reward_bound)
-
-            phi_s = phi.take(s, axis=0)
-            delta = r - L + dots(phi.take(s1, axis=0), v) - dots(phi_s, v)
-            L = L + gamma_f(t) * (r - L)
-            v += (beta_f(t) * delta)[:, None] * phi_s
-            shrink(v, uv_radius, t, "critic", "c_beta", failed)
-            psi = x_sa.take(sa, axis=0) - (p[:, None, :] @ xs)[:, 0, :]
-            theta += (alpha_f(t) * delta)[:, None] * psi
-            if actor_radius is not None:
-                shrink(theta, actor_radius, t, "actor", "c_alpha", failed)
-            if tail_acc is not None:
-                tail_acc += v
-            abs_delta_sum += np.abs(delta)
-            s = s1
+                        bound = (th_up[n] + abs(g) * psi_norm[s_t]) * grow
+                        if not bound <= th_lim:
+                            bound = ball_test("actor", thetas, ths, t, n, failed)
+                            if bound is None:
+                                continue
+                        th_up[n] = bound
+                if tails is not None:
+                    tails[n] += vs[n]
+                # starting from the row's running sum, not 0, adds |delta| in step order
+                delta_sums[n] += abs(delta)
+                s_n[n] = s1
             if failed:
-                break
-        L_out[:], s_out[:] = L, s
+                live = [n for n in live if n not in failed]
+                if not live:
+                    break
+        L[:], s[:], abs_delta_sum[:] = L_n, s_n, delta_sums
+        if vls is not None:
+            v_rows[:] = vls
+        if ths is not None:
+            theta_rows[:] = ths
         return t + 1
 
     return advance
@@ -517,8 +470,7 @@ def _check_batch(configs: list[RunConfig]) -> None:
 
 
 def run_batch(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
-    """`run` for configs that differ only in seed, stepped together: in
-    lockstep from 8 seeds of a moving actor on, seed by seed otherwise.
+    """`run` for configs that differ only in seed, stepped together.
 
     Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
     (wall_ns aside), or the OracleFailure or Diverged that run(configs[i])
@@ -537,8 +489,8 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     Each seed keeps its own generator and draws k = 2 (3 with reward noise)
     uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
     the same draw whatever the batch.  The kernel advances every live seed
-    one segment at a time; a segment ends at a draw-block end, a metrics row,
-    the start of the tail average or a step at which a seed diverged.
+    one segment at a time; a segment ends at a draw-block end, a metrics row
+    or the start of the tail average, and a seed that diverges leaves it there.
     """
     from .metrics import exact_metrics_row
 
@@ -550,10 +502,8 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     n = len(configs)
     L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(policy.theta, (n, 1))
 
-    # lockstep pays off from 8 moving seeds on (module docstring)
-    scalar = n < 8 or _actor_frozen(base.schedule, base.actor_radius)
-    advance = (_make_step if scalar else _make_batch_step)(
-        mdp, policy, features, base.schedule, uv_radius, base.reward_noise, base.actor_radius)
+    advance = _make_step(mdp, policy, features, base.schedule, uv_radius, base.reward_noise,
+                         base.actor_radius)
 
     steps, every = base.steps, base.metrics_every
     tail_from = steps if base.tail_average_from is None else base.tail_average_from

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import avgrl
-from avgrl import learner, metrics
+from avgrl import cli, metrics
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
 from avgrl.envs import four_state_easy, save_mdp
@@ -228,16 +228,9 @@ class TestSweep:
         assert sorted(outs[1]["seeds"]) == sorted(f"seed_{s}.csv" for s in range(7, 12))
         assert outs[1] == outs[2] == outs[3]
 
-    def test_jobs_across_the_lockstep_crossover(self, tmp_path, monkeypatch, capsys):
-        # 8 moving seeds: --jobs 1 is one lockstep batch, --jobs 2 two batches
-        # of 4 that the scalar kernel steps seed by seed
-        real, built = learner._make_batch_step, []
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(learner, "_make_batch_step", counting)
+    def test_jobs_across_the_lockstep_crossover(self, tmp_path, capsys):
+        # 8 moving seeds with noise and a binding radius: --jobs 1 steps one
+        # batch of 8 in-process, --jobs 2 two batches of 4 in worker processes
         outs = {}
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
@@ -247,7 +240,6 @@ class TestSweep:
             outs[jobs] = ({p.name: strip_wall(read_lines(p)) for p in out.glob("seed_*.csv")},
                           (out / "aggregate.csv").read_bytes())
         capsys.readouterr()
-        assert len(built) == 1  # the in-process --jobs 1 batch; workers build their own
         assert sorted(outs[1][0]) == [f"seed_{s}.csv" for s in range(8)]
         assert outs[1] == outs[2]
 
@@ -737,6 +729,37 @@ def module_env():
     src = str(Path(avgrl.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_host_block_in_sidecar_and_sweep_json(tmp_path, capsys):
+    # what makes output bytes host-specific is named beside the outputs
+    assert main(["train", "--env", "four-state", "--steps", "100",
+                 "--out", str(tmp_path / "run.csv")]) == 0
+    assert main(["sweep", "--env", "four-state", "--steps", "100", "--seeds", "1",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    hosts = [json.loads(path.read_text())["host"]
+             for path in (tmp_path / "run.json", tmp_path / "sweep" / "sweep.json")]
+    assert hosts[0] == hosts[1]
+    host = hosts[0]
+    assert list(host) == ["numpy", "x86_v4", "openblas_core", "openblas_config", "libc"]
+    assert host["numpy"] == np.__version__
+    assert isinstance(host["x86_v4"], bool)
+    for key in ("openblas_core", "openblas_config", "libc"):
+        assert host[key] is None or isinstance(host[key], str)
+
+
+def test_host_block_names_the_dispatch():
+    # NPY_DISABLE_CPU_FEATURES turns numpy's X86_V4 (AVX512) loops off, and
+    # with them np.exp's bits; the block says which loops ran
+    if not cli._host()["x86_v4"]:
+        pytest.skip("numpy dispatches no X86_V4 loops on this host")
+    env = module_env()
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    code = "import json; from avgrl.cli import _host; print(json.dumps(_host()))"
+    proc = run_cli_process([sys.executable, "-c", code], env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["x86_v4"] is False
 
 
 def test_console_script_smoke():

@@ -1,4 +1,4 @@
-"""Property tests of the scalar kernel's branches over random garnets."""
+"""Property tests of the sampled kernel over random garnets."""
 
 import dataclasses
 
@@ -8,8 +8,9 @@ import pytest
 from avgrl import learner
 from avgrl.envs import GarnetSpec, build_garnet, tabular_policy
 from avgrl.errors import AvgrlError
-from avgrl.features import make_features
-from avgrl.learner import ALGO_SCHEDULES, RunConfig, algo_schedule, run
+from avgrl.features import FeatureMap, make_features
+from avgrl.learner import ALGO_SCHEDULES, RunConfig, StepSchedule, algo_schedule, run, run_batch
+from test_learner import reference_run
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -49,3 +50,36 @@ def test_list_branch_matches_dense_branch(n_actions, n_states, seed, theta_scale
         mp.setattr(learner, "_action_columns", lambda x: None)
         dense = run_outcome(cfg)
     assert listed == dense
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(n_states=st.integers(2, 6), n_actions=st.integers(2, 4), seed=st.integers(0, 2**16),
+       uv_radius=st.sampled_from([0.05, 0.5, 5.0, 1e6]),
+       critic=st.sampled_from(["one_hot_reduced", "random_unit", "tabular_centered"]),
+       phi_scale=st.sampled_from([1.0, 2.0]), radius=st.sampled_from([None, 0.5]),
+       noise=st.sampled_from([0.0, 0.3]), algo=st.sampled_from([*sorted(ALGO_SCHEDULES), "frozen"]),
+       n=st.sampled_from([1, 3, 8]))
+def test_skipped_ball_tests_match_reference_stepper(n_states, n_actions, seed, uv_radius, critic,
+                                                    phi_scale, radius, noise, algo, n):
+    # the kernel runs a ball test only when its bound on the norm could reach
+    # the radius; the reference stepper tests every step.  A radius of 0.05
+    # binds often, one of 1e6 almost never needs the exact test, and a scale
+    # of 2 gives rows with ||phi(s)|| > 1
+    mdp = build_garnet(GarnetSpec(n_states=n_states, n_actions=n_actions,
+                                  branching=min(2, n_states), seed=seed))
+    pol = tabular_policy(mdp)
+    pol = pol.with_theta(np.random.default_rng(seed).normal(size=pol.dim))
+    fmap = FeatureMap(phi_scale * make_features(critic, mdp, seed=seed).table)
+    sched = StepSchedule(c_alpha=0.0) if algo == "frozen" else algo_schedule(algo)
+    steps = 200
+    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=steps,
+                      seed=seed + i, metrics_every=steps, uv_radius=uv_radius,
+                      actor_radius=radius, reward_noise=noise) for i in range(n)]
+    for cfg, res in zip(cfgs, run_batch(cfgs), strict=True):
+        hypothesis.assume(not isinstance(res, AvgrlError))  # a singular A(theta) at the row
+        s, L, v, theta, delta_abs_mean = reference_run(
+            mdp, pol, fmap, sched, steps, cfg.seed, uv_radius, noise, radius)
+        assert (res.final.s, res.final.L) == (s, L)
+        assert np.array_equal(res.final.v, v)
+        assert np.array_equal(res.final.theta, theta)
+        assert res.rows[-1].delta_abs_mean == delta_abs_mean

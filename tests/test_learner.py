@@ -388,9 +388,8 @@ REFERENCE_IDS = ["-".join(map(str, case[:3] if case[3] == 300 else case))
 
 @pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_run_matches_reference_stepper(algo, noise, radius, steps):
-    # run, a 3-seed run_batch (the scalar kernel, seed by seed) and an 8-seed
-    # one (the lockstep kernel for a moving actor, the scalar one for a frozen
-    # one), each seed against the plain stepper
+    # run, a 3-seed run_batch and an 8-seed one, each seed against the plain
+    # stepper
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
@@ -508,9 +507,9 @@ def diverging_configs(kind, n):
 @pytest.mark.parametrize("kind,coef", [("critic", "c_beta"), ("actor", "c_alpha")])
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_overflow_gives_diverged(kind, coef, n):
-    # an overflowing squared norm used to scale the iterate by 0; both kernels
-    # (scalar below 8 seeds, lockstep at 8), on the one-hot and the dense
-    # branch, refuse it instead
+    # an overflowing squared norm used to scale the iterate by 0; the kernel,
+    # on the one-hot and the dense branch and at any batch size, refuses it
+    # instead
     pattern = (rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
                rf"lower {coef} \(now 1e\+300\)")
     for configs in diverging_configs(kind, n):
@@ -527,21 +526,20 @@ def test_overflow_gives_diverged(kind, coef, n):
             assert re.fullmatch(pattern, str(res))
 
 
-def nan_kernel_inputs(make, iterate, n, nan_row):
+def nan_kernel_inputs(iterate, n, nan_row):
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
-    advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
-                   5.0, 0.0, 1.0)
+    advance = learner._make_step(mdp, pol, make_features("one_hot_reduced", mdp),
+                                 algo_schedule("ca"), 5.0, 0.0, 1.0)
     theta, v = np.zeros((n, pol.dim)), np.zeros((n, 3))
     (v if iterate == "critic" else theta)[nan_row, 0] = math.nan
     return advance, [theta, v, np.zeros(n), np.arange(n) % mdp.n_states, np.zeros(n), None]
 
 
-@pytest.mark.parametrize("make", [learner._make_step, learner._make_batch_step])
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_nan_iterate_reports_diverged(make, iterate):
+def test_nan_iterate_reports_diverged(iterate):
     # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
-    advance, state = nan_kernel_inputs(make, iterate, 1, 0)
+    advance, state = nan_kernel_inputs(iterate, 1, 0)
     failed = {}
     with np.errstate(invalid="ignore"):
         assert advance(0, 5, np.full((5, 2, 1), 0.5), *state, failed) == 1
@@ -552,38 +550,19 @@ def test_nan_iterate_reports_diverged(make, iterate):
 
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
 def test_nan_row_leaves_the_other_rows(iterate):
-    # the lockstep kernel reports row 1 alone and ends the segment after step 0,
-    # which rows 0 and 2 finish as the scalar kernel does
+    # row 1 fails alone at step 0; rows 0 and 2 run the whole segment, each as
+    # it runs alone
     u = np.random.default_rng(3).random((5, 2, 3))
-    advance, state = nan_kernel_inputs(learner._make_batch_step, iterate, 3, 1)
-    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
-    failed = {}
-    with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u, *state, failed) == 1
-    assert list(failed) == [1]
-    step, _ = nan_kernel_inputs(learner._make_step, iterate, 1, 0)
-    for i, row in enumerate(rows):
-        one = {}
-        with np.errstate(invalid="ignore"):
-            assert step(0, 1, u[:1, :, i:i + 1], *row, one) == 1
-        if i == 1:
-            assert str(one[0]) == str(failed[1])
-        else:
-            assert one == {}
-            for a, b in zip(state[:5], row[:5]):
-                assert np.array_equal(a[i:i + 1], b)
-
-
-@pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_scalar_kernel_steps_every_row(iterate):
-    # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
-    u = np.random.default_rng(3).random((5, 2, 3))
-    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
+    advance, state = nan_kernel_inputs(iterate, 3, 1)
     rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
     failed = {}
     with np.errstate(invalid="ignore"):
         assert advance(0, 5, u, *state, failed) == 5
     assert list(failed) == [1]
+    one = {}
+    with np.errstate(invalid="ignore"):
+        assert advance(0, 5, u[:, :, 1:2], *rows[1], one) == 1
+    assert str(one[0]) == str(failed[1])
     assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
     for i in (0, 2):
         one = {}
@@ -639,7 +618,7 @@ class TestRunBatch:
         else:
             assert np.array_equal(res.v_tail_avg, ref.v_tail_avg)
 
-    @pytest.mark.parametrize("n", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 10])
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_each_seed_matches_run(self, case, n):
         cfgs = self.configs(n, **BATCH_CASES[case])
@@ -649,43 +628,6 @@ class TestRunBatch:
             self.assert_matches_run(cfg, res)
         if cfgs[0].steps:
             assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
-
-    def count_lockstep_builds(self, monkeypatch):
-        real, built = learner._make_batch_step, []
-
-        def counting(*args):
-            built.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(learner, "_make_batch_step", counting)
-        return built
-
-    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the lockstep kernel was built for a frozen actor")
-
-        monkeypatch.setattr(learner, "_make_batch_step", refuse)
-        cfgs = self.configs(8, schedule=FROZEN, reward_noise=0.3)
-        for cfg, res in zip(cfgs, run_batch(cfgs)):
-            self.assert_matches_run(cfg, res)  # run itself is the N = 1 case
-
-        monkeypatch.undo()
-        built = self.count_lockstep_builds(monkeypatch)
-        run_batch(self.configs(8, steps=300))
-        # an actor radius may move theta_0, so c_alpha = 0 alone is not frozen
-        run_batch(self.configs(8, steps=300, schedule=FROZEN, actor_radius=0.05))
-        assert len(built) == 2
-
-    @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
-    def test_moving_batch_below_8_takes_the_scalar_kernel(self, monkeypatch, case):
-        # with the actor moving, the lockstep kernel pays off from 8 seeds on
-        built = self.count_lockstep_builds(monkeypatch)
-        cfgs = self.configs(7, **BATCH_CASES[case])
-        for cfg, res in zip(cfgs, run_batch(cfgs), strict=True):
-            self.assert_matches_run(cfg, res)
-        assert built == []
-        run_batch(self.configs(8, steps=300, **BATCH_CASES[case]))
-        assert len(built) == 1
 
     def test_projections_bind(self):
         # the actor-radius and critic-ball cases above reach their radius
