@@ -526,20 +526,21 @@ def test_overflow_gives_diverged(kind, coef, n):
             assert re.fullmatch(pattern, str(res))
 
 
-def nan_kernel_inputs(iterate, n, nan_row):
+def nan_kernel_inputs(make, iterate, n, nan_row):
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
-    advance = learner._make_step(mdp, pol, make_features("one_hot_reduced", mdp),
-                                 algo_schedule("ca"), 5.0, 0.0, 1.0)
+    advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
+                   5.0, 0.0, 1.0)
     theta, v = np.zeros((n, pol.dim)), np.zeros((n, 3))
     (v if iterate == "critic" else theta)[nan_row, 0] = math.nan
     return advance, [theta, v, np.zeros(n), np.arange(n) % mdp.n_states, np.zeros(n), None]
 
 
+@pytest.mark.parametrize("make", [learner._make_step])
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_nan_iterate_reports_diverged(iterate):
+def test_nan_iterate_reports_diverged(make, iterate):
     # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
-    advance, state = nan_kernel_inputs(iterate, 1, 0)
+    advance, state = nan_kernel_inputs(make, iterate, 1, 0)
     failed = {}
     with np.errstate(invalid="ignore"):
         assert advance(0, 5, np.full((5, 2, 1), 0.5), *state, failed) == 1
@@ -550,19 +551,34 @@ def test_nan_iterate_reports_diverged(iterate):
 
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
 def test_nan_row_leaves_the_other_rows(iterate):
-    # row 1 fails alone at step 0; rows 0 and 2 run the whole segment, each as
-    # it runs alone
+    # row 1 is reported alone, as it is when it runs alone; its iterates are
+    # left as they were handed in
     u = np.random.default_rng(3).random((5, 2, 3))
-    advance, state = nan_kernel_inputs(iterate, 3, 1)
-    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
+    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
+    row = [np.array(a[1:2]) for a in state[:5]] + [None]
     failed = {}
     with np.errstate(invalid="ignore"):
         assert advance(0, 5, u, *state, failed) == 5
     assert list(failed) == [1]
     one = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u[:, :, 1:2], *rows[1], one) == 1
+        assert advance(0, 5, u[:, :, 1:2], *row, one) == 1
+    assert list(one) == [0]
     assert str(one[0]) == str(failed[1])
+    for a, b in zip(state[:2], row[:2]):
+        assert np.array_equal(a[1:2], b, equal_nan=True)
+
+
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_scalar_kernel_steps_every_row(iterate):
+    # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
+    u = np.random.default_rng(3).random((5, 2, 3))
+    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
+    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
+    failed = {}
+    with np.errstate(invalid="ignore"):
+        assert advance(0, 5, u, *state, failed) == 5
+    assert list(failed) == [1]
     assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
     for i in (0, 2):
         one = {}
@@ -618,7 +634,7 @@ class TestRunBatch:
         else:
             assert np.array_equal(res.v_tail_avg, ref.v_tail_avg)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_each_seed_matches_run(self, case, n):
         cfgs = self.configs(n, **BATCH_CASES[case])
@@ -628,6 +644,36 @@ class TestRunBatch:
             self.assert_matches_run(cfg, res)
         if cfgs[0].steps:
             assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
+
+    def count_kernel_builds(self, monkeypatch):
+        real, built = learner._make_step, []
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_make_step", counting)
+        return built
+
+    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
+        # one build of the one kernel serves the whole batch
+        built = self.count_kernel_builds(monkeypatch)
+        cfgs = self.configs(8, schedule=FROZEN, reward_noise=0.3)
+        results = run_batch(cfgs)
+        assert len(built) == 1
+        for cfg, res in zip(cfgs, results, strict=True):
+            self.assert_matches_run(cfg, res)  # run itself is the N = 1 case
+
+    @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
+    def test_moving_batch_below_8_takes_the_scalar_kernel(self, monkeypatch, case):
+        # a moving batch of any size, 7 seeds here, steps in the one kernel,
+        # built once for the batch
+        built = self.count_kernel_builds(monkeypatch)
+        cfgs = self.configs(7, **BATCH_CASES[case])
+        results = run_batch(cfgs)
+        assert len(built) == 1
+        for cfg, res in zip(cfgs, results, strict=True):
+            self.assert_matches_run(cfg, res)
 
     def test_projections_bind(self):
         # the actor-radius and critic-ball cases above reach their radius
