@@ -14,6 +14,7 @@ report below is an estimate over sampled actor parameters, not a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ FEATURE_KINDS = ("one_hot_reduced", "random_unit", "tabular_centered")
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """State features Phi, one row per state, shape (S, d1)."""
+    """State features Phi, one row per state, shape (S, d1), every entry finite."""
 
     table: np.ndarray
     __reduce__ = _mdp._reduce_to_fields
@@ -39,6 +40,8 @@ class FeatureMap:
         object.__setattr__(self, "table", _mdp._frozen_array(self.table))
         if self.table.ndim != 2:
             raise InvariantViolation("feature table must have shape (S, d1)")
+        if not np.isfinite(self.table).all():
+            raise InvariantViolation("feature table has a non-finite entry")
 
     @property
     def n_states(self) -> int:
@@ -148,14 +151,46 @@ def _critic_matrices(
     return A, b
 
 
+def _well_inside_negative_definite(A: np.ndarray) -> bool:
+    """Whether a Cholesky of -sym(A) - tau I succeeds, with sym(A) = (A + A^T)/2
+    and tau = 1e-8 ||A||_F; False for a zero or non-finite A, and for an A
+    whose ||A||_F overflows."""
+    with np.errstate(over="ignore"):
+        tau = 1e-8 * float(np.linalg.norm(A))
+    if not (tau > 0.0 and math.isfinite(tau)):
+        return False
+    H = -0.5 * (A + A.T)
+    H.flat[::A.shape[0] + 1] -= tau
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """v* = -A^{-1} b; SingularA when A fails the conditioning or residual test."""
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularA(
-            f"critic matrix A is singular (smallest/largest singular value "
-            f"{sv[-1]:.3e}/{sv[0]:.3e})"
-        )
+    """v* = -A^{-1} b; SingularA when A fails the conditioning or residual test.
+
+    The conditioning test asks for sigma_min(A) > 1e-12 sigma_max(A).  A
+    Cholesky of -sym(A) - tau I (`_well_inside_negative_definite`) settles it
+    cheaply whenever A is well inside negative definiteness: for every x,
+    ||A x|| ||x|| >= -x^T A x = x^T (-sym A) x, so sigma_min(A) >=
+    lambda_min(-sym A) > tau = 1e-8 ||A||_F, and ||A||_F >= sigma_max(A), so
+    an accepted A has sigma_min/sigma_max > 1e-8.  The rounding of the
+    Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10)
+    and of the SVD is about d1 eps relative to ||A||, which the four decades
+    between 1e-8 and 1e-12 cover, so an accepted A would have passed the SVD
+    test too.  Any other A (not negative definite by that margin, zero,
+    non-finite, or with an overflowing ||A||_F) takes the SVD test, with its
+    message, so SingularA is raised on the same inputs either way.
+    """
+    if not _well_inside_negative_definite(A):
+        sv = np.linalg.svd(A, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+            raise SingularA(
+                f"critic matrix A is singular (smallest/largest singular value "
+                f"{sv[-1]:.3e}/{sv[0]:.3e})"
+            )
     try:
         v = np.linalg.solve(A, -b)
     except np.linalg.LinAlgError as exc:

@@ -15,11 +15,14 @@ Conventions:
     its closure `_reach` decides irreducibility and, in `oracles`, closed classes.
 
 Every array a FiniteMdp, SoftmaxLinearPolicy or PolicyChain holds is read-only,
-and so is every table a policy caches: its pi and psi tables are built at most
-once per instance and its last induced chain is kept with it, so the oracles
-that evaluate one theta share them.  `_frozen_array` copies its input unless it
-already is a read-only float64 array owning its memory, which nothing can write
-to, so a policy made by `with_theta` shares the action features.
+and so is every table a policy caches.  Its pi table and its last induced chain
+are built at most once per instance and shared by the oracles that evaluate one
+theta.  Its psi table is built, once, only by the routes that read it (the
+exact gradient, grad_stationary and actor_bias); the actor field and the
+metrics rows sum over the action features instead.  `_frozen_array` copies its
+input unless it already is a read-only float64 array owning its memory, which
+nothing can write to, so a policy made by `with_theta` shares the action
+features.
 """
 
 from __future__ import annotations

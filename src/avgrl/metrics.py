@@ -66,18 +66,21 @@ def exact_metrics_row(
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
 
-    A fresh row builds one policy at theta; its pi and psi tables and its chain
-    are built once and shared by the row's own solve, critic_fixed_point and
-    actor_field_M, which still solve for mu once each.
+    A fresh row builds one policy at theta; its pi table and its chain are
+    built once and shared by the row's own solve, critic_fixed_point and
+    actor_field_M, which still solve for mu once each.  No psi table is built:
+    M is summed over the action features (oracles._actor_field).  And
+    critic_fixed_point settles A's conditioning by a Cholesky, with an SVD
+    only when that fails (features._critic_solve).
 
     memo: a one-slot list ([] for a fresh row), shared only by rows of one
     (mdp, policy, features), that keeps the last solved theta's (bytes, policy,
     mu, L(theta), v*).  A row at that theta reuses them and the policy's cached
-    pi and psi tables, bit for bit.
+    pi table, bit for bit.
     """
     if memo and memo[0] == theta.tobytes():
         _, pol, mu, l_theta, v_star = memo
-        M = _actor_field(mdp, pol.prob_table(), pol.score_table(), features, v, mu, l_theta)
+        M = _actor_field(mdp, pol.prob_table(), pol.action_features, features, v, mu, l_theta)
     else:
         pol = policy.with_theta(theta)
         chain = induced_chain(mdp, pol)

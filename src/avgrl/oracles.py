@@ -7,9 +7,10 @@ computational routes:
     recomputes Phi^T D (T(Phi v) - Phi v) from the Bellman operator, and the
     two must agree with expected_critic_drift (all three equal A v + b).
   * actor_field_M evaluates the exact expected actor update by the full
-    (s, a, s') triple sum; actor_bias evaluates the same object minus the true
-    gradient through an independent expansion, so M = grad L + bias can be
-    checked term by term.
+    (s, a, s') triple sum, folded onto the action features; actor_bias
+    evaluates the same object minus the true gradient through an independent
+    expansion over the score table, so M = grad L + bias can be checked term
+    by term.
   * estimate_mixing fits a geometric envelope b * k^m to exact total-variation
     distances from matrix powers.
   * brute_force_optimum enumerates deterministic policies and scores each by
@@ -88,15 +89,21 @@ def actor_field_M(
                   (R(s,a) - L(theta) + phi(s').v - phi(s).v) grad log pi(a|s).
     """
     _, mu, gain = _evaluate(mdp, policy)
-    return _actor_field(mdp, policy.prob_table(), policy.score_table(), features, v, mu, gain)
+    return _actor_field(mdp, policy.prob_table(), policy.action_features, features, v, mu, gain)
 
 
-def _actor_field(mdp: FiniteMdp, p: np.ndarray, psi: np.ndarray, features: FeatureMap,
+def _actor_field(mdp: FiniteMdp, p: np.ndarray, x: np.ndarray, features: FeatureMap,
                  v: np.ndarray, mu: np.ndarray, gain: float) -> np.ndarray:
-    """actor_field_M of an evaluated policy with prob and score tables p and psi."""
+    """actor_field_M of an evaluated policy with prob table p and action features x.
+
+    With w(s,a) = mu(s) pi(a|s) delta(s,a), the triple sum is sum_{s,a} w(s,a)
+    psi(s,a), and psi(s,a) = x(s,a) - sum_b pi(b|s) x(s,b) makes it
+    sum_{s,a} (w(s,a) - pi(a|s) sum_b w(s,b)) x(s,a): no score table needed.
+    """
     phi_v = features.table @ v
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
-    return np.tensordot(mu[:, None] * p * delta, psi, axes=2)
+    w = mu[:, None] * p * delta
+    return np.tensordot(w - p * w.sum(axis=1, keepdims=True), x, axes=2)
 
 
 def actor_bias(

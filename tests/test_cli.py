@@ -673,6 +673,25 @@ class TestErrorPaths:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [env]
 
+    @pytest.mark.parametrize("command", ["solve", "train"])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_features_exit_two(self, tmp_path, capsys, command, bad):
+        # refused when the env is loaded, before numpy's svd would fail untyped
+        path = tmp_path / "env.json"
+        save_mdp(str(path), four_state_easy(), features=FeatureMap(np.eye(4, 3)))
+        doc = json.loads(path.read_text())
+        doc["features"][1][1] = float(bad.replace("Infinity", "inf"))
+        path.write_text(json.dumps(doc))
+        assert bad in path.read_text()
+        argv = [command, "--env", str(path)]
+        rc = main(argv + (["--steps", "10", "--out", str(tmp_path / "out")]
+                          if command == "train" else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "feature table has a non-finite entry" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_mistyped_env_file_exit_two(self, tmp_path, capsys):
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": "x",

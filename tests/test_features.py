@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, tabular_policy
-from avgrl.errors import InfeasibleDimension, InvalidSpec
-from avgrl.features import FeatureMap, check_assumption2, make_features, matrix_A
-from avgrl.mdp import differential_value, induced_chain, stationary_distribution
+from avgrl.errors import InfeasibleDimension, InvalidSpec, InvariantViolation, SingularA
+from avgrl.features import (FeatureMap, _critic_matrices, _critic_solve,
+                            _well_inside_negative_definite, check_assumption2, make_features,
+                            matrix_A)
+from avgrl.mdp import (PolicyChain, _solve_stationary, differential_value, induced_chain,
+                       stationary_distribution)
 
 
 def garnet(seed=0):
@@ -160,3 +164,97 @@ class TestCheckAssumption2:
         assert c["U_w"] == 2.0 * c["B"] * (c["U_v"] + c["Ubar_v"])
         assert abs(c["ratio_bound"] - 1.0 / (2 * c["B"] * (c["G"] + c["U_w"]) + c["U_w"] * c["B"])) < 1e-15
         assert c["U_v"] >= 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_map_refuses_non_finite_table(bad):
+    table = np.eye(4, 3)
+    table[1, 1] = bad
+    with pytest.raises(InvariantViolation, match="feature table has a non-finite entry"):
+        FeatureMap(table)
+
+
+def svd_critic_solve(A, b):
+    """_critic_solve with the SVD conditioning test on every A."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
+        raise SingularA(
+            f"critic matrix A is singular (smallest/largest singular value "
+            f"{sv[-1]:.3e}/{sv[0]:.3e})"
+        )
+    try:
+        v = np.linalg.solve(A, -b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularA("critic matrix A is singular") from exc
+    if np.linalg.norm(A @ v + b) > 1e-10 * max(1.0, np.linalg.norm(b)):
+        raise SingularA("critic solve residual exceeds tolerance; A is near singular")
+    return v
+
+
+def solve_outcome(solve, A, b):
+    """The bytes of v, or the error's type and text; pytest turns numpy's
+    RuntimeWarnings (an infinite A times a zero v) into errors."""
+    try:
+        return solve(A, b).tobytes()
+    except (SingularA, np.linalg.LinAlgError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def critic_system(kind, n, seed, log_ratio, skew, scale):
+    """(A, b) of one kind, n x n, with A times scale; see
+    test_conditioning_check_matches_svd."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=n)
+    if kind == "zero":
+        return np.zeros((n, n)), b
+    if kind == "duplicated":  # a real A(theta) whose features repeat a column
+        S = n + 2
+        kernel = rng.random((S, S)) + 0.01
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        chain = PolicyChain(kernel, rng.normal(size=S))
+        mu = _solve_stationary(kernel)
+        Phi = rng.normal(size=(S, n))
+        Phi[:, -1] = Phi[:, 0] if n > 1 else 0.0
+        A, b = _critic_matrices(Phi, chain, mu, float(mu @ chain.expected_reward))
+        return scale * A, b
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = 10.0 ** rng.uniform(-3, 3) * np.logspace(0.0, log_ratio, n)
+    if kind == "indefinite":
+        lam *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        lam[0] = abs(lam[0])
+        lam[-1] = -abs(lam[-1])
+    K = rng.normal(size=(n, n))
+    A = scale * (-(Q * lam) @ Q.T + skew * lam[0] * (K - K.T))
+    if kind == "non-finite":
+        A[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    return A, b
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(["negative-definite", "negative-definite", "indefinite", "zero",
+                             "duplicated", "non-finite"]),
+       n=st.integers(1, 8), seed=st.integers(0, 2**16), log_ratio=st.floats(-15.0, -1.0),
+       skew=st.sampled_from([0.0, 0.0, 1e-3, 0.3]),
+       scale=st.sampled_from([1.0, 1.0, 1.0, 1e-170, 1e200]))
+def test_conditioning_check_matches_svd(kind, n, seed, log_ratio, skew, scale):
+    # negative definite A with lambda_min/lambda_max of -sym(A) from 1e-1 down
+    # to 1e-15, indefinite or zero A, a real A(theta) with a duplicated feature
+    # column, and A with a NaN or infinite entry, some scaled so that ||A||_F
+    # underflows or overflows: the Cholesky screen must make the SVD's
+    # SingularA decision, with its message, and the same v
+    A, b = critic_system(kind, n, seed, log_ratio, skew, scale)
+    assert solve_outcome(_critic_solve, A, b) == solve_outcome(svd_critic_solve, A, b)
+
+
+@pytest.mark.parametrize("env", ["four-state", "garnet"])
+def test_conditioning_check_skips_the_svd_on_a_real_a(env, monkeypatch):
+    m = four_state_easy() if env == "four-state" else garnet(0)
+    theta = np.random.default_rng(3).normal(size=m.n_states * m.n_actions)
+    A, b = matrix_A(m, tabular_policy(m, theta), make_features("one_hot_reduced", m))
+    assert _well_inside_negative_definite(A)
+
+    def no_svd(*args, **kw):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert _critic_solve(A, b).tobytes() == np.linalg.solve(A, -b).tobytes()

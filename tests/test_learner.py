@@ -10,7 +10,7 @@ import pytest
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x4, tabular_policy
 from avgrl import learner, metrics
 from avgrl.errors import Diverged, InvalidSpec, InvariantViolation, OracleFailure
-from avgrl.features import make_features
+from avgrl.features import FeatureMap, make_features
 from avgrl.learner import (
     _DRAW_BLOCK,
     ALGO_SCHEDULES,
@@ -23,6 +23,7 @@ from avgrl.learner import (
     run_batch,
     validate_schedule,
 )
+from avgrl.mdp import FiniteMdp
 from avgrl.oracles import critic_fixed_point
 
 
@@ -490,6 +491,32 @@ def test_action_columns(edit, one_hot):
         assert cols.tolist() == np.argmax(x, axis=2).tolist()
     else:
         assert cols is None
+
+
+@pytest.mark.parametrize("one_hot", [True, False])
+def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
+    # one state, two actions, theta = (t, -t) just inside the actor radius:
+    # the unlikely action 1 with a negative reward moves theta straight out by
+    # alpha |delta| ||psi||, and ||psi|| = sqrt 2 pi(0) exceeds 1, so a skip
+    # bound that takes ||psi|| <= 1 would leave theta outside the ball
+    mdp = FiniteMdp(np.ones((1, 2, 1)), np.array([[0.0, -1.0]]), reward_bound=1.0)
+    sched, radius = algo_schedule("ca"), 4.0
+    step = sched.alpha(1)  # delta is -1 at step 1: step 0 takes action 0 at L = 0
+    t = (radius - 1.2 * step) / math.sqrt(2.0)
+    pol = tabular_policy(mdp, np.array([t, -t]))
+    psi = pol.action_features[0, 1] - pol.prob_table()[0] @ pol.action_features[0]
+    assert np.linalg.norm(psi) > 1.2
+    if not one_hot:
+        monkeypatch.setattr(learner, "_action_columns", lambda x: None)
+    advance = learner._make_step(mdp, pol, FeatureMap(np.ones((1, 1))), sched, 5.0, 0.0,
+                                 radius)
+    theta, v = pol.theta[None, :].copy(), np.zeros((1, 1))
+    u = np.array([[[0.0], [0.5]], [[0.999], [0.5]]])  # actions 0, then 1
+    failed = {}
+    assert advance(0, 2, u, theta, v, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1),
+                   None, failed) == 2
+    assert failed == {}
+    assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
 
 
 def diverging_configs(kind, n):

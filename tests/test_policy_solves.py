@@ -2,7 +2,8 @@
 
 A run's metrics rows share one policy solution while theta stands still, so a
 frozen-actor run solves once in all and a moving one three times per row.  The
-three solves of a moving row share one pi table, one psi table and one chain.
+three solves of a moving row share one pi table and one chain, and the row
+builds no psi table: its actor field reads the action features.
 
 Counting wraps `stationary_distribution` in every `avgrl` namespace that binds
 it, so a solve is counted whichever module calls it.
@@ -168,15 +169,21 @@ def test_moving_row_builds_tables_once(solves, builds, name):
     memo = []
     row = metrics.exact_metrics_row(mdp, policy, fmap, t=1, theta=theta, v=v, L=0.1,
                                     delta_abs_mean=0.0, wall_ns=0, memo=memo)
-    assert builds == {"prob": 1, "score": 1, "chain": 1}
+    assert builds == {"prob": 1, "score": 0, "chain": 1}
     assert len(solves) == 3  # perfbench/test_tracer.py pins three per moving row
     # a row at the same theta (a memo hit) builds nothing
     metrics.exact_metrics_row(mdp, policy, fmap, t=2, theta=theta, v=2 * v, L=0.1,
                               delta_abs_mean=0.0, wall_ns=0, memo=memo)
-    assert builds == {"prob": 1, "score": 1, "chain": 1}
+    assert builds == {"prob": 1, "score": 0, "chain": 1}
     assert len(solves) == 3
     # the shared tables give the row of the separately built oracles, bit for bit
     pol = policy.with_theta(theta)
     assert row.critic_err_sq == float(np.sum((v - critic_fixed_point(mdp, pol, fmap)) ** 2))
     M = actor_field_M(mdp, policy.with_theta(theta), fmap, v)
     assert row.M_norm_sq == float(np.sum(M * M))
+    # the sum over the action features is the triple sum over the scores
+    chain, mu, gain = mdp_module._evaluate(mdp, pol)
+    phi_v = fmap.table @ v
+    delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
+    M_psi = np.tensordot(mu[:, None] * pol.prob_table() * delta, pol.score_table(), axes=2)
+    assert np.linalg.norm(M - M_psi) <= 1e-12 * np.linalg.norm(M_psi)
