@@ -257,8 +257,9 @@ def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
 
 
 def _host() -> dict:
-    """What makes output bytes host-specific: numpy's SIMD dispatch (np.exp in
-    the kernel), the OpenBLAS core (its dots and LAPACK) and the C library."""
+    """What makes output bytes host-specific: numpy's SIMD dispatch and the
+    OpenBLAS core (LAPACK) for the oracle columns, and the C library (libm's
+    exp, on the sampled path too)."""
     import ctypes
     import glob
     import platform

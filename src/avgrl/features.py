@@ -145,9 +145,15 @@ def matrix_A(
 def _critic_matrices(
     Phi: np.ndarray, chain: _mdp.PolicyChain, mu: np.ndarray, gain: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) of an evaluated chain; see matrix_A."""
-    A = Phi.T @ (mu[:, None] * (chain.kernel @ Phi - Phi))
-    b = Phi.T @ (mu * (chain.expected_reward - gain))
+    """(A, b) of an evaluated chain; see matrix_A.  InvariantViolation when
+    either is not finite, as a finite but huge feature table can make it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = Phi.T @ (mu[:, None] * (chain.kernel @ Phi - Phi))
+        b = Phi.T @ (mu * (chain.expected_reward - gain))
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise InvariantViolation(
+            f"the critic matrices A(theta), b(theta) are not finite: the feature table's "
+            f"largest |entry| is {float(np.abs(Phi).max()):.6g}; scale the features down")
     return A, b
 
 

@@ -18,24 +18,25 @@ One private driver, _drive(configs), runs configs that differ only in seed:
 `run(config)` is its one-seed case and `run_batch(configs)` the checked way in
 for several.  Its one kernel, _make_step, runs a segment (up to the next
 metrics row or the end of a draw block) on (N, .) state arrays in place, step
-by step and within a step every live seed in turn on Python scalars, each seed
-bit for bit as its one-seed run.  One BLAS thread, 2-core host, ca schedule
-(frozen: c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
+by step and within a step every live seed in turn, each seed bit for bit as
+its one-seed run.  One BLAS thread, 2-core host, ca schedule (frozen:
+c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
 
     moving / frozen, N =   1          4          8          10
-    four-state, one-hot    4.6 / 1.3  3.2 / 0.8  3.0 / 0.7  2.9 / 0.7
-    gridworld4, one-hot    5.2 / 1.5  4.0 / 0.9  3.7 / 0.8  3.5 / 0.7
-    random_unit:6 critic   8.6 / 5.0  7.1 / 3.7  7.1 / 3.7  6.6 / 3.6
+    four-state, one-hot    3.3 / 1.2  2.8 / 0.7  2.7 / 0.6  2.6 / 0.6
+    gridworld4, one-hot    4.1 / 1.2  3.4 / 0.8  3.4 / 0.7  3.2 / 0.7
+    random_unit:6 critic   5.6 / 2.9  5.1 / 2.3  5.4 / 2.3  5.0 / 2.4
 
-One-hot branches are picked at build time by exact comparison.  With each
-x[s, a] a unit vector (distinct within a state) and A < 8, a moving actor holds
-theta as a Python list: the logits are th[cols[s]], one np.exp call per step
-takes the shifted logits of all live seeds, and the normaliser and cumulative
-row are left-to-right sums.  numpy's add.reduce and cumsum on fewer than 8
-float64 entries sum left to right (pairwise from 8 on), and np.exp is
-elementwise and on a list gives the array loop's bits (math.exp does not), so
-this is bit for bit the dense branch.  With each phi(s) zero or a unit vector,
-v is a list too and phi(s).v is v[j].  An iterate's ball test runs only when a
+The segment loop calls no numpy: theta, v and the tail sum are lists of
+Python floats, written back when the segment ends.  One softmax, _softmax_cum
+(libm's math.exp, sums left to right), builds the frozen actor's table at
+theta_0 and steps a moving one; every dot product and squared norm is a
+left-to-right _dot, never the builtin sum, which compensates from Python 3.12
+on.  So a trajectory does not depend on numpy's SIMD dispatch or the OpenBLAS
+core.  One-hot features, detected at build time by exact comparison, take
+lookups, bit for bit the _dot route: th[cols[s]] for the logits when each
+x[s, a] is a unit vector (distinct within a state), v[j] for phi(s).v when
+each phi(s) is zero or a unit vector.  An iterate's ball test runs only when a
 bound on its norm could reach the radius (_BOUND_SLACK).
 
 Each seed draws from its own counter-based generator in the fixed order
@@ -191,10 +192,28 @@ def _action_columns(x: np.ndarray) -> np.ndarray | None:
     return cols if ok else None
 
 
-# An iterate's ball test (w @ w, a BLAS dot) runs only when a bound on ||w||
-# could reach the radius.  Each step the bound gains |step * delta| times a
-# bound on the update direction's norm and grows by 1 + _BOUND_SLACK; a test
-# resets it to sqrt(w @ w) (1 + _BOUND_SLACK).  A d-term dot or norm is off by
+def _softmax_cum(logits: list) -> tuple[list, list]:
+    """(softmax(logits), its cumulative row) on Python floats: libm's exp of the
+    logits shifted by their max, the normaliser and the row summed left to right."""
+    top = max(logits)
+    e = [math.exp(z - top) for z in logits]
+    *_, total = accumulate(e)
+    p = [e_b / total for e_b in e]
+    return p, list(accumulate(p))
+
+
+def _dot(a, b) -> float:
+    """a . b on Python floats, summed left to right from 0.0."""
+    acc = 0.0
+    for a_i, b_i in zip(a, b):
+        acc += a_i * b_i
+    return acc
+
+
+# An iterate's ball test (a _dot of w with itself) runs only when a bound on
+# ||w|| could reach the radius.  Each step the bound gains |step * delta| times
+# a bound on the update direction's norm and grows by 1 + _BOUND_SLACK; a test
+# resets it to sqrt(w . w) (1 + _BOUND_SLACK).  A d-term dot or norm is off by
 # about d units of 2**-53 relative and a step by a few, so this covers any d
 # below 2**20.  A skipped test could not have projected: bit for bit.
 _BOUND_SLACK = 2.0 ** 20 * float(np.finfo(float).eps)
@@ -225,9 +244,8 @@ def _make_step(
     draw of step t + i, abs_delta_sum sums |delta| and tail_acc (unless None) v
     after each step.  An iterate whose squared norm is not finite puts a
     Diverged in failed[n] and ends row n's segment; the other rows go on.  A
-    frozen actor's policy table is precomputed and its update skipped.  The
-    one-hot branches step list copies of v and theta, written back before a
-    ball test reads them and when the segment ends.
+    frozen actor's table is built at policy.theta and its update skipped.  In a
+    segment each row is a list of Python floats, written back at its end.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -239,73 +257,54 @@ def _make_step(
     alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
     # no actor step and no projection: theta never leaves policy.theta
     frozen = sched.c_alpha == 0.0 and actor_radius is None
-    if frozen:
-        prob_cum = np.cumsum(policy.prob_table(), axis=1).tolist()
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
-    phi_cols = None if phi_cols is None else phi_cols.tolist()
-    cols = None if frozen or x_cols is None or n_actions >= 8 else x_cols.tolist()
+    cols = None if x_cols is None else x_cols.tolist()
+    if cols is None:  # x(s, b) per action, and per column across the actions
+        x_rows, x_by_col = x.tolist(), x.transpose(0, 2, 1).tolist()
+    phi_rows, phi_cols = phi.tolist(), None if phi_cols is None else phi_cols.tolist()
+
+    def logits(s, th):
+        return [_dot(x_b, th) for x_b in x_rows[s]] if cols is None else [th[c] for c in cols[s]]
+
+    if frozen:
+        prob_cum = [_softmax_cum(logits(s, policy.theta.tolist()))[1] for s in range(n_states)]
     # skip limits, and per state bounds on ||phi(s)|| and ||psi|| (<= sqrt 2 one-hot)
     grow = 1.0 + _BOUND_SLACK
     v_lim, phi_norm = _ball_limit(uv_radius, phi.shape[1]), np.linalg.norm(phi, axis=1).tolist()
     if actor_radius is not None:
         th_lim = _ball_limit(actor_radius, x.shape[2])
-        psi_norm = ([math.sqrt(2.0)] * n_states if x_cols is not None else
+        psi_norm = ([math.sqrt(2.0)] * n_states if cols is not None else
                     (2.0 * np.linalg.norm(x, axis=2).max(axis=1)).tolist())
 
-    def ball_test(iterate, rows, lists, t, n, failed):
-        """The exact ball test of rows[n], the critic's v or the actor's theta,
-        written from lists[n] first unless lists is None: returns the new bound
-        on its norm, or None after putting a Diverged in failed[n]."""
+    def ball_test(iterate, w, t, n, failed):
+        """Project w, row n's list of v (critic) or theta (actor), onto its ball in
+        place: the new bound on its norm, or None after a Diverged in failed[n]."""
         radius, coef = (uv_radius, "c_beta") if iterate == "critic" else (actor_radius, "c_alpha")
-        w = rows[n]
-        if lists is not None:
-            w[:] = lists[n]
-        w_sq = w @ w
+        w_sq = _dot(w, w)
         if not w_sq <= radius * radius:  # NaN too
             if not math.isfinite(w_sq):
                 failed[n] = Diverged(f"{iterate} diverged at step {t}: its squared norm is "
                                      f"{w_sq}; lower {coef} (now {getattr(sched, coef)!r})")
                 return None
-            w *= radius / math.sqrt(w_sq)
-            if lists is not None:
-                lists[n] = w.tolist()
+            scale = radius / math.sqrt(w_sq)
+            w[:] = [w_i * scale for w_i in w]
         return math.sqrt(w_sq) * grow
 
     def advance(t_start, t_end, u, theta_rows, v_rows, L, s, abs_delta_sum, tail_acc, failed):
         live = list(range(len(L)))
         L_n, s_n, delta_sums = L.tolist(), s.tolist(), abs_delta_sum.tolist()
-        vs, thetas = list(v_rows), list(theta_rows)
-        # list copies of the one-hot rows (of v only while no tail sum reads it)
-        vls = None if phi_cols is None or tail_acc is not None else v_rows.tolist()
-        ths = None if cols is None else theta_rows.tolist()
-        tails = None if tail_acc is None else list(tail_acc)
+        vs, ths = v_rows.tolist(), theta_rows.tolist()
+        tails = None if tail_acc is None else tail_acc.tolist()
         # bounds on each row's ||v|| and ||theta||; inf tests the first step exactly
         v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
         for t, (u_a, u_s, *u_r) in zip(range(t_start, t_end), u.tolist()):
             alpha, beta, gamma = (0.0 if frozen else alpha_f(t)), beta_f(t), gamma_f(t)
-            if cols is not None:
-                shifted = []
-                for n in live:
-                    logits = [ths[n][c] for c in cols[s_n[n]]]
-                    top = max(logits)
-                    shifted += [z - top for z in logits]
-                # np.exp, not math.exp, whose bits differ from the array loop's;
-                # it is elementwise, so one call serves every row
-                e_all = np.exp(shifted).tolist()
-            for k, n in enumerate(live):
+            for n in live:
                 s_t, L_t = s_n[n], L_n[n]
                 if frozen:
                     cum = prob_cum[s_t]
-                elif cols is None:
-                    logits = x[s_t] @ thetas[n]
-                    p = np.exp(logits - logits.max())
-                    p /= p.sum()
-                    cum = np.cumsum(p).tolist()
                 else:
-                    e = e_all[k * n_actions:(k + 1) * n_actions]
-                    *_, total = accumulate(e)
-                    p = [e_b / total for e_b in e]
-                    cum = list(accumulate(p))
+                    p, cum = _softmax_cum(logits(s_t, ths[n]))
                 a = bisect.bisect_right(cum, u_a[n])
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
@@ -317,13 +316,14 @@ def _make_step(
                     r = r + reward_noise * (2.0 * u_r[0][n] - 1.0)
                     r = min(max(r, -reward_bound), reward_bound)
 
+                v = vs[n]
                 if phi_cols is None:
-                    v, phi_s = vs[n], phi[s_t]
-                    delta = r - L_t + phi[s1] @ v - phi_s @ v
+                    phi_s = phi_rows[s_t]
+                    delta = r - L_t + _dot(phi_rows[s1], v) - _dot(phi_s, v)
                     g = beta * delta
-                    v += g * phi_s
+                    vs[n] = v = [v_i + g * f_i for v_i, f_i in zip(v, phi_s)]
                 else:  # phi_cols[s] is -1 for a zero row
-                    v, j, j1 = vs[n] if vls is None else vls[n], phi_cols[s_t], phi_cols[s1]
+                    j, j1 = phi_cols[s_t], phi_cols[s1]
                     delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
                     g = beta * delta
                     if j >= 0:
@@ -331,27 +331,27 @@ def _make_step(
                 L_n[n] = L_t + gamma * (r - L_t)
                 bound = (v_up[n] + abs(g) * phi_norm[s_t]) * grow
                 if not bound <= v_lim:  # NaN too
-                    bound = ball_test("critic", vs, vls, t, n, failed)
+                    bound = ball_test("critic", v, t, n, failed)
                     if bound is None:
                         continue
                 v_up[n] = bound
                 if not frozen:
-                    g = alpha * delta
-                    if cols is None:
-                        thetas[n] += g * (x[s_t, a] - p @ x[s_t])
-                    else:  # psi is 1 - p at a, -p elsewhere
-                        th, g = ths[n], float(g)  # keeps th on Python floats
+                    g, th = alpha * delta, ths[n]
+                    if cols is not None:  # psi is 1 - p at a, -p elsewhere
                         for b, c in enumerate(cols[s_t]):
                             th[c] = th[c] + g * (1.0 - p[b] if b == a else -p[b])
+                    else:  # psi = x(s, a) - sum_b p[b] x(s, b), column by column
+                        ths[n] = th = [th_c + g * (x_c - _dot(p, xs_c)) for th_c, x_c, xs_c
+                                       in zip(th, x_rows[s_t][a], x_by_col[s_t])]
                     if actor_radius is not None:
                         bound = (th_up[n] + abs(g) * psi_norm[s_t]) * grow
                         if not bound <= th_lim:
-                            bound = ball_test("actor", thetas, ths, t, n, failed)
+                            bound = ball_test("actor", th, t, n, failed)
                             if bound is None:
                                 continue
                         th_up[n] = bound
                 if tails is not None:
-                    tails[n] += vs[n]
+                    tails[n] = [acc + v_i for acc, v_i in zip(tails[n], v)]
                 # starting from the row's running sum, not 0, adds |delta| in step order
                 delta_sums[n] += abs(delta)
                 s_n[n] = s1
@@ -360,10 +360,9 @@ def _make_step(
                 if not live:
                     break
         L[:], s[:], abs_delta_sum[:] = L_n, s_n, delta_sums
-        if vls is not None:
-            v_rows[:] = vls
-        if ths is not None:
-            theta_rows[:] = ths
+        v_rows[:], theta_rows[:] = vs, ths
+        if tails is not None:
+            tail_acc[:] = tails
         return t + 1
 
     return advance

@@ -28,6 +28,7 @@ features.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, fields
 from typing import ClassVar
@@ -158,8 +159,10 @@ class SoftmaxLinearPolicy:
     @functools.cached_property
     def _prob(self) -> np.ndarray:
         logits = self.action_features @ self.theta  # (S, A)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        # libm's exp, as in the sampled kernel: np.exp's bits follow numpy's SIMD dispatch
+        p = np.fromiter(map(math.exp, shifted.ravel().tolist()), float,
+                        shifted.size).reshape(shifted.shape)
         p /= p.sum(axis=1, keepdims=True)
         p.flags.writeable = False
         return p

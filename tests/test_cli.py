@@ -18,7 +18,7 @@ from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
 from avgrl.envs import four_state_easy, save_mdp
 from avgrl.errors import OracleFailure, ParseError
-from avgrl.features import FeatureMap
+from avgrl.features import FeatureMap, make_features
 from avgrl.mdp import FiniteMdp
 from avgrl.metrics import CSV_HEADER, read_metrics_csv
 
@@ -692,6 +692,32 @@ class TestErrorPaths:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("command", ["solve", "validate", "train", "sweep"])
+    def test_huge_features_exit_two(self, tmp_path, capsys, command):
+        # a finite table whose A(theta) overflows: solve and validate used to die
+        # in LAPACK, train with a ZeroDivisionError in the kernel's ball test
+        path = tmp_path / "env.json"
+        mdp = four_state_easy()
+        huge = FeatureMap(1e200 * make_features("one_hot_reduced", mdp).table)
+        save_mdp(str(path), mdp, features=huge)
+        out = tmp_path / "out"
+        runs = ["--steps", "10", "--out", str(out)]
+        argv = [command, "--env", str(path)] + {"solve": [], "validate": [], "train": runs,
+                                                "sweep": runs + ["--seeds", "2"]}[command]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        message = ("the critic matrices A(theta), b(theta) are not finite: the feature "
+                   "table's largest |entry| is 1e+200; scale the features down")
+        if command == "sweep":  # recorded per seed
+            assert rc == 1
+            failed = json.loads((out / "sweep.json").read_text())["failed"]
+            assert failed == [[0, message], [1, message]]
+        else:
+            assert rc == 2
+            assert message in captured.err
+            assert captured.out == ""
+            assert list(tmp_path.iterdir()) == [path]
+
     def test_mistyped_env_file_exit_two(self, tmp_path, capsys):
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": "x",
@@ -779,6 +805,52 @@ def test_host_block_names_the_dispatch():
     proc = run_cli_process([sys.executable, "-c", code], env)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["x86_v4"] is False
+
+
+# The legs of test_trajectory_is_host_independent: environment settings that
+# change numpy's SIMD loops or OpenBLAS's kernels.
+HOST_LEGS = {
+    "default": {},
+    "no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+}
+
+
+def test_trajectory_is_host_independent(tmp_path):
+    # the sampled path runs on Python floats and libm's exp, so neither
+    # numpy's dispatch nor the OpenBLAS core moves a byte of the trajectory
+    # (t, L_t, delta_abs_mean, the final state); the oracle columns come from
+    # LAPACK and agree within 1e-10 relative (critic_err_sq amplifies the
+    # error in v* when v is near v*).  Seed 3's final theta is one that
+    # numpy's exp would change between the first two legs
+    knobs = {key for settings in HOST_LEGS.values() for key in settings}
+    legs = {}
+    for name, settings in HOST_LEGS.items():
+        env = {k: v for k, v in module_env().items() if k not in knobs} | settings
+        out = tmp_path / f"{name}.csv"
+        proc = run_cli_process([sys.executable, "-m", "avgrl", "train", "--env", "four-state",
+                                "--steps", "2000", "--metrics-every", "100", "--seed", "3",
+                                "--out", str(out)],
+                               env)
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = read_lines(out)
+        columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+        legs[name] = columns, json.loads(out.with_suffix(".json").read_text())
+    columns, sidecar = legs["default"]
+    assert len(columns["t"]) == 20
+    for name in ("no-avx512", "haswell"):
+        other, other_sidecar = legs[name]
+        assert other_sidecar["final"] == sidecar["final"], name
+        for col in CSV_HEADER.split(",")[:-1]:
+            if col in ("t", "L_t", "delta_abs_mean"):
+                assert other[col] == columns[col], (name, col)
+            else:
+                assert np.allclose(np.array(other[col], float), np.array(columns[col], float),
+                                   rtol=1e-10, atol=0.0), (name, col)
+    assert legs["no-avx512"][1]["host"]["x86_v4"] is False
+    if not sidecar["host"]["x86_v4"]:
+        warnings.warn("numpy dispatches no X86_V4 loops on this host: the "
+                      "NPY_DISABLE_CPU_FEATURES leg changed nothing")
 
 
 def test_console_script_smoke():

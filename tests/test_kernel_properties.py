@@ -29,14 +29,15 @@ def run_outcome(cfg):
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(n_actions=st.integers(2, 7), n_states=st.integers(2, 5), seed=st.integers(0, 2**16),
+@given(n_actions=st.integers(2, 9), n_states=st.integers(2, 5), seed=st.integers(0, 2**16),
        theta_scale=st.sampled_from([0.0, 0.5, 4.0]), radius=st.sampled_from([None, 0.5, 4.0]),
        noise=st.sampled_from([0.0, 0.3]), algo=st.sampled_from(sorted(ALGO_SCHEDULES)),
        critic=st.sampled_from(["one_hot_reduced", "random_unit"]))
 def test_list_branch_matches_dense_branch(n_actions, n_states, seed, theta_scale, radius,
                                           noise, algo, critic):
-    # a moving tabular actor with A < 8 steps on Python floats; with its
-    # detection off the same run takes the dense numpy branch, bit for bit
+    # a moving tabular actor's logits are lookups th[cols[s]]; with its
+    # detection off the same run takes the dense _dot route, bit for bit at any
+    # A, 8 and 9 included
     mdp = build_garnet(GarnetSpec(n_states=n_states, n_actions=n_actions,
                                   branching=min(2, n_states), seed=seed))
     pol = tabular_policy(mdp)

@@ -1,8 +1,11 @@
 """Step schedules, per-step invariants of the sampled update, and run determinism."""
 
+import ast
 import dataclasses
+import inspect
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -341,20 +344,35 @@ class TestRun:
             self.config(schedule=StepSchedule(c_alpha=0.0, c_gamma=2.5))
 
 
+def left_to_right(terms):
+    """The terms summed left to right from 0.0 (the builtin sum compensates
+    from Python 3.12 on)."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def dot(a, b):
+    return left_to_right(float(a_i) * float(b_i) for a_i, b_i in zip(a, b))
+
+
 def reference_run(mdp, pol, fmap, sched, steps, seed, uv_radius,
                   reward_noise, actor_radius):
-    """The update equations of the learner docstring, stepped plainly: draws
-    by np.searchsorted on freshly summed rows, the policy row recomputed
-    every step.  Returns the final (s, L, v, theta) and the mean |delta|."""
+    """The update equations of the learner docstring, stepped plainly in the
+    kernel's arithmetic (libm's exp, every sum left to right): draws by
+    np.searchsorted on freshly summed rows, the policy row recomputed and
+    every ball tested each step.  Returns the final (s, L, v, theta) and the
+    mean |delta|."""
     rng = np.random.Generator(np.random.Philox(seed))
     s = int(rng.integers(mdp.n_states))
     L, v, theta = 0.0, np.zeros(fmap.dim), np.array(pol.theta, dtype=float)
     x, phi = pol.action_features, fmap.table
     abs_delta_sum = 0.0
     for t in range(steps):
-        logits = x[s] @ theta
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
+        logits = [dot(x_b, theta) for x_b in x[s]]
+        e = [math.exp(z - max(logits)) for z in logits]
+        p = [e_b / left_to_right(e) for e_b in e]
         a = min(int(np.searchsorted(np.cumsum(p), rng.random(), side="right")),
                 mdp.n_actions - 1)
         s1 = min(int(np.searchsorted(np.cumsum(mdp.transition[s, a]), rng.random(),
@@ -364,14 +382,15 @@ def reference_run(mdp, pol, fmap, sched, steps, seed, uv_radius,
         if reward_noise > 0.0:
             r = r + reward_noise * (2.0 * rng.random() - 1.0)
             r = min(max(r, -mdp.reward_bound), mdp.reward_bound)
-        delta = r - L + phi[s1] @ v - phi[s] @ v
+        delta = r - L + dot(phi[s1], v) - dot(phi[s], v)
         L = L + sched.gamma(t) * (r - L)
         v = v + (sched.beta(t) * delta) * phi[s]
-        if v @ v > uv_radius * uv_radius:
-            v = v * (uv_radius / math.sqrt(v @ v))
-        theta = theta + (sched.alpha(t) * delta) * (x[s, a] - p @ x[s])
-        if actor_radius is not None and theta @ theta > actor_radius * actor_radius:
-            theta = theta * (actor_radius / math.sqrt(theta @ theta))
+        if dot(v, v) > uv_radius * uv_radius:
+            v = v * (uv_radius / math.sqrt(dot(v, v)))
+        mean_x = np.array([dot(p, x_c) for x_c in x[s].T])
+        theta = theta + (sched.alpha(t) * delta) * (x[s, a] - mean_x)
+        if actor_radius is not None and dot(theta, theta) > actor_radius * actor_radius:
+            theta = theta * (actor_radius / math.sqrt(dot(theta, theta)))
         abs_delta_sum += abs(delta)
         s = s1
     return s, L, v, theta, abs_delta_sum / steps
@@ -440,8 +459,9 @@ def test_one_hot_branch_matches_dense_branch(monkeypatch, algo, noise, radius, s
     assert np.array_equal(a.theta, b.theta)
 
 
-def test_eight_tabular_actions_take_the_dense_branch():
-    # numpy sums 8 entries pairwise, not left to right, so A = 8 stays on numpy
+def test_eight_tabular_actions_match_reference_stepper():
+    # numpy sums 8 or more entries pairwise; the kernel sums left to right at
+    # any A, so at A = 8 too a moving tabular actor equals the plain stepper
     mdp = build_garnet(GarnetSpec(n_states=3, n_actions=8, branching=2, seed=4))
     pol = tabular_policy(mdp)
     pol = pol.with_theta(np.random.default_rng(4).normal(size=pol.dim))
@@ -458,6 +478,34 @@ def test_eight_tabular_actions_take_the_dense_branch():
         assert np.array_equal(res.final.v, v)
         assert np.array_equal(res.final.theta, theta)
         assert res.rows[-1].delta_abs_mean == delta_abs_mean
+
+
+def numpy_and_sum_calls(func):
+    """(line, text) of each np./numpy. use and builtin sum call in the bodies
+    of func's inner functions, or in func's whole body when it has none."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func))).body[0]
+    inner = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not tree]
+    found = []
+    for scope in inner or [tree]:
+        for node in ast.walk(scope):
+            numpy_use = (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                         and node.value.id in ("np", "numpy"))
+            sum_call = (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "sum")
+            if numpy_use or sum_call:
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_step_loop_runs_on_python_floats():
+    # no numpy call in the segment stepper, whose bits would follow numpy's
+    # SIMD dispatch or the OpenBLAS core, and no builtin sum, which compensates
+    # from Python 3.12 on; the same holds for the helpers it calls
+    for func in (learner._make_step, learner._softmax_cum, learner._dot):
+        assert numpy_and_sum_calls(func) == [], func.__name__
+    source = inspect.getsource(learner._make_step)
+    assert "def advance(" in source and "def ball_test(" in source
 
 
 @pytest.mark.parametrize("table,expected", [
