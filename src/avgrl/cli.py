@@ -311,8 +311,9 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
 
 def cmd_train(opts: dict) -> int:
     config = _make_run_config(opts, opts["seed"])
-    result = learner.run(config)
     out = opts["out"] or "metrics.csv"
+    os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
+    result = learner.run(config)
     metrics.write_metrics_csv(out, result.rows)
     sidecar_path = os.path.splitext(out)[0] + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:

@@ -137,7 +137,7 @@ def matrix_A(
     E[phi(s)(phi(s') - phi(s))^T] under stationarity; b = E[(r - L) phi(s)].
     """
     chain = induced_chain(mdp, policy)
-    # Own solve, not _evaluate: perfbench/test_tracer.py pins it until ROADMAP item 1.
+    # By name, not via _evaluate: perfbench/test_tracer.py asserts features binds it.
     mu = stationary_distribution(chain)
     return _critic_matrices(features.table, chain, mu, float(mu @ chain.expected_reward))
 

@@ -15,14 +15,15 @@ Conventions:
     its closure `_reach` decides irreducibility and, in `oracles`, closed classes.
 
 Every array a FiniteMdp, SoftmaxLinearPolicy or PolicyChain holds is read-only,
-and so is every table a policy caches.  Its pi table and its last induced chain
-are built at most once per instance and shared by the oracles that evaluate one
-theta.  Its psi table is built, once, only by the routes that read it (the
-exact gradient, grad_stationary and actor_bias); the actor field and the
-metrics rows sum over the action features instead.  `_frozen_array` copies its
-input unless it already is a read-only float64 array owning its memory, which
-nothing can write to, so a policy made by `with_theta` shares the action
-features.
+and so is every table a policy or chain caches.  A policy's pi table and its
+last induced chain are built at most once per instance, and the chain's
+stationary distribution is solved at most once, all shared by the oracles that
+evaluate one theta: one LU solve per theta.  A policy's psi table is built,
+once, only by the routes that read it (the exact gradient, grad_stationary and
+actor_bias); the actor field and the metrics rows sum over the action features
+instead.  `_frozen_array` copies its input unless it already is a read-only
+float64 array owning its memory, which nothing can write to, so a policy made
+by `with_theta` shares the action features.
 """
 
 from __future__ import annotations
@@ -177,7 +178,11 @@ class SoftmaxLinearPolicy:
 
 @dataclass(frozen=True)
 class PolicyChain:
-    """Markov chain and expected one-step reward induced by a fixed policy."""
+    """Markov chain and expected one-step reward induced by a fixed policy.
+
+    Its stationary distribution is solved on first use and kept with it,
+    read-only (see stationary_distribution).
+    """
 
     kernel: np.ndarray  # (S, S)
     expected_reward: np.ndarray  # (S,)
@@ -201,6 +206,19 @@ class PolicyChain:
     @property
     def n_states(self) -> int:
         return self.kernel.shape[0]
+
+    @functools.cached_property
+    def _stationary(self) -> np.ndarray:
+        K = self.kernel
+        if not is_irreducible(K):
+            raise NotIrreducible("kernel support is not a single communicating class")
+        mu = _solve_stationary(K)
+        if np.abs(mu @ K - mu).max() > 1e-10:
+            raise SingularSystem(
+                f"stationary residual {np.abs(mu @ K - mu).max():.3e} exceeds 1e-10"
+            )
+        mu.flags.writeable = False
+        return mu
 
 
 def induced_chain(mdp: FiniteMdp, policy: SoftmaxLinearPolicy) -> PolicyChain:
@@ -305,32 +323,27 @@ def _solve_stationary(kernel: np.ndarray) -> np.ndarray:
 
 
 def stationary_distribution(chain: PolicyChain) -> np.ndarray:
-    """Unique stationary distribution mu of an irreducible kernel.
+    """Unique stationary distribution mu of an irreducible kernel, read-only.
 
     Solves the null-space system (P^T - I) mu = 0 with one of its rows replaced
-    by the normalization 1^T mu = 1, by one LU solve.  Raises NotIrreducible if
-    the support graph has more than one communicating class, and
-    SingularSystem if the solve fails or does not reproduce stationarity to
-    1e-10.
+    by the normalization 1^T mu = 1, by one LU solve, once per chain: mu is
+    kept on the chain, so every oracle that evaluates one policy on one MDP
+    (they share the chain through induced_chain) reads the same array.  Raises
+    NotIrreducible if the support graph has more than one communicating class,
+    and SingularSystem if the solve fails or does not reproduce stationarity
+    to 1e-10; a chain that fails is not kept as solved and raises again.
     """
-    K = chain.kernel
-    if not is_irreducible(K):
-        raise NotIrreducible("kernel support is not a single communicating class")
-    mu = _solve_stationary(K)
-    if np.abs(mu @ K - mu).max() > 1e-10:
-        raise SingularSystem(
-            f"stationary residual {np.abs(mu @ K - mu).max():.3e} exceeds 1e-10"
-        )
-    return mu
+    return chain._stationary
 
 
 def _evaluate(
     mdp: FiniteMdp, policy: SoftmaxLinearPolicy
 ) -> tuple[PolicyChain, np.ndarray, float]:
-    """(chain, mu, gain) of the policy from one stationary solve.
+    """(chain, mu, gain) of the policy.
 
-    Every exact quantity at a fixed theta is a function of these three, so a
-    caller that needs several of them evaluates the policy once.
+    Every exact quantity at a fixed theta is a function of these three.  The
+    chain is kept on the policy and mu on the chain, so the stationary solve
+    runs once per (policy, mdp) however many callers evaluate it.
     """
     chain = induced_chain(mdp, policy)
     mu = stationary_distribution(chain)

@@ -66,9 +66,9 @@ def exact_metrics_row(
     from the model, so each row reports true optimality gaps rather than
     sampled proxies.
 
-    A fresh row builds one policy at theta; its pi table and its chain are
-    built once and shared by the row's own solve, critic_fixed_point and
-    actor_field_M, which still solve for mu once each.  No psi table is built:
+    A fresh row builds one policy at theta; its pi table, its chain and the
+    chain's mu are built once and shared by the row's own read of mu,
+    critic_fixed_point and actor_field_M: one LU solve.  No psi table is built:
     M is summed over the action features (oracles._actor_field).  And
     critic_fixed_point settles A's conditioning by a Cholesky, with an SVD
     only when that fails (features._critic_solve).
@@ -84,7 +84,7 @@ def exact_metrics_row(
     else:
         pol = policy.with_theta(theta)
         chain = induced_chain(mdp, pol)
-        # Own solve, not _evaluate: perfbench/test_tracer.py pins 3 solves per moving row.
+        # By name, not via _evaluate: perfbench/test_tracer.py asserts metrics binds it.
         mu = stationary_distribution(chain)
         l_theta = float(mu @ chain.expected_reward)
         v_star = critic_fixed_point(mdp, pol, features)

@@ -120,6 +120,25 @@ class TestTrain:
         assert rc == 0
         assert read_lines(out) == [CSV_HEADER]
 
+    def test_out_into_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "sub" / "m.csv"
+        rc = main(["train", "--env", "four-state", "--steps", "1000",
+                   "--metrics-every", "500", "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        assert len(read_lines(out)) == 3
+        assert json.loads((tmp_path / "new" / "sub" / "m.json").read_text())["steps"] == 1000
+
+    def test_unwritable_out_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_text("")
+        ran = []
+        monkeypatch.setattr(cli.learner, "run", lambda config: ran.append(config))
+        rc = main(["train", "--env", "four-state", "--steps", "1000",
+                   "--out", str(tmp_path / "file" / "m.csv")])
+        assert rc == 2
+        assert "error" in capsys.readouterr().err
+        assert ran == []
+
     def test_deterministic_up_to_wall_clock(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

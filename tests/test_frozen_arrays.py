@@ -1,9 +1,9 @@
 """Every array held by the model objects is read-only (stdlib `ast`, then a
 run-time check).
 
-`SoftmaxLinearPolicy` caches its pi and psi tables and its last chain, hands
-them to every caller, and `with_theta` shares its action features with the new
-policy.  That is safe only while nothing can write to them, so:
+`SoftmaxLinearPolicy` caches its pi and psi tables and its last chain, and
+`PolicyChain` its stationary distribution; they hand them to every caller, and
+`with_theta` shares its action features with the new policy.  That is safe only while nothing can write to them, so:
 
   * each `np.ndarray` field of `FiniteMdp`, `SoftmaxLinearPolicy`,
     `PolicyChain` and `FeatureMap` is set in `__post_init__` through

@@ -9,14 +9,16 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from avgrl import mdp as mdp_module
 from avgrl.envs import GarnetSpec, build_garnet, tabular_policy
-from avgrl.errors import InvariantViolation, NotIrreducible
+from avgrl.errors import InvariantViolation, NotIrreducible, SingularSystem
 from avgrl.features import FeatureMap
 from avgrl.mdp import (
     FiniteMdp,
     PolicyChain,
     SoftmaxLinearPolicy,
     _reach,
+    _solve_stationary,
     advantage_table,
     average_reward,
     chain_period,
@@ -371,6 +373,59 @@ class TestSharedTables:
             assert not got.theta.flags.writeable
             assert not got.action_features.flags.writeable
             assert got.prob_table().tobytes() == pol.prob_table().tobytes()
+
+    def test_mu_kept_read_only_on_the_chain(self):
+        m = two_action_garnet(6)
+        chain = induced_chain(m, tabular_policy(m, np.random.default_rng(6).normal(size=15)))
+        mu = stationary_distribution(chain)
+        assert stationary_distribution(chain) is mu
+        assert stationary_distribution(induced_chain(m, tabular_policy(m))) is not mu
+        assert not mu.flags.writeable
+        with pytest.raises(ValueError):
+            mu[0] = 0.5
+
+    def test_mu_equals_a_fresh_solve_bit_for_bit(self):
+        for seed in range(10):
+            m = two_action_garnet(seed)
+            pol = tabular_policy(m, np.random.default_rng(seed).normal(size=15))
+            chain = induced_chain(m, pol)
+            assert stationary_distribution(chain).tobytes() == \
+                _solve_stationary(chain.kernel).tobytes()
+
+    def test_copies_leave_mu_behind(self):
+        m = two_action_garnet(7)
+        chain = induced_chain(m, tabular_policy(m, np.random.default_rng(7).normal(size=15)))
+        mu = stationary_distribution(chain)
+        assert set(vars(chain)) == {"kernel", "expected_reward", "_stationary"}
+        for copy_of in (lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy, copy.copy):
+            got = copy_of(chain)
+            assert set(vars(got)) == {"kernel", "expected_reward"}
+            again = stationary_distribution(got)
+            assert again is not mu
+            assert again.tobytes() == mu.tobytes()
+
+    def test_reducible_chain_raises_on_every_call(self):
+        chain = PolicyChain(np.eye(2), np.zeros(2))  # two absorbing states
+        for _ in range(2):
+            with pytest.raises(NotIrreducible):
+                stationary_distribution(chain)
+            assert "_stationary" not in vars(chain)
+
+    def test_residual_failure_raises_on_every_call(self, monkeypatch):
+        # the LU solve stands in for one that lands off the stationary vector
+        chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.zeros(2))  # mu = (2/3, 1/3)
+        solves = []
+
+        def off_target(kernel):
+            solves.append(kernel)
+            return np.full(2, 0.5)
+
+        monkeypatch.setattr(mdp_module, "_solve_stationary", off_target)
+        for n in (1, 2):
+            with pytest.raises(SingularSystem, match="stationary residual 2.500e-01"):
+                stationary_distribution(chain)
+            assert len(solves) == n
+            assert "_stationary" not in vars(chain)
 
 
 class TestGradients:

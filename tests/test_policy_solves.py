@@ -1,12 +1,14 @@
 """One stationary solve per policy evaluation, and the routes that share it.
 
 A run's metrics rows share one policy solution while theta stands still, so a
-frozen-actor run solves once in all and a moving one three times per row.  The
-three solves of a moving row share one pi table and one chain, and the row
-builds no psi table: its actor field reads the action features.
+frozen-actor run asks for mu three times in all and a moving one three times
+per row.  The three calls of a moving row share one pi table, one chain and
+the one LU solve kept on that chain, and the row builds no psi table: its
+actor field reads the action features.
 
-Counting wraps `stationary_distribution` in every `avgrl` namespace that binds
-it, so a solve is counted whichever module calls it.
+`solves` counts calls: it wraps `stationary_distribution` in every `avgrl`
+namespace that binds it, so a call is counted whichever module makes it.
+`lu_solves` counts the LU solves behind them (`mdp._solve_stationary`).
 """
 
 import contextlib
@@ -40,6 +42,19 @@ def solves(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "avgrl" and getattr(mod, "stationary_distribution", None) is original:
             monkeypatch.setattr(mod, "stationary_distribution", counting)
+    return calls
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    original = mdp_module._solve_stationary
+    calls = []
+
+    def counting(kernel):
+        calls.append(kernel.shape[0])
+        return original(kernel)
+
+    monkeypatch.setattr(mdp_module, "_solve_stationary", counting)
     return calls
 
 
@@ -104,8 +119,8 @@ def run_config(name, schedule, steps):
 
 
 @pytest.mark.parametrize("name", ["four-state", "gridworld4"])
-def test_frozen_run_solves_once(solves, monkeypatch, name):
-    # every row of a frozen run is at theta_0: one row's 3 solves serve them all
+def test_frozen_run_solves_once(solves, lu_solves, monkeypatch, name):
+    # every row of a frozen run is at theta_0: one row's 3 calls, one LU, serve them all
     cfg = run_config(name, FROZEN, 1000)
     seen = []
     real = metrics.exact_metrics_row
@@ -120,6 +135,7 @@ def test_frozen_run_solves_once(solves, monkeypatch, name):
     res = run(cfg)
     assert len(res.rows) == 10
     assert len(solves) == 3
+    assert len(lu_solves) == 1
     for (args, kw, row), kept in zip(seen, res.rows, strict=True):
         assert row is kept
         assert real(*args, **kw, memo=[]) == row  # a fresh row, bit for bit
@@ -132,10 +148,11 @@ def test_frozen_batch_solves_once(solves):
     assert len(solves) == 3
 
 
-def test_moving_run_solves_three_per_row(solves):
+def test_moving_run_solves_three_per_row(solves, lu_solves):
     res = run(run_config("four-state", algo_schedule("ca"), 1000))
     assert len(res.rows) == 10
     assert len(solves) == 3 * len(res.rows)
+    assert len(lu_solves) == len(res.rows)
 
 
 @pytest.fixture
@@ -187,3 +204,18 @@ def test_moving_row_builds_tables_once(solves, builds, name):
     delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
     M_psi = np.tensordot(mu[:, None] * pol.prob_table() * delta, pol.score_table(), axes=2)
     assert np.linalg.norm(M - M_psi) <= 1e-12 * np.linalg.norm(M_psi)
+
+
+@pytest.mark.parametrize("name", ["four-state", "gridworld4", "garnet"])
+def test_moving_row_solves_one_lu(solves, lu_solves, name):
+    mdp, policy, fmap = problem(name)
+    theta = np.random.default_rng(8).normal(size=policy.dim)
+    v = np.random.default_rng(9).normal(size=fmap.dim)
+    row = metrics.exact_metrics_row(mdp, policy, fmap, t=1, theta=theta, v=v, L=0.1,
+                                    delta_abs_mean=0.0, wall_ns=0, memo=[])
+    assert (len(solves), len(lu_solves)) == (3, 1)
+    # a fresh memo builds a fresh policy at the same theta: one more solve, the same row
+    again = metrics.exact_metrics_row(mdp, policy, fmap, t=1, theta=theta, v=v, L=0.1,
+                                      delta_abs_mean=0.0, wall_ns=0, memo=[])
+    assert (len(solves), len(lu_solves)) == (6, 2)
+    assert again == row
