@@ -385,8 +385,12 @@ def cmd_rate(files: list[str], opts: dict) -> int:
             raise ParseError(f"{path}: need columns 't' and {metric!r}")
         if not np.isfinite(cols["t"]).all():
             raise ParseError(f"{path}: every t must be finite")
+        if not np.isfinite(cols[metric]).all():
+            raise ParseError(f"{path}: every {metric} must be finite")
         columns.append((cols["t"], cols[metric]))
     ts, ys = metrics._mean_by_t(columns)
+    if not np.isfinite(ys).all():
+        raise ParseError(f"the mean of {metric} at t = {ts[~np.isfinite(ys)][0]:g} overflows")
     est = metrics.rate_slope(ts, ys, t_min=t_min, metric=metric)
     print(json.dumps({
         "metric": est.metric, "slope": est.slope, "r_squared": est.r_squared,

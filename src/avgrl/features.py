@@ -175,7 +175,8 @@ def _well_inside_negative_definite(A: np.ndarray) -> bool:
 
 
 def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """v* = -A^{-1} b; SingularA when A fails the conditioning or residual test.
+    """v* = -A^{-1} b; SingularA when A fails the conditioning or residual test,
+    or when v* is not finite.
 
     The conditioning test asks for sigma_min(A) > 1e-12 sigma_max(A).  A
     Cholesky of -sym(A) - tau I (`_well_inside_negative_definite`) settles it
@@ -201,7 +202,10 @@ def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         v = np.linalg.solve(A, -b)
     except np.linalg.LinAlgError as exc:
         raise SingularA("critic matrix A is singular") from exc
-    if np.linalg.norm(A @ v + b) > 1e-10 * max(1.0, np.linalg.norm(b)):
+    if not np.isfinite(v).all():
+        raise SingularA("critic fixed point is not finite; A is near singular or b too large")
+    # math.hypot scales, so neither norm overflows on a finite vector; a NaN residual fails
+    if not math.hypot(*(A @ v + b).tolist()) <= 1e-10 * max(1.0, math.hypot(*b.tolist())):
         raise SingularA("critic solve residual exceeds tolerance; A is near singular")
     return v
 

@@ -213,7 +213,7 @@ class PolicyChain:
         if not is_irreducible(K):
             raise NotIrreducible("kernel support is not a single communicating class")
         mu = _solve_stationary(K)
-        if np.abs(mu @ K - mu).max() > 1e-10:
+        if not np.abs(mu @ K - mu).max() <= 1e-10:  # a NaN residual fails too
             raise SingularSystem(
                 f"stationary residual {np.abs(mu @ K - mu).max():.3e} exceeds 1e-10"
             )
@@ -367,7 +367,7 @@ def _differential(chain: PolicyChain, mu: np.ndarray, gain: float) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("differential value system is singular") from exc
     bellman = (np.eye(n) - K) @ V - rhs
-    if np.abs(bellman).max() > 1e-9 or abs(mu @ V) > 1e-9:
+    if not (np.abs(bellman).max() <= 1e-9 and abs(mu @ V) <= 1e-9):  # NaN fails too
         raise SingularSystem("differential value residual exceeds 1e-9")
     return V
 

@@ -7,25 +7,31 @@ The CSV schema is frozen; downstream tooling greps these exact column names:
 Every float is serialized with repr(), which round-trips exactly, and wall_ns
 is the only column allowed to differ between reruns of the same seed.
 
-CSVs are read as columns: `read_table` checks each line's field count, then
-parses every data line in one `np.loadtxt` call.  `rate` merges several files
-with `_mean_by_t`, one vectorised mean per t that sums the samples in the
-order `np.mean` would.
+CSVs are read as columns: `read_table` parses every data line in one
+`np.loadtxt` call, and checks each line's field count only when that call
+fails or returns the wrong shape.  `rate` merges several files with
+`_mean_by_t`, one vectorised mean per t that sums the samples in the order
+`np.mean` would.
 
 Rate estimation fits an ordinary-least-squares line to log(windowed metric)
 vs log t where the window is a trailing-decade geometric mean; for an exact
-power law t^p the fitted slope is p.
+power law t^p the fitted slope is p.  Each window's log sum is the correctly
+rounded exact sum (`math.fsum`'s), taken from exact integer prefix sums, so
+windowing is O(n) in the row count.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
+import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import InsufficientData, ParseError
+from .errors import InsufficientData, InvalidSpec, ParseError
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distribution
 from .oracles import _actor_field, actor_field_M, critic_fixed_point
@@ -127,6 +133,13 @@ def read_table(path: str) -> dict[str, np.ndarray]:
     name; a cell is a decimal float as numpy's `loadtxt` reads it (optional
     sign, `inf` and `nan` too, surrounding blanks and one pair of double
     quotes allowed).  Anything else is a `ParseError`.
+
+    One `np.loadtxt` call parses every data line.  It makes at most one row
+    of a line (none of a blank one), and a row of one float per name holds
+    exactly the line's commas, so one row per line and one column per name,
+    with no warning, means every line has its fields.  Any other outcome runs
+    the per-line field count check, then loadtxt again: a ragged or blank
+    line is named before a non-numeric cell, wherever each is.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -143,18 +156,30 @@ def read_table(path: str) -> dict[str, np.ndarray]:
     repeated = sorted({name for name in header if header.count(name) > 1})
     if repeated:
         raise ParseError(f"{path}: repeated column names {repeated}")
+    if len(lines) == 1:  # loadtxt warns on no data
+        return {name: np.empty(0) for name in header}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            data = _loadtxt(lines[1:])
+        if data.shape == (len(lines) - 1, len(header)):
+            return dict(zip(header, data.T))
+    except (ValueError, UserWarning):
+        pass
     commas = len(header) - 1
     for line_no, line in enumerate(lines[1:], start=2):
         if not line or line.count(",") != commas:
             got = line.count(",") + 1 if line else 0
             raise ParseError(f"{path}:{line_no}: expected {len(header)} fields, got {got}")
-    if len(lines) == 1:  # loadtxt warns on no data
-        return {name: np.empty(0) for name in header}
     try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar='"', ndmin=2)
+        data = _loadtxt(lines[1:])
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric cell ({exc})") from exc
     return dict(zip(header, data.T))
+
+
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
 
 def _mean_by_t(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +196,11 @@ def _mean_by_t(columns: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray
     uniq, starts, counts = np.unique(t_all[order], return_index=True, return_counts=True)
     y_sorted = y_all[order]
     means = np.empty(len(uniq))
-    for c in np.unique(counts):
-        sel = counts == c
-        block = y_sorted[starts[sel][:, None] + np.arange(c)]
-        means[sel] = np.add.reduce(block, axis=1) / c
+    with np.errstate(over="ignore"):  # a mean that overflows is inf; the caller refuses it
+        for c in np.unique(counts):
+            sel = counts == c
+            block = y_sorted[starts[sel][:, None] + np.arange(c)]
+            means[sel] = np.add.reduce(block, axis=1) / c
     return uniq, means
 
 
@@ -189,17 +215,32 @@ def windowed_geomean(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     """Trailing-decade geometric mean: w(t) = geomean of y over t' in (t/10, t].
 
     Nonpositive samples are dropped from each window; rows whose window is
-    empty after dropping are omitted from the output.
+    empty after dropping are omitted from the output.  A sample of +inf is an
+    InvalidSpec.
+
+    w(t) = exp(math.fsum(logs) / k) bit for bit, in O(n) overall: each log is
+    an integer times a power of two (np.frexp), so scaled by a common power
+    of two the logs are integers whose prefix sums are exact Python ints.  A
+    window's sum is the difference of two prefix sums divided by the scale,
+    which int true division rounds correctly, as fsum does.
     """
     order = np.argsort(ts)
     ts, ys = np.asarray(ts)[order], np.asarray(ys)[order]
     positive = ys > 0.0
     pos_t, log_y = ts[positive], np.log(ys[positive])
+    if not np.isfinite(log_y).all():
+        raise InvalidSpec("windowed_geomean: a positive sample is not finite")
     # each window is the contiguous run of positive samples with t/10 < t' <= t
     lo = np.searchsorted(pos_t, ts / 10.0, side="right")
     hi = np.searchsorted(pos_t, ts, side="right")
     keep = hi > lo
-    out_w = [math.exp(float(np.add.reduce(log_y[i:j])) / (j - i))
+    mant, expo = np.frexp(log_y)  # log_y = mant * 2**expo, mant * 2**53 an integer
+    e_min = int(expo.min(initial=0))
+    ints = map(operator.lshift, np.ldexp(mant, 53).astype(np.int64).tolist(),
+               (expo - e_min).tolist())
+    prefix = list(accumulate(ints, initial=0))  # prefix sums of log_y * scale, exact
+    scale = 1 << (53 - e_min)
+    out_w = [math.exp((prefix[j] - prefix[i]) / scale / (j - i))
              for i, j in zip(lo[keep].tolist(), hi[keep].tolist())]
     return ts[keep], np.array(out_w)
 

@@ -373,6 +373,33 @@ class TestRate:
         assert rc == 2
         assert "every t must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("y", ["nan", "inf", "-inf"])
+    def test_non_finite_metric_exit_two(self, tmp_path, capsys, y):
+        # an inf used to make rate exit 0 and print "slope": NaN, which is not JSON
+        path = tmp_path / "decay.csv"
+        write_power_law_csv(str(path), -0.5)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"2000000,{y}\n")
+        rc = main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "100"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {path}: every critic_err_sq must be finite\n"
+        assert captured.out == ""
+
+    def test_overflowing_mean_exit_two(self, tmp_path, capsys):
+        # two finite samples whose per-t mean overflows to inf
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            paths.append(tmp_path / name)
+            write_power_law_csv(str(paths[-1]), -0.5)
+            with open(paths[-1], "a", encoding="utf-8") as fh:
+                fh.write("2000000,1e308\n")
+        rc = main(["rate", *map(str, paths), "--metric", "critic_err_sq", "--t-min", "100"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: the mean of critic_err_sq at t = 2e+06 overflows\n"
+        assert captured.out == ""
+
     def test_repeated_column_exit_two(self, tmp_path, capsys):
         # t,x,x used to fill x with two samples per row, misaligned with t
         path = tmp_path / "dup.csv"
@@ -434,6 +461,20 @@ class TestSolve:
         rc = main(["solve", "--env", "four-state", "--theta", str(path)])
         assert rc == 2
         assert "theta has 2 entries, the policy takes 8" in capsys.readouterr().err
+
+    def test_overflowing_critic_fixed_point_exits_one(self, tmp_path, capsys):
+        # rewards of +-1e308 keep mu, L and V finite, but v* = -A^-1 b overflows;
+        # solve used to exit 0 and print "v_star": [Infinity] and "M_norm": NaN
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": 1.7e308,
+                                   "P": [[[0.5, 0.5]], [[0.5, 0.5]]],
+                                   "R": [[1e308], [-1e308]]}))
+        rc = main(["solve", "--env", str(env)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: critic fixed point is not finite; A is near singular or b too large"]
 
 
 class TestConfigLayering:

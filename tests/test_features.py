@@ -1,5 +1,7 @@
 """Feature-map construction, the critic matrix A, and the assumption report."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,7 +188,9 @@ def svd_critic_solve(A, b):
         v = np.linalg.solve(A, -b)
     except np.linalg.LinAlgError as exc:
         raise SingularA("critic matrix A is singular") from exc
-    if np.linalg.norm(A @ v + b) > 1e-10 * max(1.0, np.linalg.norm(b)):
+    if not np.isfinite(v).all():
+        raise SingularA("critic fixed point is not finite; A is near singular or b too large")
+    if not math.hypot(*(A @ v + b).tolist()) <= 1e-10 * max(1.0, math.hypot(*b.tolist())):
         raise SingularA("critic solve residual exceeds tolerance; A is near singular")
     return v
 
@@ -244,6 +248,30 @@ def test_conditioning_check_matches_svd(kind, n, seed, log_ratio, skew, scale):
     # SingularA decision, with its message, and the same v
     A, b = critic_system(kind, n, seed, log_ratio, skew, scale)
     assert solve_outcome(_critic_solve, A, b) == solve_outcome(svd_critic_solve, A, b)
+
+
+def test_critic_solve_refuses_an_overflowing_fixed_point():
+    # A is well conditioned, but v* = -A^-1 b = 2e308 overflows to inf; the
+    # tolerance from ||b|| used to overflow too, and inf > inf let v = [inf] through
+    with pytest.raises(SingularA, match="critic fixed point is not finite"):
+        _critic_solve(np.array([[-0.25]]), np.array([5e307]))
+
+
+def test_critic_solve_residual_test_at_any_scale(monkeypatch):
+    # a stand-in solve lands 1e294 off v* = 1e300, against a tolerance of
+    # 1e-10 ||b|| = 1e290; the tolerance used to overflow to inf for any
+    # ||b|| above about 1e154
+    monkeypatch.setattr(np.linalg, "solve", lambda A, rhs: np.array([1.000001e300]))
+    with pytest.raises(SingularA, match="residual exceeds tolerance"):
+        _critic_solve(np.array([[-1.0]]), np.array([1e300]))
+
+
+def test_critic_solve_refuses_a_nan_residual():
+    # the SVD passes A = [[inf]] and the solve gives v = [-0.0], so the
+    # residual is inf * -0.0 = NaN, which NaN > tol used to let through
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(SingularA, match="residual exceeds tolerance"):
+            _critic_solve(np.array([[np.inf]]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("env", ["four-state", "garnet"])

@@ -427,6 +427,21 @@ class TestSharedTables:
             assert len(solves) == n
             assert "_stationary" not in vars(chain)
 
+    @pytest.mark.parametrize("residual", [1e-8, math.nan])
+    def test_residual_just_over_the_bound_raises(self, monkeypatch, residual):
+        # mu = (2/3 + d, 1/3 - d) has residual 1.5 d; NaN must fail the test too
+        chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.zeros(2))
+        d = residual / 1.5
+        monkeypatch.setattr(mdp_module, "_solve_stationary",
+                            lambda kernel: np.array([2.0 / 3.0 + d, 1.0 / 3.0 - d]))
+        with pytest.raises(SingularSystem, match=r"stationary residual (1\.000e-08|nan) "):
+            stationary_distribution(chain)
+
+    def test_nan_differential_residual_raises(self):
+        chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.zeros(2))
+        with pytest.raises(SingularSystem, match="differential value residual exceeds 1e-9"):
+            mdp_module._differential(chain, stationary_distribution(chain), math.nan)
+
 
 class TestGradients:
     def test_policy_gradient_finite_difference(self):

@@ -1,12 +1,14 @@
 """Metrics rows, CSV round trips, windowing, rate fits, and seed aggregation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avgrl.envs import four_state_easy, tabular_policy
-from avgrl.errors import InsufficientData, ParseError
+from avgrl.errors import InsufficientData, InvalidSpec, ParseError
 from avgrl.features import make_features
 from avgrl.metrics import (
     AGGREGATE_HEADER,
@@ -119,6 +121,26 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=r"one\.csv:3:"):
             read_table(str(path))
 
+    @pytest.mark.parametrize("text, message", [
+        # the field count check runs over every line before any cell is read
+        ("a,b\n1,x\n3,4\n5\n", r"f\.csv:4: expected 2 fields, got 1"),
+        ("a,b\n1,x\n3,4\n\n5,6\n", r"f\.csv:4: expected 2 fields, got 0"),
+        ('a,b\n"1,2"\n', r"f\.csv: non-numeric cell \(could not convert string '1,2'"),
+        ("t\nx\n1\n\n", r"f\.csv:4: expected 1 fields, got 0"),
+        ("t\n\n", r"f\.csv:2: expected 1 fields, got 0"),
+        ("a,b\n1,x\n3,4\n", r"f\.csv: non-numeric cell \(could not convert string 'x'"),
+    ])
+    def test_error_precedence(self, tmp_path, text, message):
+        # loadtxt skips a blank line and warns on no data: neither may hide the
+        # line, and no warning may escape
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ParseError, match=message):
+                read_table(str(path))
+        assert caught == []
+
     @pytest.mark.parametrize("cell", ["2 # c", "1_0", "0x10", "", "2j"])
     def test_non_numeric_cells(self, tmp_path, cell):
         # '#' starts no comment, and an underscore is no digit separator
@@ -185,25 +207,43 @@ class TestWindowing:
         assert wt.tolist() == [30.0]
         assert wv[0] == pytest.approx(8.0)
 
+    @staticmethod
+    def by_definition(ts, ys):
+        """(t, w) row by row: a mask over (t/10, t] and y > 0, then exp of the
+        correctly rounded mean of the logs."""
+        order = np.argsort(ts)
+        sts, sys_ = ts[order], ys[order]
+        return [(t, math.exp(math.fsum(np.log(sys_[mask])) / mask.sum()))
+                for t in sts.tolist()
+                for mask in [(sts > t / 10.0) & (sts <= t) & (sys_ > 0.0)] if mask.any()]
+
     def test_matches_per_row_mask(self):
-        # the definition row by row: a mask over (t/10, t] and y > 0, then the
-        # mean of the logs; ties in t and zeros in y included, bit for bit
+        # ties in t and zeros in y included, bit for bit
         rng = np.random.default_rng(7)
         for n in (1, 9, 300):
             ts = rng.integers(1, 40, size=n) * 10.0
             ys = rng.lognormal(size=n)
             ys[rng.random(n) < 0.2] = 0.0
-            order = np.argsort(ts)
-            sts, sys_ = ts[order], ys[order]
-            want_t, want_w = [], []
-            for t in sts:
-                mask = (sts > t / 10.0) & (sts <= t) & (sys_ > 0.0)
-                if mask.any():
-                    want_t.append(t)
-                    want_w.append(math.exp(np.mean(np.log(sys_[mask]))))
             wt, wv = windowed_geomean(ts, ys)
-            assert wt.tolist() == want_t
-            assert wv.tolist() == want_w
+            assert list(zip(wt.tolist(), wv.tolist())) == self.by_definition(ts, ys)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(1, 60),
+                              st.one_of(st.sampled_from([0.0, -1.0, 1.0]),
+                                        st.builds(math.ldexp, st.floats(0.5, 1.0),
+                                                  st.integers(-1000, 1000)))),
+                    min_size=1, max_size=80))
+    def test_equals_exact_window_sums(self, samples):
+        # ties in t, zeros, negatives, single-sample windows and y from
+        # 2**-1000 to 2**1000, bit for bit
+        ts = np.array([t for t, _ in samples], dtype=float) ** 2
+        ys = np.array([y for _, y in samples])
+        wt, wv = windowed_geomean(ts, ys)
+        assert list(zip(wt.tolist(), wv.tolist())) == self.by_definition(ts, ys)
+
+    def test_infinite_sample_refused(self):
+        with pytest.raises(InvalidSpec, match="not finite"):
+            windowed_geomean(np.array([1.0, 2.0]), np.array([1.0, math.inf]))
 
     def test_value_at_nearest(self):
         ts = np.array([10.0, 100.0, 1000.0])
