@@ -1,13 +1,14 @@
 """Command-line harness: validate / train / sweep / rate / solve.
 
-Exit codes: 0 on success (for `validate`: all assumptions PASS and the
-average-reward tracker does not expand).  2 when an input is refused before
-anything runs: a file that cannot be read or parsed, or a value refused by the
-object that holds it (InvalidSpec, InvariantViolation, InfeasibleDimension for
-`--features`).  1 when a check that a command performs fails (`validate`'s
-verdicts, too few rows for `rate`) or a run fails.  Any flag can also come
-from `--config FILE`, a JSON object or flat `key=value` lines, each value read
-with its flag's type; explicit flags override file values.
+Exit codes: 0 on success (for `validate`: all assumptions PASS, every
+constant is finite and the average-reward tracker does not expand).  2 when an
+input is refused before anything runs: a file that cannot be read or parsed,
+or a value refused by the object that holds it (InvalidSpec,
+InvariantViolation, InfeasibleDimension for `--features`).  1 when a check
+that a command performs fails (`validate`'s verdicts, too few rows for `rate`)
+or a run fails.  Any flag can also come from `--config FILE`, a JSON object or
+flat `key=value` lines, each value read with its flag's type; explicit flags
+override file values.
 """
 
 from __future__ import annotations
@@ -219,6 +220,9 @@ def cmd_validate(opts: dict) -> int:
           f"tracker_ok={flags.tracker_ok}")
     consts = " ".join(f"{k}={v:.6g}" for k, v in report.constants.items())
     print(f"constants: {consts}")
+    not_finite = [f"{k}={v:.6g}" for k, v in report.constants.items() if not np.isfinite(v)]
+    if not_finite:
+        print(f"finite constants: FAIL  {' '.join(not_finite)}")
 
     doc = report.to_dict()
     doc["assumption1_ok"] = a1
@@ -229,7 +233,7 @@ def cmd_validate(opts: dict) -> int:
         with open(opts["out"], "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return 0 if (a1 and a2 and a3 and flags.tracker_ok) else 1
+    return 0 if (a1 and a2 and a3 and flags.tracker_ok and not not_finite) else 1
 
 
 def _positive_int(opts: dict, key: str) -> int:

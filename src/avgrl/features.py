@@ -210,6 +210,16 @@ def _critic_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return v
 
 
+def critic_radius(v_star: np.ndarray) -> float:
+    """The default critic projection radius U_v = max(10 ||v*||, 1).  ||v*|| is
+    np.linalg.norm's, or the scaled math.hypot's where that overflows."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v_star))
+    if not math.isfinite(norm):
+        norm = math.hypot(*v_star.tolist())
+    return max(10.0 * norm, 1.0)
+
+
 @dataclass
 class AssumptionReport:
     """Sampled validation report for the critic and mixing assumptions.
@@ -281,7 +291,7 @@ def check_assumption2(
     derives the constants used by the step-size ratio bound:
 
         B  = 2 max ||x(s,a)||          (score bound)
-        U_v = max(10 ||v*(theta_0)||, 1)   (critic projection radius)
+        U_v = max(10 ||v*(theta_0)||, 1)   (critic projection radius, critic_radius)
         Ubar_v = 2 max_theta ||V^theta||_inf
         G  = 2 (U_r + U_v) B
         U_w = 2 B (U_v + Ubar_v)
@@ -306,7 +316,7 @@ def check_assumption2(
 
     lambdas: list[float] = []
     vbar = 0.0
-    v_star_norm = np.nan
+    u_v = np.nan  # stays NaN without a unique fixed point at theta_0
     for i, theta in enumerate(thetas):
         chain, mu, gain = _mdp._evaluate(mdp, policy.with_theta(theta))
         A, b = _critic_matrices(features.table, chain, mu, gain)
@@ -316,12 +326,11 @@ def check_assumption2(
         vbar = max(vbar, float(np.abs(V).max()))
         if i == 0:
             try:
-                v_star_norm = float(np.linalg.norm(_critic_solve(A, b)))
+                u_v = critic_radius(_critic_solve(A, b))
             except SingularA:
-                v_star_norm = np.nan  # no unique fixed point at theta_0
+                pass
 
     B = policy.score_bound
-    u_v = max(10.0 * v_star_norm, 1.0) if np.isfinite(v_star_norm) else np.nan
     ubar_v = 2.0 * vbar
     G = 2.0 * (mdp.reward_bound + u_v) * B
     u_w = 2.0 * B * (u_v + ubar_v)

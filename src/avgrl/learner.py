@@ -17,9 +17,9 @@ optional radius reproduces the projected variant.
 One private driver, _drive(configs), runs configs that differ only in seed:
 `run(config)` is its one-seed case and `run_batch(configs)` the checked way in
 for several.  Its one kernel, _make_step, runs a segment (up to the next
-metrics row or the end of a draw block) on (N, .) state arrays in place, step
-by step and within a step every live seed in turn, each seed bit for bit as
-its one-seed run.  One BLAS thread, 2-core host, ca schedule (frozen:
+metrics row or the end of a draw block) on each seed's state in place, step by
+step and within a step every live seed in turn, each seed bit for bit as its
+one-seed run.  One BLAS thread, 2-core host, ca schedule (frozen:
 c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
 
     moving / frozen, N =   1          4          8          10
@@ -27,17 +27,19 @@ c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
     gridworld4, one-hot    4.1 / 1.2  3.4 / 0.8  3.4 / 0.7  3.2 / 0.7
     random_unit:6 critic   5.6 / 2.9  5.1 / 2.3  5.4 / 2.3  5.0 / 2.4
 
-The segment loop calls no numpy: theta, v and the tail sum are lists of
-Python floats, written back when the segment ends.  One softmax, _softmax_cum
-(libm's math.exp, sums left to right), builds the frozen actor's table at
-theta_0 and steps a moving one; every dot product and squared norm is a
-left-to-right _dot, never the builtin sum, which compensates from Python 3.12
-on.  So a trajectory does not depend on numpy's SIMD dispatch or the OpenBLAS
-core.  One-hot features, detected at build time by exact comparison, take
-lookups, bit for bit the _dot route: th[cols[s]] for the logits when each
-x[s, a] is a unit vector (distinct within a state), v[j] for phi(s).v when
-each phi(s) is zero or a unit vector.  An iterate's ball test runs only when a
-bound on its norm could reach the radius (_BOUND_SLACK).
+The segment loop calls no numpy.  A seed's state is Python floats from its
+first step to its final state, held by the seed's slot for the whole run: L,
+s and the |delta| sum as numbers, theta, v and the tail sum as lists.  Arrays
+are built from it only for a metrics row and for the final result.  One
+softmax, _softmax_cum (libm's math.exp, sums left to right), builds the frozen
+actor's table at theta_0 and steps a moving one; every dot product and squared
+norm is a left-to-right _dot, never the builtin sum, which compensates from
+Python 3.12 on.  So a trajectory does not depend on numpy's SIMD dispatch or
+the OpenBLAS core.  One-hot features, detected at build time by exact
+comparison, take lookups, bit for bit the _dot route: th[cols[s]] for the
+logits when each x[s, a] is a unit vector (distinct within a state), v[j] for
+phi(s).v when each phi(s) is zero or a unit vector.  An iterate's ball test
+runs only when a bound on its norm could reach the radius (_BOUND_SLACK).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
@@ -56,7 +58,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import AvgrlError, Diverged, InvalidSpec, InvariantViolation, OracleFailure
-from .features import FeatureMap
+from .features import FeatureMap, critic_radius
 from .mdp import FiniteMdp, SoftmaxLinearPolicy
 from .oracles import critic_fixed_point
 
@@ -236,16 +238,16 @@ def _make_step(
 ):
     """The sampled update of a batch of seeds, with its constants built once.
 
-    Returns the segment stepper advance(t, t_end, u, theta, v, L, s,
-    abs_delta_sum, tail_acc, failed).  It runs steps t .. t_end - 1 (t_end > t)
-    on the rows n of theta (N, d2), v (N, d1), L, s, abs_delta_sum (N,) and
-    tail_acc (N, d1) or None in place, each step on every live row in turn, and
-    returns the step after the last one any row ran: u[i, j, n] is row n's j-th
-    draw of step t + i, abs_delta_sum sums |delta| and tail_acc (unless None) v
-    after each step.  An iterate whose squared norm is not finite puts a
-    Diverged in failed[n] and ends row n's segment; the other rows go on.  A
-    frozen actor's table is built at policy.theta and its update skipped.  In a
-    segment each row is a list of Python floats, written back at its end.
+    Returns the segment stepper advance(t, t_end, u, live, theta, v, L, s,
+    delta_sum, tails, failed).  It runs steps t .. t_end - 1 (t_end > t), each
+    on every seed n of live in turn, and returns the step after the last one
+    any seed ran.  A seed's state is held by its slot n, as Python floats, and
+    stepped in place: theta[n] and v[n] are lists, L[n] and s[n] numbers,
+    delta_sum[n] sums |delta| and tails[n] (unless tails is None) v after each
+    step.  u[i][j][n] is seed n's j-th draw of step t + i, as nested lists.  An
+    iterate whose squared norm is not finite puts a Diverged in failed[n] and
+    takes n out of live, with its state as it stood; the other seeds go on.  A
+    frozen actor's table is built at policy.theta and its update skipped.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -277,7 +279,7 @@ def _make_step(
                     (2.0 * np.linalg.norm(x, axis=2).max(axis=1)).tolist())
 
     def ball_test(iterate, w, t, n, failed):
-        """Project w, row n's list of v (critic) or theta (actor), onto its ball in
+        """Project w, seed n's list of v (critic) or theta (actor), onto its ball in
         place: the new bound on its norm, or None after a Diverged in failed[n]."""
         radius, coef = (uv_radius, "c_beta") if iterate == "critic" else (actor_radius, "c_alpha")
         w_sq = _dot(w, w)
@@ -290,17 +292,14 @@ def _make_step(
             w[:] = [w_i * scale for w_i in w]
         return math.sqrt(w_sq) * grow
 
-    def advance(t_start, t_end, u, theta_rows, v_rows, L, s, abs_delta_sum, tail_acc, failed):
-        live = list(range(len(L)))
-        L_n, s_n, delta_sums = L.tolist(), s.tolist(), abs_delta_sum.tolist()
-        vs, ths = v_rows.tolist(), theta_rows.tolist()
-        tails = None if tail_acc is None else tail_acc.tolist()
-        # bounds on each row's ||v|| and ||theta||; inf tests the first step exactly
+    def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
+        # bounds on each seed's ||v|| and ||theta||; inf tests the first step exactly
         v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
-        for t, (u_a, u_s, *u_r) in zip(range(t_start, t_end), u.tolist()):
+        n_failed = len(failed)
+        for t, (u_a, u_s, *u_r) in zip(range(t_start, t_end), u):
             alpha, beta, gamma = (0.0 if frozen else alpha_f(t)), beta_f(t), gamma_f(t)
             for n in live:
-                s_t, L_t = s_n[n], L_n[n]
+                s_t, L_t = s[n], L[n]
                 if frozen:
                     cum = prob_cum[s_t]
                 else:
@@ -328,7 +327,7 @@ def _make_step(
                     g = beta * delta
                     if j >= 0:
                         v[j] += g
-                L_n[n] = L_t + gamma * (r - L_t)
+                L[n] = L_t + gamma * (r - L_t)
                 bound = (v_up[n] + abs(g) * phi_norm[s_t]) * grow
                 if not bound <= v_lim:  # NaN too
                     bound = ball_test("critic", v, t, n, failed)
@@ -352,17 +351,14 @@ def _make_step(
                         th_up[n] = bound
                 if tails is not None:
                     tails[n] = [acc + v_i for acc, v_i in zip(tails[n], v)]
-                # starting from the row's running sum, not 0, adds |delta| in step order
-                delta_sums[n] += abs(delta)
-                s_n[n] = s1
-            if failed:
-                live = [n for n in live if n not in failed]
+                # starting from the seed's running sum, not 0, adds |delta| in step order
+                delta_sum[n] += abs(delta)
+                s[n] = s1
+            if len(failed) > n_failed:  # seeds that failed this step leave live
+                live[:] = [n for n in live if n not in failed]
+                n_failed = len(failed)
                 if not live:
                     break
-        L[:], s[:], abs_delta_sum[:] = L_n, s_n, delta_sums
-        v_rows[:], theta_rows[:] = vs, ths
-        if tails is not None:
-            tail_acc[:] = tails
         return t + 1
 
     return advance
@@ -380,7 +376,7 @@ class RunConfig:
     algo: str = "ca"
     seed: int = 0
     metrics_every: int = 1000
-    uv_radius: float | None = None  # None: max(10 ||v*(theta_0)||, 1)
+    uv_radius: float | None = None  # None: max(10 ||v*(theta_0)||, 1) by critic_radius
     actor_radius: float | None = None
     reward_noise: float = 0.0
     tail_average_from: int | None = None  # accumulate mean of v_t from this step on
@@ -432,11 +428,10 @@ class RunResult:
 
 
 def resolve_uv_radius(config: RunConfig) -> float:
-    """Default critic radius: 10x the fixed-point norm at theta_0, floor 1."""
+    """config.uv_radius, or by default critic_radius of the fixed point at theta_0."""
     if config.uv_radius is not None:
         return config.uv_radius
-    v_star = critic_fixed_point(config.mdp, config.policy, config.features)
-    return max(10.0 * float(np.linalg.norm(v_star)), 1.0)
+    return critic_radius(critic_fixed_point(config.mdp, config.policy, config.features))
 
 
 def run(config: RunConfig) -> RunResult:
@@ -489,78 +484,69 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
     the same draw whatever the batch.  The kernel advances every live seed
     one segment at a time; a segment ends at a draw-block end, a metrics row
-    or the start of the tail average, and a seed that diverges leaves it there.
+    or the start of the tail average.  A seed that diverges or whose row fails
+    leaves live there, its state kept as it stood.
     """
     from .metrics import exact_metrics_row
 
     base = configs[0]
     mdp, policy, features = base.mdp, base.policy, base.features
     uv_radius = resolve_uv_radius(base)
+    n_seeds = len(configs)
     rngs = [np.random.Generator(np.random.Philox(cfg.seed)) for cfg in configs]
-    s = np.array([int(rng.integers(mdp.n_states)) for rng in rngs])
-    n = len(configs)
-    L, v, theta = np.zeros(n), np.zeros((n, features.dim)), np.tile(policy.theta, (n, 1))
+    # each seed's state, by its slot in configs
+    s = [int(rng.integers(mdp.n_states)) for rng in rngs]
+    L, delta_sum = [0.0] * n_seeds, [0.0] * n_seeds
+    theta = [policy.theta.tolist() for _ in configs]
+    v = [[0.0] * features.dim for _ in configs]
+    tails = [[0.0] * features.dim for _ in configs]
 
     advance = _make_step(mdp, policy, features, base.schedule, uv_radius, base.reward_noise,
                          base.actor_radius)
 
     steps, every = base.steps, base.metrics_every
     tail_from = steps if base.tail_average_from is None else base.tail_average_from
-    tail_acc = np.zeros_like(v)
-
-    out: list = [None] * n
-    failed: dict = {}  # batch row -> its Diverged or OracleFailure; the row then leaves
+    failed: dict = {}  # slot -> its Diverged or OracleFailure; the seed then leaves live
     memo: list = []  # the last row's policy solution, reused while theta stands still
-    live = list(range(n))  # configs index of each row of the batch arrays
-    rows: list[list] = [[] for _ in range(n)]
-    abs_delta_sum = np.zeros(n)
+    live = list(range(n_seeds))
+    rows: list[list] = [[] for _ in configs]
     last_row = 0
     k = 3 if base.reward_noise > 0.0 else 2
     start_ns = time.perf_counter_ns()
     t = 0
     while t < steps and live:
         block_start, block_end = t, min(t + _DRAW_BLOCK, steps)
-        # u[i, j, n]: seed n's j-th draw of the block's i-th step
-        u = np.stack([rng.random(k * (block_end - t)).reshape(-1, k) for rng in rngs],
-                     axis=2)
+        # u[i][j][n]: seed n's j-th draw of the block's i-th step; 0 for a failed seed
+        u = np.zeros((block_end - t, k, n_seeds))
+        for n in live:
+            u[:, :, n] = rngs[n].random(k * (block_end - t)).reshape(-1, k)
+        u = u.tolist()
         while t < block_end and live:
             t_end = min(block_end, t - t % every + every)
             if t < tail_from:
                 t_end = min(t_end, tail_from)
-            t = advance(t, t_end, u[t - block_start:t_end - block_start], theta, v, L, s,
-                        abs_delta_sum, tail_acc if t >= tail_from else None, failed)
+            t = advance(t, t_end, u[t - block_start:t_end - block_start], live, theta, v, L, s,
+                        delta_sum, tails if t >= tail_from else None, failed)
             if t % every == 0 or t == steps:
-                for j, slot in enumerate(live):
-                    if j in failed:  # diverged at step t - 1
-                        continue
+                for n in live:
                     try:
-                        rows[slot].append(exact_metrics_row(
+                        rows[n].append(exact_metrics_row(
                             mdp, policy, features,
-                            t=t, theta=theta[j], v=v[j], L=L[j],
-                            delta_abs_mean=abs_delta_sum[j] / (t - last_row),
+                            t=t, theta=np.array(theta[n]), v=np.array(v[n]), L=L[n],
+                            delta_abs_mean=delta_sum[n] / (t - last_row),
                             wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
                         ))
                     except AvgrlError as exc:
-                        failed[j] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
-                        failed[j].__cause__ = exc
-                abs_delta_sum[:] = 0.0
+                        failed[n] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
+                        failed[n].__cause__ = exc
+                live[:] = [n for n in live if n not in failed]
+                delta_sum[:] = [0.0] * n_seeds
                 last_row = t
-            if failed:
-                for j, exc in failed.items():
-                    out[live[j]] = exc
-                keep = np.array([j not in failed for j in range(len(live))])
-                failed.clear()
-                live = [slot for slot, kept in zip(live, keep) if kept]
-                rngs = [rng for rng, kept in zip(rngs, keep) if kept]
-                s, L, v, theta, abs_delta_sum, tail_acc, u = (
-                    s[keep], L[keep], v[keep], theta[keep], abs_delta_sum[keep],
-                    tail_acc[keep], u[:, :, keep])
 
     tail_n = steps - tail_from
-    for j, slot in enumerate(live):
-        final = LearnerState(t=steps, L=float(L[j]), v=v[j].copy(), theta=theta[j].copy(),
-                             s=int(s[j]), rng=rngs[j])
-        v_tail = tail_acc[j] / tail_n if tail_n > 0 else None
-        out[slot] = RunResult(rows=rows[slot], final=final, uv_radius=uv_radius,
-                              v_tail_avg=v_tail)
-    return out
+    return [failed[n] if n in failed else RunResult(
+        rows=rows[n], uv_radius=uv_radius,
+        final=LearnerState(t=steps, L=L[n], v=np.array(v[n]), theta=np.array(theta[n]), s=s[n],
+                           rng=rngs[n]),
+        v_tail_avg=np.array(tails[n]) / tail_n if tail_n > 0 else None,
+    ) for n in range(n_seeds)]

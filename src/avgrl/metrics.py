@@ -31,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidSpec, ParseError
+from .errors import InsufficientData, InvalidSpec, OracleFailure, ParseError
 from .features import FeatureMap
 from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distribution
 from .oracles import _actor_field, actor_field_M, critic_fixed_point
@@ -83,6 +83,9 @@ def exact_metrics_row(
     (mdp, policy, features), that keeps the last solved theta's (bytes, policy,
     mu, L(theta), v*).  A row at that theta reuses them and the policy's cached
     pi table, bit for bit.
+
+    A row with a non-finite column (an overflowing squared error or norm, say)
+    is an OracleFailure that names each such column, so none reaches a CSV.
     """
     if memo and memo[0] == theta.tobytes():
         _, pol, mu, l_theta, v_star = memo
@@ -96,17 +99,27 @@ def exact_metrics_row(
         v_star = critic_fixed_point(mdp, pol, features)
         M = actor_field_M(mdp, pol, features, v)
         memo[:] = [theta.tobytes(), pol, mu, l_theta, v_star]
-    return MetricsRow(
-        t=t,
-        L_t=float(L),
-        L_theta=l_theta,
-        avg_err_sq=float((L - l_theta) ** 2),
-        critic_err_sq=float(np.sum((v - v_star) ** 2)),
-        M_norm_sq=float(np.sum(M * M)),
-        v_norm=float(np.linalg.norm(v)),
-        delta_abs_mean=float(delta_abs_mean),
-        wall_ns=int(wall_ns),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
+        try:
+            avg_err_sq = float((L - l_theta) ** 2)
+        except OverflowError:  # a Python float's power raises where numpy's returns inf
+            avg_err_sq = math.inf
+        row = MetricsRow(
+            t=t,
+            L_t=float(L),
+            L_theta=l_theta,
+            avg_err_sq=avg_err_sq,
+            critic_err_sq=float(np.sum((v - v_star) ** 2)),
+            M_norm_sq=float(np.sum(M * M)),
+            v_norm=float(np.linalg.norm(v)),
+            delta_abs_mean=float(delta_abs_mean),
+            wall_ns=int(wall_ns),
+        )
+    bad = [f"{name}={getattr(row, name)!r}" for name in METRIC_COLUMNS[:-1]
+           if not math.isfinite(getattr(row, name))]
+    if bad:
+        raise OracleFailure(f"the row has non-finite columns: {' '.join(bad)}")
+    return row
 
 
 def rows_to_csv(rows: list[MetricsRow]) -> str:
@@ -214,9 +227,9 @@ def read_metrics_csv(path: str) -> dict[str, np.ndarray]:
 def windowed_geomean(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trailing-decade geometric mean: w(t) = geomean of y over t' in (t/10, t].
 
-    Nonpositive samples are dropped from each window; rows whose window is
-    empty after dropping are omitted from the output.  A sample of +inf is an
-    InvalidSpec.
+    Nonpositive samples, -inf too, are dropped from each window; rows whose
+    window is empty after dropping are omitted from the output.  A sample of
+    +inf or NaN is an InvalidSpec.
 
     w(t) = exp(math.fsum(logs) / k) bit for bit, in O(n) overall: each log is
     an integer times a power of two (np.frexp), so scaled by a common power
@@ -226,6 +239,8 @@ def windowed_geomean(ts: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     order = np.argsort(ts)
     ts, ys = np.asarray(ts)[order], np.asarray(ys)[order]
+    if np.isnan(ys).any():  # NaN > 0 is false: it would be dropped as nonpositive
+        raise InvalidSpec("windowed_geomean: a sample is NaN")
     positive = ys > 0.0
     pos_t, log_y = ts[positive], np.log(ys[positive])
     if not np.isfinite(log_y).all():

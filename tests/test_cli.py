@@ -40,6 +40,18 @@ def write_two_cycle_env(tmp_path):
     return str(path)
 
 
+def write_huge_reward_env(tmp_path, reward, bound):
+    """Two states, one action, rewards +-reward under reward_bound bound."""
+    path = tmp_path / f"huge_{reward:g}.json"
+    save_mdp(str(path), FiniteMdp(np.full((2, 1, 2), 0.5), np.array([[reward], [-reward]]),
+                                  reward_bound=bound))
+    return str(path)
+
+
+ROW_OVERFLOW = ("exact metrics failed at step 500: the row has non-finite columns: "
+                "avg_err_sq=inf critic_err_sq=inf v_norm=inf")
+
+
 def read_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -59,6 +71,16 @@ class TestValidate:
         assert "assumption3 (geometric mixing): PASS" in out
         assert "finite_time_ok=True" in out
         assert "constants:" in out
+
+    def test_non_finite_constants_fail(self, tmp_path, capsys):
+        # rewards of +-1e308: no finite fixed point at theta_0 and an
+        # overflowing ||V||; validate used to print PASS three times and exit 0
+        rc = main(["validate", "--env", write_huge_reward_env(tmp_path, 1e308, 1.7e308)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert out[-1] == ("finite constants: FAIL  "
+                           "U_v=nan Ubar_v=inf G=nan U_w=nan ratio_bound=inf")
+        assert all("FAIL" not in line for line in out[:-1])
 
     def test_ones_in_span_fails(self, tmp_path, capsys):
         rc = main(["validate", "--env", write_full_onehot_env(tmp_path)])
@@ -149,6 +171,18 @@ class TestTrain:
         la, lb = read_lines(a), read_lines(b)
         assert strip_wall(la) == strip_wall(lb)
 
+    def test_non_finite_row_exits_one(self, tmp_path, capsys):
+        # rewards of +-1e160 keep the iterates finite, but the row's squared
+        # errors and ||v|| overflow; train used to write inf to the CSV and exit 0
+        out = tmp_path / "m.csv"
+        rc = main(["train", "--env", write_huge_reward_env(tmp_path, 1e160, 1e160),
+                   "--steps", "3000", "--metrics-every", "500", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {ROW_OVERFLOW}"]
+        assert not out.exists()
+
     def test_seed_changes_trajectory(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["train", "--env", "four-state", "--steps", "2000", "--seed", "0",
@@ -183,6 +217,16 @@ class TestTrain:
 
 
 class TestSweep:
+    def test_non_finite_row_fails_the_seed(self, tmp_path, capsys):
+        rc = main(["sweep", "--env", write_huge_reward_env(tmp_path, 1e160, 1e160),
+                   "--steps", "1000", "--metrics-every", "500", "--seeds", "2",
+                   "--out", str(tmp_path / "s")])
+        capsys.readouterr()
+        assert rc == 1
+        meta = json.loads((tmp_path / "s" / "sweep.json").read_text())
+        assert meta["failed"] == [[0, ROW_OVERFLOW], [1, ROW_OVERFLOW]]
+        assert not (tmp_path / "s" / "seed_0.csv").exists()
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         d1, d2 = tmp_path / "serial", tmp_path / "par"
         args = ["sweep", "--env", "four-state", "--steps", "2000",

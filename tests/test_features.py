@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, tabular_policy
 from avgrl.errors import InfeasibleDimension, InvalidSpec, InvariantViolation, SingularA
 from avgrl.features import (FeatureMap, _critic_matrices, _critic_solve,
-                            _well_inside_negative_definite, check_assumption2, make_features,
-                            matrix_A)
+                            _well_inside_negative_definite, check_assumption2, critic_radius,
+                            make_features, matrix_A)
 from avgrl.mdp import (PolicyChain, _solve_stationary, differential_value, induced_chain,
                        stationary_distribution)
 
@@ -272,6 +272,20 @@ def test_critic_solve_refuses_a_nan_residual():
     with np.errstate(invalid="ignore"):
         with pytest.raises(SingularA, match="residual exceeds tolerance"):
             _critic_solve(np.array([[np.inf]]), np.array([1.0]))
+
+
+def test_cholesky_margin_refuses_a_near_singular_a():
+    # lambda_min(-A) = 5e-13 sits below the margin tau = 1e-8 ||A||_F, so A
+    # goes to the SVD test, which refuses a ratio of 5e-13; a margin of
+    # 1e-13 ||A||_F would accept A and return v = [1, 2e12]
+    with pytest.raises(SingularA, match="critic matrix A is singular"):
+        _critic_solve(-np.diag([1.0, 5e-13]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("v_star", [[0.0], [0.05, -0.05], [3.0, -4.0], [1e150, 1e-300]])
+def test_critic_radius_keeps_the_norm_where_it_is_finite(v_star):
+    v_star = np.array(v_star)
+    assert critic_radius(v_star) == max(10.0 * float(np.linalg.norm(v_star)), 1.0)
 
 
 @pytest.mark.parametrize("env", ["four-state", "garnet"])

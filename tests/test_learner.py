@@ -1,19 +1,21 @@
 """Step schedules, per-step invariants of the sampled update, and run determinism."""
 
 import ast
+import copy
 import dataclasses
 import inspect
 import math
 import re
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
 
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x4, tabular_policy
 from avgrl import learner, metrics
-from avgrl.errors import Diverged, InvalidSpec, InvariantViolation, OracleFailure
-from avgrl.features import FeatureMap, make_features
+from avgrl.errors import AvgrlError, Diverged, InvalidSpec, InvariantViolation, OracleFailure
+from avgrl.features import FeatureMap, check_assumption2, make_features
 from avgrl.learner import (
     _DRAW_BLOCK,
     ALGO_SCHEDULES,
@@ -264,6 +266,21 @@ class TestRun:
         v_star = critic_fixed_point(self.mdp, self.pol, self.fmap)
         assert resolve_uv_radius(cfg) == pytest.approx(
             max(10.0 * float(np.linalg.norm(v_star)), 1.0))
+
+    def test_default_uv_radius_does_not_overflow(self):
+        # rewards of +-1e160: v* = [2e160], whose squared norm overflows in
+        # np.linalg.norm; the radius used to be inf (no critic projection) and
+        # validate's U_v NaN, each with a RuntimeWarning
+        mdp = FiniteMdp(np.full((2, 1, 2), 0.5), np.array([[1e160], [-1e160]]),
+                        reward_bound=1e160)
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            radius = resolve_uv_radius(self.config(mdp=mdp, policy=pol, features=fmap))
+            report = check_assumption2(mdp, pol, fmap)
+        assert critic_fixed_point(mdp, pol, fmap).tolist() == [2e160]
+        assert radius == 2e161
+        assert report.constants["U_v"] == radius
 
     def test_frozen_branch_matches_moving_branch(self):
         # c_alpha = 0 without an actor radius takes the frozen branch (one
@@ -558,11 +575,10 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
         monkeypatch.setattr(learner, "_action_columns", lambda x: None)
     advance = learner._make_step(mdp, pol, FeatureMap(np.ones((1, 1))), sched, 5.0, 0.0,
                                  radius)
-    theta, v = pol.theta[None, :].copy(), np.zeros((1, 1))
-    u = np.array([[[0.0], [0.5]], [[0.999], [0.5]]])  # actions 0, then 1
+    theta, v = [pol.theta.tolist()], [[0.0]]
+    u = [[[0.0], [0.5]], [[0.999], [0.5]]]  # actions 0, then 1
     failed = {}
-    assert advance(0, 2, u, theta, v, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1),
-                   None, failed) == 2
+    assert advance(0, 2, u, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
     assert failed == {}
     assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
 
@@ -606,9 +622,14 @@ def nan_kernel_inputs(make, iterate, n, nan_row):
     pol = tabular_policy(mdp)
     advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
                    5.0, 0.0, 1.0)
-    theta, v = np.zeros((n, pol.dim)), np.zeros((n, 3))
-    (v if iterate == "critic" else theta)[nan_row, 0] = math.nan
-    return advance, [theta, v, np.zeros(n), np.arange(n) % mdp.n_states, np.zeros(n), None]
+    theta, v = [[0.0] * pol.dim for _ in range(n)], [[0.0] * 3 for _ in range(n)]
+    (v if iterate == "critic" else theta)[nan_row][0] = math.nan
+    return advance, [theta, v, [0.0] * n, [i % mdp.n_states for i in range(n)], [0.0] * n, None]
+
+
+def one_seed(state, i):
+    """Seed i's slot of the kernel state, copied, as a batch of one."""
+    return [copy.deepcopy(a[i:i + 1]) for a in state[:5]] + [None]
 
 
 @pytest.mark.parametrize("make", [learner._make_step])
@@ -618,7 +639,7 @@ def test_nan_iterate_reports_diverged(make, iterate):
     advance, state = nan_kernel_inputs(make, iterate, 1, 0)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, np.full((5, 2, 1), 0.5), *state, failed) == 1
+        assert advance(0, 5, np.full((5, 2, 1), 0.5).tolist(), [0], *state, failed) == 1
     assert list(failed) == [0]
     assert isinstance(failed[0], Diverged)
     assert str(failed[0]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
@@ -630,14 +651,14 @@ def test_nan_row_leaves_the_other_rows(iterate):
     # left as they were handed in
     u = np.random.default_rng(3).random((5, 2, 3))
     advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
-    row = [np.array(a[1:2]) for a in state[:5]] + [None]
+    row = one_seed(state, 1)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u, *state, failed) == 5
+        assert advance(0, 5, u.tolist(), [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     one = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u[:, :, 1:2], *row, one) == 1
+        assert advance(0, 5, u[:, :, 1:2].tolist(), [0], *row, one) == 1
     assert list(one) == [0]
     assert str(one[0]) == str(failed[1])
     for a, b in zip(state[:2], row[:2]):
@@ -649,15 +670,15 @@ def test_scalar_kernel_steps_every_row(iterate):
     # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
     u = np.random.default_rng(3).random((5, 2, 3))
     advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
-    rows = [[np.array(a[i:i + 1]) for a in state[:5]] + [None] for i in range(3)]
+    rows = [one_seed(state, i) for i in range(3)]
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u, *state, failed) == 5
+        assert advance(0, 5, u.tolist(), [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
     for i in (0, 2):
         one = {}
-        assert advance(0, 5, u[:, :, i:i + 1], *rows[i], one) == 5
+        assert advance(0, 5, u[:, :, i:i + 1].tolist(), [0], *rows[i], one) == 5
         assert one == {}
         for a, b in zip(state[:5], rows[i][:5]):
             assert np.array_equal(a[i:i + 1], b)
@@ -795,6 +816,36 @@ class TestRunBatch:
             assert without_wall(results[i].rows) == without_wall(clean[i].rows)
             assert np.array_equal(results[i].final.theta, clean[i].final.theta)
             assert results[i].final.rng.random() == clean[i].final.rng.random()
+
+    def test_diverged_and_failed_row_leave_the_others(self, monkeypatch):
+        # seed 3's actor overflows at step 1 and seed 5's row at step 150
+        # fails; every other seed, stepped around both, equals its run()
+        mdp = four_state_easy()
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300, seed=seed,
+                          schedule=algo_schedule("ca", c_alpha=1e154, c_gamma=1.5),
+                          metrics_every=50, uv_radius=5.0, actor_radius=1.0)
+                for seed in range(8)]
+        target = run(cfgs[5]).rows[2]
+        real = metrics.exact_metrics_row
+
+        def flaky(*args, **kw):
+            if kw["t"] == target.t and kw["delta_abs_mean"] == target.delta_abs_mean:
+                raise OracleFailure("A(theta) is singular")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(metrics, "exact_metrics_row", flaky)
+        results = run_batch(cfgs)
+        assert str(results[3]).startswith("actor diverged at step 1: ")
+        assert str(results[5]) == "exact metrics failed at step 150: A(theta) is singular"
+        for cfg, res in zip(cfgs, results):
+            if cfg.seed in (3, 5):
+                with pytest.raises(AvgrlError) as expected:
+                    run(cfg)
+                assert type(res) is type(expected.value)
+                assert str(res) == str(expected.value)
+            else:
+                self.assert_matches_run(cfg, res)
 
     @pytest.mark.parametrize("overrides,every,diverge", [
         (dict(c_beta=1e154), 100, [1, 2, 3, 4, 5, 7]),

@@ -169,6 +169,11 @@ class TestStationaryDistribution:
         with pytest.raises(NotIrreducible):
             stationary_distribution(induced_chain(m, tabular_policy(m)))
 
+    def test_support_tolerance_keeps_a_small_probability(self):
+        # an edge of probability 1e-9 is support: above _SUPPORT_TOL = 1e-12,
+        # below a tolerance of 1e-6
+        assert is_irreducible(np.array([[1.0 - 1e-9, 1e-9], [0.5, 0.5]]))
+
     def test_is_irreducible_matches_uncached_check(self):
         # scipy's strong components are the reference: the closure's mutual
         # reachability must give the same partition on 1-11 states
@@ -325,7 +330,8 @@ class TestSharedTables:
             assert np.array_equal(held, kept), name
 
     def test_driver_theta_row_copied(self):
-        # the run loop passes a writeable row of its (N, d2) theta array
+        # with_theta copies its argument: a writeable row of a caller's array,
+        # edited after the call, leaves the policy as it was
         pol = self.policy()
         thetas = np.tile(pol.theta, (2, 1))
         at = pol.with_theta(thetas[1])

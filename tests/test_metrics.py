@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avgrl.envs import four_state_easy, tabular_policy
-from avgrl.errors import InsufficientData, InvalidSpec, ParseError
+from avgrl.errors import InsufficientData, InvalidSpec, OracleFailure, ParseError
 from avgrl.features import make_features
+from avgrl.mdp import FiniteMdp
 from avgrl.metrics import (
     AGGREGATE_HEADER,
     CSV_HEADER,
@@ -59,6 +60,28 @@ class TestExactMetricsRow:
         row = exact_metrics_row(mdp, pol, fmap, t=1, theta=np.zeros(8),
                                 v=np.zeros(3), L=0.25, delta_abs_mean=0.0, wall_ns=0, memo=[])
         assert row.avg_err_sq == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [1e160, np.float64(1e160)])
+    def test_non_finite_columns_refused(self, L):
+        # rewards of +-1e160 and iterates near 1e160 are finite, but the
+        # squared errors and ||v|| overflow; the row used to carry inf into
+        # the CSV with RuntimeWarnings.  A Python float's power raises
+        # OverflowError where numpy's returns inf: either way a typed error
+        mdp = FiniteMdp(np.full((2, 1, 2), 0.5), np.array([[1e160], [-1e160]]),
+                        reward_bound=1e160)
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        with pytest.raises(OracleFailure) as err:
+            exact_metrics_row(mdp, pol, fmap, t=500, theta=np.zeros(2), v=np.array([-1.5e160]),
+                              L=L, delta_abs_mean=1e160, wall_ns=0, memo=[])
+        assert str(err.value) == ("the row has non-finite columns: avg_err_sq=inf "
+                                  "critic_err_sq=inf v_norm=inf")
+
+    def test_non_finite_delta_mean_refused(self):
+        mdp = four_state_easy()
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        with pytest.raises(OracleFailure, match=r"non-finite columns: delta_abs_mean=nan$"):
+            exact_metrics_row(mdp, pol, fmap, t=1, theta=np.zeros(8), v=np.zeros(3), L=0.0,
+                              delta_abs_mean=math.nan, wall_ns=0, memo=[])
 
 
 class TestCsvRoundTrip:
@@ -201,8 +224,8 @@ class TestWindowing:
         assert wv[1] == pytest.approx(6.0, rel=1e-12)
 
     def test_nonpositive_dropped(self):
-        ts = np.array([10.0, 20.0, 30.0])
-        ys = np.array([0.0, -1.0, 8.0])
+        ts = np.array([10.0, 20.0, 25.0, 30.0])
+        ys = np.array([0.0, -1.0, -math.inf, 8.0])
         wt, wv = windowed_geomean(ts, ys)
         assert wt.tolist() == [30.0]
         assert wv[0] == pytest.approx(8.0)
@@ -244,6 +267,17 @@ class TestWindowing:
     def test_infinite_sample_refused(self):
         with pytest.raises(InvalidSpec, match="not finite"):
             windowed_geomean(np.array([1.0, 2.0]), np.array([1.0, math.inf]))
+
+    def test_nan_sample_refused(self):
+        # NaN > 0 is false, so a NaN used to be dropped as if nonpositive
+        ts, ys = np.arange(1.0, 21.0), np.ones(20)
+        ys[5] = math.nan
+        with pytest.raises(InvalidSpec, match="a sample is NaN"):
+            windowed_geomean(np.array([1.0, 2.0, 3.0]), np.array([1.0, math.nan, 4.0]))
+        with pytest.raises(InvalidSpec, match="a sample is NaN"):
+            windowed_value_at(ts, ys, 10.0)
+        with pytest.raises(InvalidSpec, match="a sample is NaN"):
+            rate_slope(ts, ys, t_min=1.0)
 
     def test_value_at_nearest(self):
         ts = np.array([10.0, 100.0, 1000.0])
