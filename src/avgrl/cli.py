@@ -231,9 +231,21 @@ def cmd_validate(opts: dict) -> int:
     doc["schedule"] = dataclasses.asdict(flags)
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
             fh.write("\n")
     return 0 if (a1 and a2 and a3 and flags.tracker_ok and not not_finite) else 1
+
+
+def _finite_or_null(obj):
+    """obj with every non-finite float (NaN, +-inf) replaced by None, so that
+    it writes as strict JSON (null) rather than NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
 
 
 def _positive_int(opts: dict, key: str) -> int:

@@ -238,7 +238,7 @@ class AssumptionReport:
     constants: dict[str, float] = field(default_factory=dict)
     mixing_b: float | None = None
     mixing_k: float | None = None
-    tau_examples: dict[int, int] = field(default_factory=dict)
+    tau_examples: dict[int, int | None] = field(default_factory=dict)
 
     @property
     def lambda_sup(self) -> float:

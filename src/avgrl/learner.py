@@ -19,13 +19,15 @@ One private driver, _drive(configs), runs configs that differ only in seed:
 for several.  Its one kernel, _make_step, runs a segment (up to the next
 metrics row or the end of a draw block) on each seed's state in place, step by
 step and within a step every live seed in turn, each seed bit for bit as its
-one-seed run.  One BLAS thread, 2-core host, ca schedule (frozen:
-c_alpha = 0), 10k steps, min us per seed-step over 3 runs of 5:
+one-seed run.  A segment lists its step sizes once, through StepSchedule,
+and the seed loop only indexes them and the draws.  One BLAS thread, 2-core
+Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps, min us per seed-step
+over 15 runs (30 for the last row):
 
     moving / frozen, N =   1          4          8          10
-    four-state, one-hot    3.3 / 1.2  2.8 / 0.7  2.7 / 0.6  2.6 / 0.6
-    gridworld4, one-hot    4.1 / 1.2  3.4 / 0.8  3.4 / 0.7  3.2 / 0.7
-    random_unit:6 critic   5.6 / 2.9  5.1 / 2.3  5.4 / 2.3  5.0 / 2.4
+    four-state, one-hot    3.1 / 0.9  2.8 / 0.7  2.7 / 0.6  2.6 / 0.6
+    gridworld4, one-hot    3.6 / 1.0  3.2 / 0.7  3.3 / 0.7  3.3 / 0.7
+    random_unit:6 critic   5.4 / 2.6  4.9 / 2.3  5.2 / 2.4  4.9 / 2.3
 
 The segment loop calls no numpy.  A seed's state is Python floats from its
 first step to its final state, held by the seed's slot for the whole run: L,
@@ -43,6 +45,9 @@ runs only when a bound on its norm could reach the radius (_BOUND_SLACK).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
+_drive draws a live seed's block of up to _DRAW_BLOCK steps as one flat list
+of k uniforms a step (k = 2, or 3 with reward noise); step t of the block
+starting at block_start reads its j-th draw at u[n][k * (t - block_start) + j].
 Cumulative rows are inverted as np.searchsorted(side="right") would, by
 bisect.bisect_right on a list.
 """
@@ -53,7 +58,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, fields
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -78,7 +83,10 @@ class StepSchedule:
     gamma_t = c_gamma / (1+t)^gamma_exp (average-reward tracker)
 
     c_gamma defaults to k_coupling * c_alpha and gamma_exp to nu, i.e. the
-    tracker is coupled to the actor clock as gamma_t = K alpha_t.
+    tracker is coupled to the actor clock as gamma_t = K alpha_t.  alphas,
+    betas and gammas list a run of steps t0 .. t1 - 1 for the kernel, which
+    takes a segment's step sizes before its seed loop; alpha(t), beta(t) and
+    gamma(t) are their one-step runs, so each formula has one definition.
     """
 
     c_alpha: float = 1.5
@@ -103,14 +111,28 @@ class StepSchedule:
             if not 0.0 <= val <= 1.0:
                 raise InvariantViolation(f"{name} must lie in [0, 1], got {val}")
 
+    def alphas(self, t0: int, t1: int) -> list[float]:
+        return _decay(self.c_alpha, self.nu, t0, t1)
+
+    def betas(self, t0: int, t1: int) -> list[float]:
+        return _decay(self.c_beta, self.sigma, t0, t1)
+
+    def gammas(self, t0: int, t1: int) -> list[float]:
+        return _decay(self.c_gamma, self.gamma_exp, t0, t1)
+
     def alpha(self, t: int) -> float:
-        return self.c_alpha / (1.0 + t) ** self.nu
+        return self.alphas(t, t + 1)[0]
 
     def beta(self, t: int) -> float:
-        return self.c_beta / (1.0 + t) ** self.sigma
+        return self.betas(t, t + 1)[0]
 
     def gamma(self, t: int) -> float:
-        return self.c_gamma / (1.0 + t) ** self.gamma_exp
+        return self.gammas(t, t + 1)[0]
+
+
+def _decay(c: float, e: float, t0: int, t1: int) -> list[float]:
+    """c / (1 + t)^e for t = t0 .. t1 - 1."""
+    return [c / (1.0 + t) ** e for t in range(t0, t1)]
 
 
 def algo_schedule(algo: str, **overrides) -> StepSchedule:
@@ -238,16 +260,20 @@ def _make_step(
 ):
     """The sampled update of a batch of seeds, with its constants built once.
 
-    Returns the segment stepper advance(t, t_end, u, live, theta, v, L, s,
-    delta_sum, tails, failed).  It runs steps t .. t_end - 1 (t_end > t), each
-    on every seed n of live in turn, and returns the step after the last one
-    any seed ran.  A seed's state is held by its slot n, as Python floats, and
-    stepped in place: theta[n] and v[n] are lists, L[n] and s[n] numbers,
-    delta_sum[n] sums |delta| and tails[n] (unless tails is None) v after each
-    step.  u[i][j][n] is seed n's j-th draw of step t + i, as nested lists.  An
-    iterate whose squared norm is not finite puts a Diverged in failed[n] and
-    takes n out of live, with its state as it stood; the other seeds go on.  A
-    frozen actor's table is built at policy.theta and its update skipped.
+    Returns the segment stepper advance(t, t_end, u, block_start, live, theta,
+    v, L, s, delta_sum, tails, failed).  It runs steps t .. t_end - 1
+    (t_end > t), each on every seed n of live in turn, and returns the step
+    after the last one any seed ran.  A seed's state is held by its slot n, as
+    Python floats, and stepped in place: theta[n] and v[n] are lists, L[n] and
+    s[n] numbers, delta_sum[n] sums |delta| and tails[n] (unless tails is None)
+    v after each step.  u[n] is seed n's draw block, one flat list from step
+    block_start on: the j-th draw of step t is u[n][k * (t - block_start) + j],
+    with k = _draws_per_step(reward_noise) (action, next state, then the
+    reward noise).  The segment's step sizes are listed by sched before the
+    seed loop.  An iterate whose squared norm is not finite puts a Diverged in
+    failed[n] and takes n out of live, with its state as it stood; the other
+    seeds go on.  A frozen actor's table is built at policy.theta and its
+    update skipped.
     """
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
@@ -256,7 +282,7 @@ def _make_step(
     x, phi = policy.action_features, features.table
     n_states, n_actions = mdp.n_states, x.shape[1]
     reward_bound = mdp.reward_bound
-    alpha_f, beta_f, gamma_f = sched.alpha, sched.beta, sched.gamma
+    k = _draws_per_step(reward_noise)
     # no actor step and no projection: theta never leaves policy.theta
     frozen = sched.c_alpha == 0.0 and actor_radius is None
     x_cols, phi_cols = _action_columns(x), _unit_columns(phi)
@@ -292,27 +318,31 @@ def _make_step(
             w[:] = [w_i * scale for w_i in w]
         return math.sqrt(w_sq) * grow
 
-    def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
+    def advance(t_start, t_end, u, block_start, live, ths, vs, L, s, delta_sum, tails, failed):
         # bounds on each seed's ||v|| and ||theta||; inf tests the first step exactly
         v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
         n_failed = len(failed)
-        for t, (u_a, u_s, *u_r) in zip(range(t_start, t_end), u):
-            alpha, beta, gamma = (0.0 if frozen else alpha_f(t)), beta_f(t), gamma_f(t)
+        # step t's draws start at u[n][i]; the segment's step sizes are listed once
+        steps = zip(range(t_start, t_end),
+                    range(k * (t_start - block_start), k * (t_end - block_start), k),
+                    repeat(0.0) if frozen else sched.alphas(t_start, t_end),
+                    sched.betas(t_start, t_end), sched.gammas(t_start, t_end))
+        for t, i, alpha, beta, gamma in steps:
             for n in live:
-                s_t, L_t = s[n], L[n]
+                s_t, L_t, u_n = s[n], L[n], u[n]
                 if frozen:
                     cum = prob_cum[s_t]
                 else:
                     p, cum = _softmax_cum(logits(s_t, ths[n]))
-                a = bisect.bisect_right(cum, u_a[n])
+                a = bisect.bisect_right(cum, u_n[i])
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
-                s1 = bisect.bisect_right(pcum_rows[s_t][a], u_s[n])
+                s1 = bisect.bisect_right(pcum_rows[s_t][a], u_n[i + 1])
                 if s1 >= n_states:
                     s1 = n_states - 1
                 r = R[s_t][a]
                 if reward_noise > 0.0:
-                    r = r + reward_noise * (2.0 * u_r[0][n] - 1.0)
+                    r = r + reward_noise * (2.0 * u_n[i + 2] - 1.0)
                     r = min(max(r, -reward_bound), reward_bound)
 
                 v = vs[n]
@@ -447,6 +477,12 @@ def run(config: RunConfig) -> RunResult:
 # Steps per block of uniforms drawn from each seed's generator.
 _DRAW_BLOCK = 1024
 
+
+def _draws_per_step(reward_noise: float) -> int:
+    """Uniforms a step draws: action, next state, and the reward noise if any."""
+    return 3 if reward_noise > 0.0 else 2
+
+
 # RunConfig fields that a batch shares by identity: its kernel is built from one
 # problem.
 _SHARED_OBJECTS = ("mdp", "policy", "features")
@@ -511,21 +547,20 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     live = list(range(n_seeds))
     rows: list[list] = [[] for _ in configs]
     last_row = 0
-    k = 3 if base.reward_noise > 0.0 else 2
+    k = _draws_per_step(base.reward_noise)
     start_ns = time.perf_counter_ns()
     t = 0
     while t < steps and live:
         block_start, block_end = t, min(t + _DRAW_BLOCK, steps)
-        # u[i][j][n]: seed n's j-th draw of the block's i-th step; 0 for a failed seed
-        u = np.zeros((block_end - t, k, n_seeds))
+        # u[n]: live seed n's draws of the block, k per step (see _make_step)
+        u: list = [None] * n_seeds
         for n in live:
-            u[:, :, n] = rngs[n].random(k * (block_end - t)).reshape(-1, k)
-        u = u.tolist()
+            u[n] = rngs[n].random(k * (block_end - t)).tolist()
         while t < block_end and live:
             t_end = min(block_end, t - t % every + every)
             if t < tail_from:
                 t_end = min(t_end, tail_from)
-            t = advance(t, t_end, u[t - block_start:t_end - block_start], live, theta, v, L, s,
+            t = advance(t, t_end, u, block_start, live, theta, v, L, s,
                         delta_sum, tails if t >= tail_from else None, failed)
             if t % every == 0 or t == steps:
                 for n in live:

@@ -152,10 +152,12 @@ class MixingProfile:
             m += 1
         return m
 
-    def tau(self, t: int, sched) -> int:
-        """tau_t for a StepSchedule: mixing time at the smallest current step size."""
-        eps = min(sched.alpha(t), sched.beta(t), sched.gamma(t))
-        return self.tau_for(eps)
+    def tau(self, t: int, sched) -> int | None:
+        """tau_t for a StepSchedule: mixing time at the smallest positive step
+        size at t (a zero coefficient, e.g. a frozen actor, runs no recursion),
+        or None when every step size is 0."""
+        eps = [e for e in (sched.alpha(t), sched.beta(t), sched.gamma(t)) if e > 0.0]
+        return self.tau_for(min(eps)) if eps else None
 
 
 def estimate_mixing(

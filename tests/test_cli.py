@@ -115,6 +115,47 @@ class TestValidate:
         assert doc["schedule"]["asymptotic_ok"] is False
         assert doc["schedule"]["tracker_ok"] is True
 
+    @pytest.mark.parametrize("flags,tau_null", [
+        (["--env", "gridworld4", "--c-alpha", "0", "--c-gamma", "1.5"], False),
+        (["--env", "four-state", "--c-alpha", "0"], False),
+        (["--env", "four-state", "--c-alpha", "0", "--c-beta", "0"], True),
+    ], ids=["td-eval", "frozen-tracker", "all-zero"])
+    def test_frozen_actor_takes_tau_at_the_smallest_positive_step(self, tmp_path, flags,
+                                                                   tau_null):
+        # a zero alpha_t used to reach tau_for and end validate on a ValueError
+        report = tmp_path / "report.json"
+        proc = run_cli_process([sys.executable, "-m", "avgrl", "validate", *flags,
+                                "--out", str(report)], module_env())
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        taus = strict_json(report)["tau_examples"]
+        assert list(taus) == ["0", "1000", "1000000"]
+        for tau in taus.values():
+            assert tau is None if tau_null else type(tau) is int
+
+    def test_report_json_writes_null_for_non_finite(self, tmp_path, capsys):
+        # NaN and Infinity are not JSON; the values print on stdout and the
+        # report holds null in their place
+        report = tmp_path / "report.json"
+        huge = write_huge_reward_env(tmp_path, 1e308, 1.7e308)
+        assert main(["validate", "--env", huge, "--out", str(report)]) == 1
+        doc = strict_json(report)
+        assert {k for k, v in doc["constants"].items() if v is None} == {
+            "U_v", "Ubar_v", "G", "U_w", "ratio_bound"}
+        assert doc["schedule"]["ratio_bound"] is None
+        assert main(["validate", "--env", "four-state", "--c-alpha", "0",
+                     "--out", str(report)]) == 0
+        assert "ratio=inf" in capsys.readouterr().out
+        assert strict_json(report)["schedule"]["ratio"] is None
+
+
+def strict_json(path):
+    """The JSON document in path, refusing NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{path}: non-JSON constant {constant}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
 
 class TestTrain:
     def test_writes_csv_and_sidecar(self, tmp_path, capsys):

@@ -519,7 +519,7 @@ def test_step_loop_runs_on_python_floats():
     # no numpy call in the segment stepper, whose bits would follow numpy's
     # SIMD dispatch or the OpenBLAS core, and no builtin sum, which compensates
     # from Python 3.12 on; the same holds for the helpers it calls
-    for func in (learner._make_step, learner._softmax_cum, learner._dot):
+    for func in (learner._make_step, learner._softmax_cum, learner._dot, learner._decay):
         assert numpy_and_sum_calls(func) == [], func.__name__
     source = inspect.getsource(learner._make_step)
     assert "def advance(" in source and "def ball_test(" in source
@@ -576,9 +576,9 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     advance = learner._make_step(mdp, pol, FeatureMap(np.ones((1, 1))), sched, 5.0, 0.0,
                                  radius)
     theta, v = [pol.theta.tolist()], [[0.0]]
-    u = [[[0.0], [0.5]], [[0.999], [0.5]]]  # actions 0, then 1
+    u = [[0.0, 0.5, 0.999, 0.5]]  # actions 0, then 1
     failed = {}
-    assert advance(0, 2, u, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
+    assert advance(0, 2, u, 0, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
     assert failed == {}
     assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
 
@@ -627,6 +627,11 @@ def nan_kernel_inputs(make, iterate, n, nan_row):
     return advance, [theta, v, [0.0] * n, [i % mdp.n_states for i in range(n)], [0.0] * n, None]
 
 
+def flat_draws(u):
+    """u[i, j, n], seed n's j-th draw of step i, as the kernel's flat list per seed."""
+    return [u[:, :, n].ravel().tolist() for n in range(u.shape[2])]
+
+
 def one_seed(state, i):
     """Seed i's slot of the kernel state, copied, as a batch of one."""
     return [copy.deepcopy(a[i:i + 1]) for a in state[:5]] + [None]
@@ -639,7 +644,7 @@ def test_nan_iterate_reports_diverged(make, iterate):
     advance, state = nan_kernel_inputs(make, iterate, 1, 0)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, np.full((5, 2, 1), 0.5).tolist(), [0], *state, failed) == 1
+        assert advance(0, 5, [[0.5] * 10], 0, [0], *state, failed) == 1
     assert list(failed) == [0]
     assert isinstance(failed[0], Diverged)
     assert str(failed[0]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
@@ -654,11 +659,11 @@ def test_nan_row_leaves_the_other_rows(iterate):
     row = one_seed(state, 1)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u.tolist(), [0, 1, 2], *state, failed) == 5
+        assert advance(0, 5, flat_draws(u), 0, [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     one = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u[:, :, 1:2].tolist(), [0], *row, one) == 1
+        assert advance(0, 5, flat_draws(u[:, :, 1:2]), 0, [0], *row, one) == 1
     assert list(one) == [0]
     assert str(one[0]) == str(failed[1])
     for a, b in zip(state[:2], row[:2]):
@@ -673,12 +678,12 @@ def test_scalar_kernel_steps_every_row(iterate):
     rows = [one_seed(state, i) for i in range(3)]
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, u.tolist(), [0, 1, 2], *state, failed) == 5
+        assert advance(0, 5, flat_draws(u), 0, [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
     for i in (0, 2):
         one = {}
-        assert advance(0, 5, u[:, :, i:i + 1].tolist(), [0], *rows[i], one) == 5
+        assert advance(0, 5, flat_draws(u[:, :, i:i + 1]), 0, [0], *rows[i], one) == 5
         assert one == {}
         for a, b in zip(state[:5], rows[i][:5]):
             assert np.array_equal(a[i:i + 1], b)
@@ -882,3 +887,47 @@ class TestRunBatch:
                     assert str(res) == str(expected.value)
                 else:
                     self.assert_matches_run(cfg, res)
+
+
+def draw_block_configs(case):
+    mdp = four_state_easy()
+    base = dict(mdp=mdp, policy=tabular_policy(mdp), features=make_features("one_hot_reduced", mdp),
+                uv_radius=5.0)
+    if case == "frozen":
+        return [RunConfig(schedule=FROZEN, steps=2100, seed=5, metrics_every=300,
+                          tail_average_from=1500, **base)]
+    if case == "moving-noise":  # k = 3 draws a step
+        return [RunConfig(schedule=algo_schedule("ca"), steps=2100, seed=5, metrics_every=300,
+                          reward_noise=0.3, actor_radius=0.5, **base)]
+    # seed 3's actor overflows at step 1, inside its draw block unless the block
+    # is one step; the other seeds step on to the end
+    sched = algo_schedule("ca", c_alpha=1e154, c_gamma=1.5)
+    return [RunConfig(schedule=sched, steps=300, seed=seed, metrics_every=50, actor_radius=1.0,
+                      **base) for seed in range(8)]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("case", ["frozen", "moving-noise", "batch-one-leaves"])
+def test_draw_block_size_leaves_runs_unchanged(monkeypatch, case, block):
+    # a step's draws sit at their offset in the seed's flat block whatever the
+    # block size, so rows, final states and errors equal the default block's
+    cfgs = draw_block_configs(case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = run_batch(cfgs)
+        monkeypatch.setattr(learner, "_DRAW_BLOCK", block)
+        results = run_batch(cfgs)
+    if case == "batch-one-leaves":
+        assert str(expected[3]).startswith("actor diverged at step 1: ")
+    for res, ref in zip(results, expected, strict=True):
+        if isinstance(ref, AvgrlError):
+            assert type(res) is type(ref) and str(res) == str(ref)
+            continue
+        assert without_wall(res.rows) == without_wall(ref.rows)
+        a, b = res.final, ref.final
+        assert (a.t, a.s, a.L) == (b.t, b.s, b.L)
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.theta, b.theta)
+        assert a.rng.random() == b.rng.random()  # both stopped on the same draw
+        assert (res.v_tail_avg is None) == (ref.v_tail_avg is None)
+        if ref.v_tail_avg is not None:
+            assert np.array_equal(res.v_tail_avg, ref.v_tail_avg)

@@ -443,6 +443,19 @@ class TestSharedTables:
         with pytest.raises(SingularSystem, match=r"stationary residual (1\.000e-08|nan) "):
             stationary_distribution(chain)
 
+    def test_differential_residual_of_1e_7_raises(self, monkeypatch):
+        # the solve stands in for one that lands off V by c (1, -2): mu . V
+        # stays 0 and (I - K) V misses rhs by 3c = 1e-7 on a unit-scale chain,
+        # far above rounding under an absolute or a scale-aware bound
+        chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.array([1.0, 0.0]))
+        mu = stationary_distribution(chain)  # (2/3, 1/3)
+        gain = float(mu @ chain.expected_reward)
+        V = mdp_module._differential(chain, mu, gain)
+        off = V + (1e-7 / 3.0) * np.array([1.0, -2.0])
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: off)
+        with pytest.raises(SingularSystem, match="differential value residual"):
+            mdp_module._differential(chain, mu, gain)
+
     def test_nan_differential_residual_raises(self):
         chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.zeros(2))
         with pytest.raises(SingularSystem, match="differential value residual exceeds 1e-9"):
