@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -254,7 +255,11 @@ def _positive_int(opts: dict, key: str) -> int:
     return opts[key]
 
 
-def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
+def _make_run_config(opts: dict) -> learner.RunConfig:
+    """The run options but --seed, which is refused here when negative, before
+    any output is made (numpy's generators take no negative seed)."""
+    if opts["seed"] < 0:
+        raise InvariantViolation(f"seed must be nonnegative, got {opts['seed']}")
     mdp, features, policy = _resolve_problem(opts)
     sched = build_schedule(opts["algo"], opts)
     return learner.RunConfig(
@@ -263,8 +268,6 @@ def _make_run_config(opts: dict, seed: int) -> learner.RunConfig:
         features=features,
         schedule=sched,
         steps=opts["steps"],
-        algo=opts["algo"],
-        seed=seed,
         metrics_every=opts["metrics_every"],
         uv_radius=opts["uv"],
         actor_radius=opts["actor_radius"],
@@ -302,9 +305,9 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
     return {
         "env": opts["env"],
         "features": opts["features"] or "one_hot_reduced",
-        "algo": config.algo,
+        "algo": opts["algo"],
         "steps": config.steps,
-        "seed": config.seed,
+        "seed": opts["seed"],
         "metrics_every": config.metrics_every,
         "reward_noise": config.reward_noise,
         "actor_radius": config.actor_radius,
@@ -326,10 +329,10 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
 
 
 def cmd_train(opts: dict) -> int:
-    config = _make_run_config(opts, opts["seed"])
+    config = _make_run_config(opts)
     out = opts["out"] or "metrics.csv"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
-    result = learner.run(config)
+    result = learner.run(config, opts["seed"])
     metrics.write_metrics_csv(out, result.rows)
     sidecar_path = os.path.splitext(out)[0] + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
@@ -341,12 +344,12 @@ def cmd_train(opts: dict) -> int:
     return 0
 
 
-def _sweep_batch(configs: list[learner.RunConfig]) -> list:
+def _sweep_batch(config: learner.RunConfig, seeds: list[int]) -> list:
     """Rows per seed, or the failure message of a seed that failed."""
     try:
-        results = learner.run_batch(configs)
+        results = learner.run_batch(config, seeds)
     except AvgrlError as exc:  # before any step, e.g. the default critic radius: every seed
-        return [str(exc)] * len(configs)
+        return [str(exc)] * len(seeds)
     return [res.rows if isinstance(res, learner.RunResult) else str(res)
             for res in results]
 
@@ -356,19 +359,19 @@ def cmd_sweep(opts: dict) -> int:
     jobs = _positive_int(opts, "jobs")
     base_seed = opts["seed"]
     seeds = [base_seed + i for i in range(n_seeds)]
-    base = _make_run_config(opts, base_seed)
-    configs = [dataclasses.replace(base, seed=seed) for seed in seeds]
+    config = _make_run_config(opts)
     out_dir = opts["out"] or "sweep_out"
     os.makedirs(out_dir, exist_ok=True)
     # contiguous batches whose sizes differ by at most one, one per process
     n_batches = min(jobs, n_seeds)
     bounds = [n_seeds * i // n_batches for i in range(n_batches + 1)]
-    batches = [configs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    batches = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     if n_batches == 1:
-        outcomes = _sweep_batch(configs)
+        outcomes = _sweep_batch(config, seeds)
     else:
         with ProcessPoolExecutor(max_workers=n_batches) as pool:
-            outcomes = [out for batch in pool.map(_sweep_batch, batches) for out in batch]
+            outcomes = [out for batch in pool.map(_sweep_batch, repeat(config), batches)
+                        for out in batch]
     failures = [(seed, out) for seed, out in zip(seeds, outcomes) if isinstance(out, str)]
     results = {seed: out for seed, out in zip(seeds, outcomes) if not isinstance(out, str)}
     for seed in seeds:

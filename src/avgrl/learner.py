@@ -14,9 +14,9 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-One private driver, _drive(configs), runs configs that differ only in seed:
-`run(config)` is its one-seed case and `run_batch(configs)` the checked way in
-for several.  Its one kernel, _make_step, runs a segment (up to the next
+One private driver, _drive(config, seeds), runs one config on several seeds:
+`run(config, seed)` is its one-seed case and `run_batch(config, seeds)` the
+batch.  Its one kernel, _make_step, runs a segment (up to the next
 metrics row or the end of a draw block) on each seed's state in place, step by
 step and within a step every live seed in turn, each seed bit for bit as its
 one-seed run.  A segment lists its step sizes once, through StepSchedule,
@@ -57,7 +57,7 @@ from __future__ import annotations
 import bisect
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 import numpy as np
@@ -174,6 +174,8 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
     ratio_ok:        c_alpha / c_gamma below the constant-dependent bound
                      1 / (2B(G + U_w) + U_w B); needs an AssumptionReport with
                      those constants and is None when no report is given.
+                     c/0 is inf for c > 0; 0/0 is 0, since then neither
+                     the actor nor the tracker moves.
     tracker_ok:      c_gamma <= 2.  gamma_t <= c_gamma, so |1 - gamma_t| <= 1
                      for every t iff c_gamma <= 2; above that the
                      average-reward recursion expands and overflows.
@@ -183,7 +185,8 @@ def validate_schedule(sched: StepSchedule, report=None) -> ScheduleFlags:
         0.0 < nu < sigma < 1.0 and 2.0 * sigma < 3.0 * nu and 2.0 * sigma - nu < 1.0
     )
     asymptotic_ok = 0.5 < nu <= 1.0 and 0.5 < sigma <= 1.0
-    ratio = sched.c_alpha / sched.c_gamma if sched.c_gamma > 0 else np.inf
+    ratio = (sched.c_alpha / sched.c_gamma if sched.c_gamma > 0
+             else np.inf if sched.c_alpha > 0 else 0.0)
     ratio_ok = ratio_bound = None
     if report is not None:
         ratio_bound = report.constants.get("ratio_bound")
@@ -396,15 +399,14 @@ def _make_step(
 
 @dataclass
 class RunConfig:
-    """Resolved inputs for a learning run (objects, not file paths)."""
+    """Resolved inputs for a learning run (objects, not file paths); the seed
+    is passed beside it, so the seeds of a batch share everything else."""
 
     mdp: FiniteMdp
     policy: SoftmaxLinearPolicy
     features: FeatureMap
     schedule: StepSchedule
     steps: int
-    algo: str = "ca"
-    seed: int = 0
     metrics_every: int = 1000
     uv_radius: float | None = None  # None: max(10 ||v*(theta_0)||, 1) by critic_radius
     actor_radius: float | None = None
@@ -412,12 +414,8 @@ class RunConfig:
     tail_average_from: int | None = None  # accumulate mean of v_t from this step on
 
     def __post_init__(self):
-        if self.algo not in ALGO_SCHEDULES:
-            raise InvariantViolation(f"unknown algo {self.algo!r}")
         if self.steps < 0:
             raise InvariantViolation(f"steps must be nonnegative, got {self.steps}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise InvariantViolation(f"seed must be nonnegative, got {self.seed}")
         if self.metrics_every <= 0:
             raise InvariantViolation(f"metrics_every must be positive, got {self.metrics_every}")
         if self.uv_radius is not None and not self.uv_radius > 0:
@@ -464,11 +462,12 @@ def resolve_uv_radius(config: RunConfig) -> float:
     return critic_radius(critic_fixed_point(config.mdp, config.policy, config.features))
 
 
-def run(config: RunConfig) -> RunResult:
-    """Execute a full run, emitting an exact-metrics row every metrics_every
-    steps (and at the final step).  Raises OracleFailure (a row's exact solve
-    failed) or Diverged (an iterate's squared norm is not finite), with the step."""
-    result = _drive([config])[0]
+def run(config: RunConfig, seed: int = 0) -> RunResult:
+    """Execute a full run of `seed`, emitting an exact-metrics row every
+    metrics_every steps (and at the final step).  Raises OracleFailure (a row's
+    exact solve failed) or Diverged (an iterate's squared norm is not finite),
+    with the step."""
+    result = _drive(config, [seed])[0]
     if isinstance(result, AvgrlError):
         raise result
     return result
@@ -483,38 +482,19 @@ def _draws_per_step(reward_noise: float) -> int:
     return 3 if reward_noise > 0.0 else 2
 
 
-# RunConfig fields that a batch shares by identity: its kernel is built from one
-# problem.
-_SHARED_OBJECTS = ("mdp", "policy", "features")
+def run_batch(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
+    """`run` of config for each of seeds, stepped together.
 
-
-def _check_batch(configs: list[RunConfig]) -> None:
-    base = configs[0]
-    for cfg in configs[1:]:
-        for name in (f.name for f in fields(RunConfig) if f.name != "seed"):
-            a, b = getattr(base, name), getattr(cfg, name)
-            if not (a is b if name in _SHARED_OBJECTS else a == b):
-                raise InvariantViolation(
-                    f"run_batch configs differ in {name}; only seed may differ "
-                    f"(mdp, policy and features must be the same objects)")
-
-
-def run_batch(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
-    """`run` for configs that differ only in seed, stepped together.
-
-    Slot i holds configs[i]'s RunResult, equal to run(configs[i]) bit for bit
-    (wall_ns aside), or the OracleFailure or Diverged that run(configs[i])
-    raises; a failed seed leaves the batch at its failing step and the others
-    go on unchanged.  Any difference other than seed raises InvariantViolation.
+    Slot i holds seeds[i]'s RunResult, equal to run(config, seeds[i]) bit for
+    bit (wall_ns aside), or the OracleFailure or Diverged that it raises; a
+    failed seed leaves the batch at its failing step and the others go on
+    unchanged.  A negative seed raises InvariantViolation before any step.
     """
-    if not configs:
-        return []
-    _check_batch(configs)
-    return _drive(configs)
+    return _drive(config, seeds)
 
 
-def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
-    """The run loop for configs that differ only in seed (unchecked).
+def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
+    """The run loop of config for each of seeds.
 
     Each seed keeps its own generator and draws k = 2 (3 with reward noise)
     uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
@@ -525,29 +505,30 @@ def _drive(configs: list[RunConfig]) -> list[RunResult | AvgrlError]:
     """
     from .metrics import exact_metrics_row
 
-    base = configs[0]
-    mdp, policy, features = base.mdp, base.policy, base.features
-    uv_radius = resolve_uv_radius(base)
-    n_seeds = len(configs)
-    rngs = [np.random.Generator(np.random.Philox(cfg.seed)) for cfg in configs]
-    # each seed's state, by its slot in configs
+    if min(seeds, default=0) < 0:  # numpy's generators take no negative seed
+        raise InvariantViolation(f"seed must be nonnegative, got {min(seeds)}")
+    mdp, policy, features = config.mdp, config.policy, config.features
+    uv_radius = resolve_uv_radius(config)
+    n_seeds = len(seeds)
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    # each seed's state, by its slot in seeds
     s = [int(rng.integers(mdp.n_states)) for rng in rngs]
     L, delta_sum = [0.0] * n_seeds, [0.0] * n_seeds
-    theta = [policy.theta.tolist() for _ in configs]
-    v = [[0.0] * features.dim for _ in configs]
-    tails = [[0.0] * features.dim for _ in configs]
+    theta = [policy.theta.tolist() for _ in seeds]
+    v = [[0.0] * features.dim for _ in seeds]
+    tails = [[0.0] * features.dim for _ in seeds]
 
-    advance = _make_step(mdp, policy, features, base.schedule, uv_radius, base.reward_noise,
-                         base.actor_radius)
+    advance = _make_step(mdp, policy, features, config.schedule, uv_radius,
+                         config.reward_noise, config.actor_radius)
 
-    steps, every = base.steps, base.metrics_every
-    tail_from = steps if base.tail_average_from is None else base.tail_average_from
+    steps, every = config.steps, config.metrics_every
+    tail_from = steps if config.tail_average_from is None else config.tail_average_from
     failed: dict = {}  # slot -> its Diverged or OracleFailure; the seed then leaves live
     memo: list = []  # the last row's policy solution, reused while theta stands still
     live = list(range(n_seeds))
-    rows: list[list] = [[] for _ in configs]
+    rows: list[list] = [[] for _ in seeds]
     last_row = 0
-    k = _draws_per_step(base.reward_noise)
+    k = _draws_per_step(config.reward_noise)
     start_ns = time.perf_counter_ns()
     t = 0
     while t < steps and live:

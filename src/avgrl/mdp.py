@@ -366,9 +366,15 @@ def _differential(chain: PolicyChain, mu: np.ndarray, gain: float) -> np.ndarray
         V = np.linalg.solve(np.eye(n) - K + np.outer(np.ones(n), mu), rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("differential value system is singular") from exc
-    bellman = (np.eye(n) - K) @ V - rhs
-    if not (np.abs(bellman).max() <= 1e-9 and abs(mu @ V) <= 1e-9):  # NaN fails too
-        raise SingularSystem("differential value residual exceeds 1e-9")
+    # normwise, 1e-9 (||I - K|| ||V|| + ||rhs||) in max norms, so the bound scales
+    # with the rewards; 1e-9 scales each term first, so the sum cannot overflow
+    I_K = np.eye(n) - K
+    bellman = I_K @ V - rhs
+    v_norm = np.abs(V).max()
+    bound = 1e-9 * np.abs(I_K).sum(axis=1).max() * v_norm + 1e-9 * np.abs(rhs).max()
+    if not (np.isfinite(V).all() and np.abs(bellman).max() <= bound
+            and abs(mu @ V) <= 1e-9 * v_norm):  # NaN fails too
+        raise SingularSystem("differential value residual exceeds 1e-9 of its scale")
     return V
 
 

@@ -167,7 +167,8 @@ def estimate_mixing(
 
     Computes d_m = max_s d_TV(P^m(s, .), mu) by repeated exact matrix powers
     for m = 1..horizon (stopping once d_m <= 1e-12), fits log d_m = log b +
-    m log k by least squares, drops the m = 1 point when it sits more than 20%
+    m log k by least squares (through d_1 and the 1e-12 floor at m = 2 when
+    only d_1 is above it), drops the m = 1 point when it sits more than 20%
     off the fitted line (pre-asymptotic head), then raises the prefactor to
     b = max_m d_m / k^m so the envelope dominates every measured distance.
 
@@ -197,6 +198,8 @@ def estimate_mixing(
     logd = np.log(np.array(ds))
     keep = np.array(ds) > _DECAY_FLOOR
     ms_fit, logd_fit = ms[keep], logd[keep]
+    if len(ms_fit) == 1:  # d_2 already at the floor: the line from d_1 down to it
+        ms_fit, logd_fit = np.array([1.0, ms[-1]]), np.array([logd[0], math.log(_DECAY_FLOOR)])
     slope, intercept = np.polyfit(ms_fit, logd_fit, 1)
     # Exclude the pre-asymptotic head when m = 1 deviates > 20% from the line.
     if len(ms_fit) > 2 and ms_fit[0] == 1.0:

@@ -67,9 +67,9 @@ def run_cli(argv):
     return rc, out.getvalue()
 
 
-def run_seeds(configs):
+def run_seeds(config, seeds):
     """run_batch, raising a seed's failure as run would."""
-    results = run_batch(configs)
+    results = run_batch(config, seeds)
     for res in results:
         if isinstance(res, Exception):
             raise res
@@ -102,9 +102,9 @@ def long_run(tmp_path_factory):
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
     cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
-                    steps=10**6, seed=0, metrics_every=500)
+                    steps=10**6, metrics_every=500)
     t0 = time.perf_counter()
-    result = run(cfg)
+    result = run(cfg, 0)
     elapsed = time.perf_counter() - t0
     csv_path = tmp_path_factory.mktemp("longrun") / "ca_1e6.csv"
     write_metrics_csv(str(csv_path), result.rows)
@@ -178,11 +178,10 @@ def test_criterion_03_td_tracks_fixed_point():
                          c_gamma=1.5, gamma_exp=0.5)
     steps = 200_000
     t0 = time.perf_counter()
-    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
-                      steps=steps, seed=seed, metrics_every=steps,
-                      tail_average_from=steps // 2)
-            for seed in range(8)]
-    errs = [float(np.linalg.norm(res.v_tail_avg - v_star)) for res in run_seeds(cfgs)]
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                    steps=steps, metrics_every=steps, tail_average_from=steps // 2)
+    errs = [float(np.linalg.norm(res.v_tail_avg - v_star))
+            for res in run_seeds(cfg, list(range(8)))]
     elapsed = time.perf_counter() - t0
     n_ok = sum(e <= tol for e in errs)
     ok = n_ok == 8 and elapsed < 30.0
@@ -234,10 +233,9 @@ def test_criterion_07_learning_quality():
     fmap = make_features("one_hot_reduced", mdp)
     l_star, _ = brute_force_optimum(mdp)
     steps = 200_000
-    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
-                      steps=steps, seed=seed, metrics_every=steps)
-            for seed in range(10)]
-    finals = [res.rows[-1].L_theta for res in run_seeds(cfgs)]
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
+                    steps=steps, metrics_every=steps)
+    finals = [res.rows[-1].L_theta for res in run_seeds(cfg, list(range(10)))]
     n_ok = sum(l >= 0.9 * l_star for l in finals)
     ok = n_ok >= 9
     report(7, ok, f"{n_ok}/10 seeds reached L(theta_T) >= 0.9 L* = "
@@ -256,10 +254,9 @@ def test_criterion_08_gridworld_comparison():
     steps = 200_000
     finals = {}
     for algo in ("ca", "ac"):
-        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule(algo),
-                          steps=steps, algo=algo, seed=seed, metrics_every=steps)
-                for seed in range(10)]
-        finals[algo] = [res.rows[-1].L_theta for res in run_seeds(cfgs)]
+        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule(algo),
+                        steps=steps, metrics_every=steps)
+        finals[algo] = [res.rows[-1].L_theta for res in run_seeds(cfg, list(range(10)))]
     med_ca = float(np.median(finals["ca"]))
     med_ac = float(np.median(finals["ac"]))
     margin = 0.05 * abs(l_star)

@@ -143,7 +143,7 @@ class TestValidate:
         assert {k for k, v in doc["constants"].items() if v is None} == {
             "U_v", "Ubar_v", "G", "U_w", "ratio_bound"}
         assert doc["schedule"]["ratio_bound"] is None
-        assert main(["validate", "--env", "four-state", "--c-alpha", "0",
+        assert main(["validate", "--env", "four-state", "--c-alpha", "1", "--c-gamma", "0",
                      "--out", str(report)]) == 0
         assert "ratio=inf" in capsys.readouterr().out
         assert strict_json(report)["schedule"]["ratio"] is None

@@ -16,10 +16,11 @@ hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
 
 
-def run_outcome(cfg):
-    """run(cfg) as (rows without wall_ns, t, s, L, v, theta), or its error's type and text."""
+def run_outcome(cfg, seed):
+    """run(cfg, seed) as (rows without wall_ns, t, s, L, v, theta), or its error's type and
+    text."""
     try:
-        res = run(cfg)
+        res = run(cfg, seed)
     except AvgrlError as exc:
         return type(exc).__name__, str(exc)
     rows = [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ns"}
@@ -43,13 +44,13 @@ def test_list_branch_matches_dense_branch(n_actions, n_states, seed, theta_scale
     pol = tabular_policy(mdp)
     pol = pol.with_theta(theta_scale * np.random.default_rng(seed).normal(size=pol.dim))
     cfg = RunConfig(mdp=mdp, policy=pol, features=make_features(critic, mdp, seed=seed),
-                    schedule=algo_schedule(algo), steps=300, seed=seed, metrics_every=100,
+                    schedule=algo_schedule(algo), steps=300, metrics_every=100,
                     uv_radius=5.0, actor_radius=radius, reward_noise=noise)
     assert learner._action_columns(pol.action_features) is not None
-    listed = run_outcome(cfg)
+    listed = run_outcome(cfg, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learner, "_action_columns", lambda x: None)
-        dense = run_outcome(cfg)
+        dense = run_outcome(cfg, seed)
     assert listed == dense
 
 
@@ -73,13 +74,14 @@ def test_skipped_ball_tests_match_reference_stepper(n_states, n_actions, seed, u
     fmap = FeatureMap(phi_scale * make_features(critic, mdp, seed=seed).table)
     sched = StepSchedule(c_alpha=0.0) if algo == "frozen" else algo_schedule(algo)
     steps = 200
-    cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=steps,
-                      seed=seed + i, metrics_every=steps, uv_radius=uv_radius,
-                      actor_radius=radius, reward_noise=noise) for i in range(n)]
-    for cfg, res in zip(cfgs, run_batch(cfgs), strict=True):
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=steps,
+                    metrics_every=steps, uv_radius=uv_radius, actor_radius=radius,
+                    reward_noise=noise)
+    seeds = [seed + i for i in range(n)]
+    for seed_i, res in zip(seeds, run_batch(cfg, seeds), strict=True):
         hypothesis.assume(not isinstance(res, AvgrlError))  # a singular A(theta) at the row
         s, L, v, theta, delta_abs_mean = reference_run(
-            mdp, pol, fmap, sched, steps, cfg.seed, uv_radius, noise, radius)
+            mdp, pol, fmap, sched, steps, seed_i, uv_radius, noise, radius)
         assert (res.final.s, res.final.L) == (s, L)
         assert np.array_equal(res.final.v, v)
         assert np.array_equal(res.final.theta, theta)

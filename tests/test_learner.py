@@ -146,6 +146,17 @@ class TestValidateSchedule:
         assert validate_schedule(sched, FakeReport(0.1)).ratio_ok is False
         assert validate_schedule(sched).ratio_ok is None
 
+    @pytest.mark.parametrize("c_alpha,c_gamma,ratio", [
+        (0.0, 0.0, 0.0),  # neither the actor nor the tracker moves
+        (1.0, 0.0, math.inf),
+        (1.5, 0.5, 3.0),
+    ])
+    def test_ratio_of_coefficients(self, c_alpha, c_gamma, ratio):
+        flags = validate_schedule(StepSchedule(c_alpha=c_alpha, c_gamma=c_gamma),
+                                  FakeReport(0.5))
+        assert flags.ratio == ratio
+        assert flags.ratio_ok is (ratio < 0.5)
+
 
 class TestSingleStep:
     """Per-step behaviour of the sampled update, observed through run."""
@@ -158,7 +169,7 @@ class TestSingleStep:
 
     def run_steps(self, steps, seed, sched=None, policy=None, **kw):
         return run(RunConfig(mdp=self.mdp, policy=policy or self.pol, features=self.fmap,
-                             schedule=sched or self.sched, steps=steps, seed=seed, **kw))
+                             schedule=sched or self.sched, steps=steps, **kw), seed)
 
     def test_hand_replay(self):
         # replay the draws with a mirrored generator and recompute the three
@@ -246,7 +257,7 @@ class TestRun:
 
     def config(self, **kw):
         base = dict(mdp=self.mdp, policy=self.pol, features=self.fmap,
-                    schedule=algo_schedule("ca"), steps=2000, seed=0, metrics_every=500)
+                    schedule=algo_schedule("ca"), steps=2000, metrics_every=500)
         base.update(kw)
         return RunConfig(**base)
 
@@ -292,8 +303,8 @@ class TestRun:
         pol = pol.with_theta(np.random.default_rng(3).normal(size=pol.theta.shape))
         results = [
             run(RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=FROZEN,
-                          steps=600, seed=2, metrics_every=200, uv_radius=5.0,
-                          actor_radius=radius, reward_noise=0.2))
+                          steps=600, metrics_every=200, uv_radius=5.0,
+                          actor_radius=radius, reward_noise=0.2), 2)
             for radius in (None, 1e9)
         ]
         frozen, moving = (
@@ -331,11 +342,12 @@ class TestRun:
 
     def test_config_validation(self):
         with pytest.raises(InvariantViolation):
-            self.config(algo="sarsa")
-        with pytest.raises(InvariantViolation):
             self.config(steps=-1)
-        with pytest.raises(InvariantViolation, match="seed"):
-            self.config(seed=-1)  # numpy's generators take no negative seed
+        # numpy's generators take no negative seed
+        with pytest.raises(InvariantViolation, match="seed must be nonnegative, got -1"):
+            run(self.config(), seed=-1)
+        with pytest.raises(InvariantViolation, match="seed must be nonnegative, got -1"):
+            run_batch(self.config(), [0, -1])
         for radius in (0.0, -1.0, math.nan):
             with pytest.raises(InvariantViolation, match="uv must be positive"):
                 self.config(uv_radius=radius)
@@ -432,13 +444,12 @@ def test_run_matches_reference_stepper(algo, noise, radius, steps):
     fmap = make_features("one_hot_reduced", mdp)
     sched = FROZEN if algo == "frozen" else algo_schedule(algo)
     cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
-                    steps=steps, seed=5, metrics_every=steps, uv_radius=5.0,
+                    steps=steps, metrics_every=steps, uv_radius=5.0,
                     actor_radius=radius, reward_noise=noise)
-    single = run(cfg)
+    single = run(cfg, 5)
     results = [(5, single)]
     for seeds in (range(5, 8), range(5, 13)):
-        batch = run_batch([dataclasses.replace(cfg, seed=seed) for seed in seeds])
-        results += zip(seeds, batch, strict=True)
+        results += zip(seeds, run_batch(cfg, list(seeds)), strict=True)
     expected = {seed: reference_run(mdp, pol, fmap, sched, steps, seed, 5.0, noise, radius)
                 for seed in range(5, 13)}
     for seed, res in results:
@@ -463,11 +474,11 @@ def test_one_hot_branch_matches_dense_branch(monkeypatch, algo, noise, radius, s
     assert learner._unit_columns(fmap.table) is not None
     sched = FROZEN if algo == "frozen" else algo_schedule(algo)
     cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=steps,
-                    seed=5, metrics_every=100, uv_radius=5.0, actor_radius=radius,
+                    metrics_every=100, uv_radius=5.0, actor_radius=radius,
                     reward_noise=noise)
-    one_hot = run(cfg)
+    one_hot = run(cfg, 5)
     monkeypatch.setattr(learner, "_unit_columns", lambda table: None)
-    dense = run(cfg)
+    dense = run(cfg, 5)
     assert len(dense.rows) == -(-steps // 100)
     assert without_wall(one_hot.rows) == without_wall(dense.rows)
     a, b = one_hot.final, dense.final
@@ -486,9 +497,9 @@ def test_eight_tabular_actions_match_reference_stepper():
     assert learner._action_columns(pol.action_features) is not None
     for noise, radius in [(0.0, None), (0.3, 1.0)]:
         cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=algo_schedule("ca"),
-                        steps=600, seed=9, metrics_every=600, uv_radius=5.0,
+                        steps=600, metrics_every=600, uv_radius=5.0,
                         actor_radius=radius, reward_noise=noise)
-        res = run(cfg)
+        res = run(cfg, 9)
         s, L, v, theta, delta_abs_mean = reference_run(
             mdp, pol, fmap, cfg.schedule, 600, 9, 5.0, noise, radius)
         assert (res.final.s, res.final.L) == (s, L)
@@ -583,16 +594,15 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
 
 
-def diverging_configs(kind, n):
+def diverging_configs(kind):
     mdp = four_state_easy()
     sched = {"critic": algo_schedule("ca", c_beta=1e300),
              "actor": algo_schedule("ca", c_alpha=1e300, c_gamma=1.5)}[kind]
     pol = tabular_policy(mdp)
     features = [make_features(name, mdp) for name in ("one_hot_reduced", "tabular_centered")]
-    return [[RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
-                       steps=200, seed=seed, metrics_every=50, uv_radius=5.0,
-                       actor_radius=1.0)
-             for seed in range(n)] for fmap in features]
+    return [RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched,
+                      steps=200, metrics_every=50, uv_radius=5.0, actor_radius=1.0)
+            for fmap in features]
 
 
 @pytest.mark.parametrize("kind,coef", [("critic", "c_beta"), ("actor", "c_alpha")])
@@ -603,14 +613,14 @@ def test_overflow_gives_diverged(kind, coef, n):
     # instead
     pattern = (rf"{kind} diverged at step \d+: its squared norm is (inf|nan); "
                rf"lower {coef} \(now 1e\+300\)")
-    for configs in diverging_configs(kind, n):
+    for cfg in diverging_configs(kind):
         with np.errstate(over="ignore", invalid="ignore"):
             if n == 1:
                 with pytest.raises(Diverged) as err:
-                    run(configs[0])
+                    run(cfg)
                 results = [err.value]
             else:
-                results = run_batch(configs)
+                results = run_batch(cfg, list(range(n)))
         assert len(results) == n
         for res in results:
             assert isinstance(res, Diverged)
@@ -694,15 +704,16 @@ def without_wall(rows):
             for row in rows]
 
 
-# Each case runs N seeds through run_batch; every seed must equal run() of its
-# config.  Steps default to two draw blocks plus a remainder.
+# Each case runs N seeds of one config through run_batch; every seed must equal
+# run() of that config and seed.  Steps default to two draw blocks plus a
+# remainder.
 BATCH_CASES = {
-    "ca": dict(algo="ca"),
-    "ac-noise": dict(algo="ac", reward_noise=0.3),
-    "stac-actor-radius": dict(algo="stac", actor_radius=0.05),
+    "ca": dict(schedule=algo_schedule("ca")),
+    "ac-noise": dict(schedule=algo_schedule("ac"), reward_noise=0.3),
+    "stac-actor-radius": dict(schedule=algo_schedule("stac"), actor_radius=0.05),
     "frozen-tail": dict(schedule=FROZEN, tail_average_from=700),
     "frozen-noise-critic-ball": dict(schedule=FROZEN, reward_noise=0.3, uv_radius=0.05),
-    "zero-steps": dict(algo="ac", steps=0),
+    "zero-steps": dict(schedule=algo_schedule("ac"), steps=0),
 }
 
 
@@ -712,16 +723,18 @@ class TestRunBatch:
         self.pol = tabular_policy(self.mdp)
         self.fmap = make_features("one_hot_reduced", self.mdp)
 
-    def configs(self, n, **kw):
+    def config(self, **kw):
         base = dict(mdp=self.mdp, policy=self.pol, features=self.fmap,
-                    steps=2 * _DRAW_BLOCK + 77, metrics_every=500)
+                    schedule=algo_schedule("ca"), steps=2 * _DRAW_BLOCK + 77, metrics_every=500)
         base.update(kw)
-        if "schedule" not in base:
-            base["schedule"] = algo_schedule(base.get("algo", "ca"))
-        return [RunConfig(seed=10 + i, **base) for i in range(n)]
+        return RunConfig(**base)
 
-    def assert_matches_run(self, cfg, res):
-        ref = run(cfg)
+    @staticmethod
+    def seeds(n):
+        return list(range(10, 10 + n))
+
+    def assert_matches_run(self, cfg, seed, res):
+        ref = run(cfg, seed)
         assert isinstance(res, RunResult)
         assert without_wall(res.rows) == without_wall(ref.rows)
         a, b = res.final, ref.final
@@ -738,12 +751,12 @@ class TestRunBatch:
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 10])
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_each_seed_matches_run(self, case, n):
-        cfgs = self.configs(n, **BATCH_CASES[case])
-        results = run_batch(cfgs)
+        cfg, seeds = self.config(**BATCH_CASES[case]), self.seeds(n)
+        results = run_batch(cfg, seeds)
         assert len(results) == n
-        for cfg, res in zip(cfgs, results):
-            self.assert_matches_run(cfg, res)
-        if cfgs[0].steps:
+        for seed, res in zip(seeds, results):
+            self.assert_matches_run(cfg, seed, res)
+        if cfg.steps:
             assert [r.t for r in results[0].rows] == [500, 1000, 1500, 2000, 2125]
 
     def count_kernel_builds(self, monkeypatch):
@@ -759,49 +772,38 @@ class TestRunBatch:
     def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
         # one build of the one kernel serves the whole batch
         built = self.count_kernel_builds(monkeypatch)
-        cfgs = self.configs(8, schedule=FROZEN, reward_noise=0.3)
-        results = run_batch(cfgs)
+        cfg, seeds = self.config(schedule=FROZEN, reward_noise=0.3), self.seeds(8)
+        results = run_batch(cfg, seeds)
         assert len(built) == 1
-        for cfg, res in zip(cfgs, results, strict=True):
-            self.assert_matches_run(cfg, res)  # run itself is the N = 1 case
+        for seed, res in zip(seeds, results, strict=True):
+            self.assert_matches_run(cfg, seed, res)  # run itself is the N = 1 case
 
     @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
     def test_moving_batch_below_8_takes_the_scalar_kernel(self, monkeypatch, case):
         # a moving batch of any size, 7 seeds here, steps in the one kernel,
         # built once for the batch
         built = self.count_kernel_builds(monkeypatch)
-        cfgs = self.configs(7, **BATCH_CASES[case])
-        results = run_batch(cfgs)
+        cfg, seeds = self.config(**BATCH_CASES[case]), self.seeds(7)
+        results = run_batch(cfg, seeds)
         assert len(built) == 1
-        for cfg, res in zip(cfgs, results, strict=True):
-            self.assert_matches_run(cfg, res)
+        for seed, res in zip(seeds, results, strict=True):
+            self.assert_matches_run(cfg, seed, res)
 
     def test_projections_bind(self):
         # the actor-radius and critic-ball cases above reach their radius
-        res = run_batch(self.configs(3, **BATCH_CASES["stac-actor-radius"]))
+        res = run_batch(self.config(**BATCH_CASES["stac-actor-radius"]), self.seeds(3))
         norms = [np.linalg.norm(r.final.theta) for r in res]
         assert max(norms) == pytest.approx(0.05, abs=1e-12)
-        res = run_batch(self.configs(3, **BATCH_CASES["frozen-noise-critic-ball"]))
+        res = run_batch(self.config(**BATCH_CASES["frozen-noise-critic-ball"]), self.seeds(3))
         norms = [row.v_norm for r in res for row in r.rows]
         assert max(norms) == pytest.approx(0.05, abs=1e-12)
 
     def test_empty_batch(self):
-        assert run_batch([]) == []
-
-    def test_configs_must_differ_only_in_seed(self):
-        cfgs = self.configs(2)
-        with pytest.raises(InvariantViolation, match="steps"):
-            run_batch([cfgs[0], dataclasses.replace(cfgs[1], steps=10)])
-        with pytest.raises(InvariantViolation, match="reward_noise"):
-            run_batch([cfgs[0], dataclasses.replace(cfgs[1], reward_noise=0.1)])
-        # an equal but separate problem object is not shared
-        other = dataclasses.replace(cfgs[1], mdp=frozen_lake_4x4())
-        with pytest.raises(InvariantViolation, match="mdp"):
-            run_batch([cfgs[0], other])
+        assert run_batch(self.config(), []) == []
 
     def test_row_failure_drops_only_that_seed(self, monkeypatch):
-        cfgs = self.configs(3, steps=1500)
-        clean = [run(cfg) for cfg in cfgs]
+        cfg, seeds = self.config(steps=1500), self.seeds(3)
+        clean = [run(cfg, seed) for seed in seeds]
         target = clean[1].rows[1]  # seed 11's row at step 1000
         real = metrics.exact_metrics_row
 
@@ -812,8 +814,8 @@ class TestRunBatch:
 
         monkeypatch.setattr(metrics, "exact_metrics_row", flaky)
         with pytest.raises(OracleFailure) as expected:
-            run(cfgs[1])
-        results = run_batch(cfgs)
+            run(cfg, seeds[1])
+        results = run_batch(cfg, seeds)
         assert isinstance(results[1], OracleFailure)
         assert str(results[1]) == str(expected.value)
         assert str(results[1]) == "exact metrics failed at step 1000: A(theta) is singular"
@@ -827,11 +829,10 @@ class TestRunBatch:
         # fails; every other seed, stepped around both, equals its run()
         mdp = four_state_easy()
         pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
-        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300, seed=seed,
-                          schedule=algo_schedule("ca", c_alpha=1e154, c_gamma=1.5),
-                          metrics_every=50, uv_radius=5.0, actor_radius=1.0)
-                for seed in range(8)]
-        target = run(cfgs[5]).rows[2]
+        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300,
+                        schedule=algo_schedule("ca", c_alpha=1e154, c_gamma=1.5),
+                        metrics_every=50, uv_radius=5.0, actor_radius=1.0)
+        target = run(cfg, 5).rows[2]
         real = metrics.exact_metrics_row
 
         def flaky(*args, **kw):
@@ -840,17 +841,17 @@ class TestRunBatch:
             return real(*args, **kw)
 
         monkeypatch.setattr(metrics, "exact_metrics_row", flaky)
-        results = run_batch(cfgs)
+        results = run_batch(cfg, list(range(8)))
         assert str(results[3]).startswith("actor diverged at step 1: ")
         assert str(results[5]) == "exact metrics failed at step 150: A(theta) is singular"
-        for cfg, res in zip(cfgs, results):
-            if cfg.seed in (3, 5):
+        for seed, res in enumerate(results):
+            if seed in (3, 5):
                 with pytest.raises(AvgrlError) as expected:
-                    run(cfg)
+                    run(cfg, seed)
                 assert type(res) is type(expected.value)
                 assert str(res) == str(expected.value)
             else:
-                self.assert_matches_run(cfg, res)
+                self.assert_matches_run(cfg, seed, res)
 
     @pytest.mark.parametrize("overrides,every,diverge", [
         (dict(c_beta=1e154), 100, [1, 2, 3, 4, 5, 7]),
@@ -863,10 +864,9 @@ class TestRunBatch:
         radius = overrides.pop("actor_radius", None)
         mdp = four_state_easy()
         pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
-        cfgs = [RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300, seed=seed,
-                          schedule=algo_schedule("ca", **overrides), metrics_every=every,
-                          uv_radius=5.0, actor_radius=radius)
-                for seed in range(8)]
+        cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, steps=300,
+                        schedule=algo_schedule("ca", **overrides), metrics_every=every,
+                        uv_radius=5.0, actor_radius=radius)
         real, solved = metrics.exact_metrics_row, []
 
         def counting(*args, **kw):
@@ -875,35 +875,36 @@ class TestRunBatch:
 
         with np.errstate(over="ignore", invalid="ignore"):
             monkeypatch.setattr(metrics, "exact_metrics_row", counting)
-            results = run_batch(cfgs)
+            results = run_batch(cfg, list(range(8)))
             monkeypatch.undo()
             # no row is solved for a seed that diverged before it
             assert len(solved) == sum(len(r.rows) for r in results if isinstance(r, RunResult))
-            for cfg, res in zip(cfgs, results):
-                if cfg.seed in diverge:
+            for seed, res in enumerate(results):
+                if seed in diverge:
                     with pytest.raises(Diverged) as expected:
-                        run(cfg)
+                        run(cfg, seed)
                     assert isinstance(res, Diverged)
                     assert str(res) == str(expected.value)
                 else:
-                    self.assert_matches_run(cfg, res)
+                    self.assert_matches_run(cfg, seed, res)
 
 
-def draw_block_configs(case):
+def draw_block_config(case):
+    """(config, seeds) of a draw-block case."""
     mdp = four_state_easy()
     base = dict(mdp=mdp, policy=tabular_policy(mdp), features=make_features("one_hot_reduced", mdp),
                 uv_radius=5.0)
     if case == "frozen":
-        return [RunConfig(schedule=FROZEN, steps=2100, seed=5, metrics_every=300,
-                          tail_average_from=1500, **base)]
+        return RunConfig(schedule=FROZEN, steps=2100, metrics_every=300,
+                         tail_average_from=1500, **base), [5]
     if case == "moving-noise":  # k = 3 draws a step
-        return [RunConfig(schedule=algo_schedule("ca"), steps=2100, seed=5, metrics_every=300,
-                          reward_noise=0.3, actor_radius=0.5, **base)]
+        return RunConfig(schedule=algo_schedule("ca"), steps=2100, metrics_every=300,
+                         reward_noise=0.3, actor_radius=0.5, **base), [5]
     # seed 3's actor overflows at step 1, inside its draw block unless the block
     # is one step; the other seeds step on to the end
     sched = algo_schedule("ca", c_alpha=1e154, c_gamma=1.5)
-    return [RunConfig(schedule=sched, steps=300, seed=seed, metrics_every=50, actor_radius=1.0,
-                      **base) for seed in range(8)]
+    return RunConfig(schedule=sched, steps=300, metrics_every=50, actor_radius=1.0,
+                     **base), list(range(8))
 
 
 @pytest.mark.parametrize("block", [1, 7, 1000])
@@ -911,11 +912,11 @@ def draw_block_configs(case):
 def test_draw_block_size_leaves_runs_unchanged(monkeypatch, case, block):
     # a step's draws sit at their offset in the seed's flat block whatever the
     # block size, so rows, final states and errors equal the default block's
-    cfgs = draw_block_configs(case)
+    cfg, seeds = draw_block_config(case)
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = run_batch(cfgs)
+        expected = run_batch(cfg, seeds)
         monkeypatch.setattr(learner, "_DRAW_BLOCK", block)
-        results = run_batch(cfgs)
+        results = run_batch(cfg, seeds)
     if case == "batch-one-leaves":
         assert str(expected[3]).startswith("actor diverged at step 1: ")
     for res, ref in zip(results, expected, strict=True):

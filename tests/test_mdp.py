@@ -456,6 +456,15 @@ class TestSharedTables:
         with pytest.raises(SingularSystem, match="differential value residual"):
             mdp_module._differential(chain, mu, gain)
 
+    def test_infinite_differential_value_raises(self, monkeypatch):
+        # an inf in V makes the scale-aware bound inf as well, which the
+        # residual would meet; V itself must be finite
+        chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.array([1.0, 0.0]))
+        mu = stationary_distribution(chain)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([math.inf, 0.0]))
+        with pytest.raises(SingularSystem, match="differential value residual exceeds 1e-9"):
+            mdp_module._differential(chain, mu, float(mu @ chain.expected_reward))
+
     def test_nan_differential_residual_raises(self):
         chain = PolicyChain([[0.5, 0.5], [1.0, 0.0]], np.zeros(2))
         with pytest.raises(SingularSystem, match="differential value residual exceeds 1e-9"):

@@ -6,6 +6,8 @@ from the triple sum, and the actor field must decompose exactly into the true
 gradient plus the independently expanded bias term.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,23 @@ class TestMixing:
             prof = estimate_mixing(mdp, pol)
             for m, d in enumerate(prof.distances, start=1):
                 assert prof.b * prof.k ** m >= d * (1.0 - 1e-9)
+
+    def test_one_power_above_the_floor(self):
+        # K = 1 mu^T + u w^T with w . 1 = 0 and u orthogonal to mu and w, so
+        # K^2 = 1 mu^T: d_1 = 0.1 and d_2 is rounding, at or below the floor.
+        # The line runs from d_1 to the floor at m = 2 (a fit of d_1 alone
+        # warned and returned an arbitrary k)
+        mu, w = np.array([0.4, 0.3, 0.3]), np.array([0.0, 1.0, -1.0])
+        K = np.outer(np.ones(3), mu) + np.outer(np.cross(mu, w), w) / 6.0
+        mdp = FiniteMdp(transition=K[:, None, :], reward=np.zeros((3, 1)), reward_bound=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = estimate_mixing(mdp, tabular_policy(mdp))
+        d1, d2 = prof.distances
+        assert d1 == pytest.approx(0.1, abs=1e-12)
+        assert d2 <= 1e-12
+        assert prof.k == pytest.approx(1e-12 / d1, rel=1e-9)
+        assert prof.b * prof.k == pytest.approx(d1, rel=1e-9)
 
     def test_perfect_mixing_degenerates(self):
         P = np.tile(np.array([0.3, 0.7]), (2, 1, 1))
