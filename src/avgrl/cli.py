@@ -45,7 +45,6 @@ _OPTIONS = {
     "c_alpha": (float, None, None),
     "c_beta": (float, None, None),
     "c_gamma": (float, None, None),
-    "k_coupling": (float, None, None),
     "uv": (float, None, "critic projection radius"),
     "actor_radius": (float, None, None),
     "reward_noise": (float, 0.0, None),
@@ -60,7 +59,7 @@ _OPTIONS = {
     "theta": (str, None, "JSON file with the parameter vector"),
 }
 
-_SCHEDULE_KEYS = ("nu", "sigma", "c_alpha", "c_beta", "c_gamma", "k_coupling")
+_SCHEDULE_KEYS = ("nu", "sigma", "c_alpha", "c_beta", "c_gamma")
 _RUN_KEYS = ("env", "features", "seed", "algo", *_SCHEDULE_KEYS,
              "steps", "uv", "actor_radius", "reward_noise", "metrics_every", "out")
 
@@ -156,34 +155,42 @@ def build_schedule(algo: str, opts: dict) -> learner.StepSchedule:
     return learner.algo_schedule(algo, **overrides)
 
 
-def resolve_features(spec: str | None, mdp, embedded: FeatureMap | None) -> FeatureMap:
+def resolve_features(spec: str | None, mdp,
+                     embedded: FeatureMap | None) -> tuple[FeatureMap, str]:
+    """The feature map of `spec` (a JSON path or kind[:d1]) and the name a run
+    records for it: without a spec the env file's own map ("embedded"), or
+    else one_hot_reduced."""
     if spec is None:
         if embedded is not None:
-            return embedded
-        return make_features("one_hot_reduced", mdp)
+            return embedded, "embedded"
+        return make_features("one_hot_reduced", mdp), "one_hot_reduced"
     if os.path.exists(spec):
         _, fmap = envs.load_mdp(spec)
         if fmap is None:
             raise ParseError(f"{spec}: no 'features' block in file")
-        return fmap
+        if fmap.n_states != mdp.n_states:
+            raise ParseError(f"{spec}: the feature table has {fmap.n_states} rows, but the "
+                             f"env has {mdp.n_states} states")
+        return fmap, spec
     kind, _, dim = spec.partition(":")
     try:
         d1 = int(dim) if dim else None
     except ValueError:
         raise ParseError(f"features {spec!r}: dimension {dim!r} is not an integer") from None
-    return make_features(kind, mdp, d1=d1, seed=0)
+    return make_features(kind, mdp, d1=d1, seed=0), spec
 
 
 def _resolve_problem(opts: dict):
+    """(mdp, features, policy, the features' name)."""
     mdp, embedded = envs.resolve_env(opts["env"])
-    features = resolve_features(opts["features"], mdp, embedded)
+    features, features_name = resolve_features(opts["features"], mdp, embedded)
     policy = envs.tabular_policy(mdp)
-    return mdp, features, policy
+    return mdp, features, policy, features_name
 
 
 def cmd_validate(opts: dict) -> int:
     sched = build_schedule(opts["algo"], opts)
-    mdp, features, policy = _resolve_problem(opts)
+    mdp, features, policy, _ = _resolve_problem(opts)
     report = check_assumption2(
         mdp, policy, features,
         n_theta_samples=opts["policy_samples"], seed=opts["seed"],
@@ -255,12 +262,13 @@ def _positive_int(opts: dict, key: str) -> int:
     return opts[key]
 
 
-def _make_run_config(opts: dict) -> learner.RunConfig:
+def _make_run_config(opts: dict) -> tuple[learner.RunConfig, str]:
     """The run options but --seed, which is refused here when negative, before
-    any output is made (numpy's generators take no negative seed)."""
+    any output is made (numpy's generators take no negative seed); and the
+    features' name."""
     if opts["seed"] < 0:
         raise InvariantViolation(f"seed must be nonnegative, got {opts['seed']}")
-    mdp, features, policy = _resolve_problem(opts)
+    mdp, features, policy, features_name = _resolve_problem(opts)
     sched = build_schedule(opts["algo"], opts)
     return learner.RunConfig(
         mdp=mdp,
@@ -272,7 +280,7 @@ def _make_run_config(opts: dict) -> learner.RunConfig:
         uv_radius=opts["uv"],
         actor_radius=opts["actor_radius"],
         reward_noise=opts["reward_noise"],
-    )
+    ), features_name
 
 
 def _host() -> dict:
@@ -300,11 +308,12 @@ def _host() -> dict:
             **blas, "libc": " ".join(platform.libc_ver()).strip() or None}
 
 
-def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -> dict:
+def _sidecar(opts: dict, features_name: str, config: learner.RunConfig,
+             result: learner.RunResult) -> dict:
     sched = config.schedule
     return {
         "env": opts["env"],
-        "features": opts["features"] or "one_hot_reduced",
+        "features": features_name,
         "algo": opts["algo"],
         "steps": config.steps,
         "seed": opts["seed"],
@@ -315,7 +324,6 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
         "schedule": {
             "c_alpha": sched.c_alpha, "c_beta": sched.c_beta, "c_gamma": sched.c_gamma,
             "nu": sched.nu, "sigma": sched.sigma, "gamma_exp": sched.gamma_exp,
-            "k_coupling": sched.k_coupling,
         },
         "final": {
             "t": result.final.t,
@@ -329,14 +337,14 @@ def _sidecar(opts: dict, config: learner.RunConfig, result: learner.RunResult) -
 
 
 def cmd_train(opts: dict) -> int:
-    config = _make_run_config(opts)
+    config, features_name = _make_run_config(opts)
     out = opts["out"] or "metrics.csv"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     result = learner.run(config, opts["seed"])
     metrics.write_metrics_csv(out, result.rows)
     sidecar_path = os.path.splitext(out)[0] + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(_sidecar(opts, config, result), fh, indent=2)
+        json.dump(_sidecar(opts, features_name, config, result), fh, indent=2)
         fh.write("\n")
     last_l_theta = result.rows[-1].L_theta if result.rows else float("nan")
     print(f"wrote {out} ({len(result.rows)} rows); final L_t={result.final.L:.6g} "
@@ -359,7 +367,7 @@ def cmd_sweep(opts: dict) -> int:
     jobs = _positive_int(opts, "jobs")
     base_seed = opts["seed"]
     seeds = [base_seed + i for i in range(n_seeds)]
-    config = _make_run_config(opts)
+    config, _ = _make_run_config(opts)
     out_dir = opts["out"] or "sweep_out"
     os.makedirs(out_dir, exist_ok=True)
     # contiguous batches whose sizes differ by at most one, one per process
@@ -435,7 +443,7 @@ def _read_theta(path: str) -> np.ndarray:
 
 
 def cmd_solve(opts: dict) -> int:
-    mdp, features, policy = _resolve_problem(opts)
+    mdp, features, policy, _ = _resolve_problem(opts)
     if opts["theta"]:
         policy = policy.with_theta(_read_theta(opts["theta"]))
     chain, mu, gain = _evaluate(mdp, policy)

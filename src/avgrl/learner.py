@@ -16,9 +16,9 @@ optional radius reproduces the projected variant.
 
 One private driver, _drive(config, seeds), runs one config on several seeds:
 `run(config, seed)` is its one-seed case and `run_batch(config, seeds)` the
-batch.  Its one kernel, _make_step, runs a segment (up to the next
-metrics row or the end of a draw block) on each seed's state in place, step by
-step and within a step every live seed in turn, each seed bit for bit as its
+batch.  Its one kernel, _make_step, runs a segment (up to the next metrics
+row, at most _DRAW_BLOCK steps) on each seed's state in place, step by step
+and within a step every live seed in turn, each seed bit for bit as its
 one-seed run.  A segment lists its step sizes once, through StepSchedule,
 and the seed loop only indexes them and the draws.  One BLAS thread, 2-core
 Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps, min us per seed-step
@@ -45,9 +45,10 @@ runs only when a bound on its norm could reach the radius (_BOUND_SLACK).
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
-_drive draws a live seed's block of up to _DRAW_BLOCK steps as one flat list
-of k uniforms a step (k = 2, or 3 with reward noise); step t of the block
-starting at block_start reads its j-th draw at u[n][k * (t - block_start) + j].
+At a segment's start _drive draws each live seed's uniforms for it, k a step
+(k = 2, or 3 with reward noise), as one flat list: step t of the segment from
+t_start reads its j-th draw at u[n][k * (t - t_start) + j].  At a metrics row
+t a live seed's generator has drawn its initial state and exactly k t uniforms.
 Cumulative rows are inverted as np.searchsorted(side="right") would, by
 bisect.bisect_right on a list.
 """
@@ -82,8 +83,7 @@ class StepSchedule:
     beta_t  = c_beta  / (1+t)^sigma (critic)
     gamma_t = c_gamma / (1+t)^gamma_exp (average-reward tracker)
 
-    c_gamma defaults to k_coupling * c_alpha and gamma_exp to nu, i.e. the
-    tracker is coupled to the actor clock as gamma_t = K alpha_t.  alphas,
+    c_gamma defaults to c_alpha and gamma_exp to nu (gamma_t = alpha_t).  alphas,
     betas and gammas list a run of steps t0 .. t1 - 1 for the kernel, which
     takes a segment's step sizes before its seed loop; alpha(t), beta(t) and
     gamma(t) are their one-step runs, so each formula has one definition.
@@ -93,13 +93,12 @@ class StepSchedule:
     c_beta: float = 1.5
     nu: float = ALGO_SCHEDULES["ca"][0]
     sigma: float = ALGO_SCHEDULES["ca"][1]
-    k_coupling: float = 1.0
     c_gamma: float | None = None
     gamma_exp: float | None = None
 
     def __post_init__(self):
         if self.c_gamma is None:
-            object.__setattr__(self, "c_gamma", self.k_coupling * self.c_alpha)
+            object.__setattr__(self, "c_gamma", self.c_alpha)
         if self.gamma_exp is None:
             object.__setattr__(self, "gamma_exp", self.nu)
         for name in ("c_alpha", "c_beta", "c_gamma"):
@@ -136,8 +135,8 @@ def _decay(c: float, e: float, t0: int, t1: int) -> list[float]:
 
 
 def algo_schedule(algo: str, **overrides) -> StepSchedule:
-    """The ALGO_SCHEDULES exponents on the StepSchedule defaults (c = 1.5,
-    K = 1), then `overrides`.
+    """The ALGO_SCHEDULES exponents on the StepSchedule defaults (c = 1.5),
+    then `overrides`.
 
     The tracker follows the actor clock (gamma_exp = nu) for ca and the
     critic clock (gamma_exp = sigma after overrides) for ac and stac, unless
@@ -263,15 +262,15 @@ def _make_step(
 ):
     """The sampled update of a batch of seeds, with its constants built once.
 
-    Returns the segment stepper advance(t, t_end, u, block_start, live, theta,
-    v, L, s, delta_sum, tails, failed).  It runs steps t .. t_end - 1
-    (t_end > t), each on every seed n of live in turn, and returns the step
+    Returns the segment stepper advance(t_start, t_end, u, live, theta, v, L,
+    s, delta_sum, tails, failed).  It runs steps t_start .. t_end - 1
+    (t_end > t_start), each on every seed n of live in turn, and returns the step
     after the last one any seed ran.  A seed's state is held by its slot n, as
     Python floats, and stepped in place: theta[n] and v[n] are lists, L[n] and
     s[n] numbers, delta_sum[n] sums |delta| and tails[n] (unless tails is None)
-    v after each step.  u[n] is seed n's draw block, one flat list from step
-    block_start on: the j-th draw of step t is u[n][k * (t - block_start) + j],
-    with k = _draws_per_step(reward_noise) (action, next state, then the
+    v after each step.  u[n] is seed n's draws of the segment, one flat list:
+    the j-th draw of step t is u[n][k * (t - t_start) + j], with
+    k = _draws_per_step(reward_noise) (action, next state, then the
     reward noise).  The segment's step sizes are listed by sched before the
     seed loop.  An iterate whose squared norm is not finite puts a Diverged in
     failed[n] and takes n out of live, with its state as it stood; the other
@@ -321,13 +320,13 @@ def _make_step(
             w[:] = [w_i * scale for w_i in w]
         return math.sqrt(w_sq) * grow
 
-    def advance(t_start, t_end, u, block_start, live, ths, vs, L, s, delta_sum, tails, failed):
+    def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
         # bounds on each seed's ||v|| and ||theta||; inf tests the first step exactly
         v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
         n_failed = len(failed)
         # step t's draws start at u[n][i]; the segment's step sizes are listed once
         steps = zip(range(t_start, t_end),
-                    range(k * (t_start - block_start), k * (t_end - block_start), k),
+                    range(0, k * (t_end - t_start), k),
                     repeat(0.0) if frozen else sched.alphas(t_start, t_end),
                     sched.betas(t_start, t_end), sched.gammas(t_start, t_end))
         for t, i, alpha, beta, gamma in steps:
@@ -414,6 +413,14 @@ class RunConfig:
     tail_average_from: int | None = None  # accumulate mean of v_t from this step on
 
     def __post_init__(self):
+        shape = (self.mdp.n_states, self.mdp.n_actions)
+        if self.features.n_states != shape[0]:
+            raise InvariantViolation(f"the feature map has {self.features.n_states} states, "
+                                     f"the MDP {shape[0]}")
+        policy_shape = self.policy.action_features.shape[:2]
+        if policy_shape != shape:
+            raise InvariantViolation(
+                f"the policy takes (S, A) = {policy_shape}, the MDP is {shape}")
         if self.steps < 0:
             raise InvariantViolation(f"steps must be nonnegative, got {self.steps}")
         if self.metrics_every <= 0:
@@ -432,7 +439,7 @@ class RunConfig:
         if not validate_schedule(self.schedule).tracker_ok:
             raise InvariantViolation(
                 f"c_gamma must be at most 2, got {self.schedule.c_gamma}: the average-reward "
-                "tracker would expand (|1 - gamma_0| > 1); lower c_gamma, c_alpha or K")
+                "tracker would expand (|1 - gamma_0| > 1); lower c_gamma or c_alpha")
 
 
 @dataclass
@@ -473,7 +480,7 @@ def run(config: RunConfig, seed: int = 0) -> RunResult:
     return result
 
 
-# Steps per block of uniforms drawn from each seed's generator.
+# The most steps in one segment, which bounds each seed's list of draws.
 _DRAW_BLOCK = 1024
 
 
@@ -496,12 +503,12 @@ def run_batch(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlErro
 def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
     """The run loop of config for each of seeds.
 
-    Each seed keeps its own generator and draws k = 2 (3 with reward noise)
-    uniforms per step in blocks of at most _DRAW_BLOCK steps, so it stops on
-    the same draw whatever the batch.  The kernel advances every live seed
-    one segment at a time; a segment ends at a draw-block end, a metrics row
-    or the start of the tail average.  A seed that diverges or whose row fails
-    leaves live there, its state kept as it stood.
+    A segment ends at the next metrics row, the start of the tail average,
+    the last step or _DRAW_BLOCK steps on, whichever comes first; at its start
+    each live seed draws k = 2 (3 with reward noise) uniforms a step for it.
+    Generator.random makes one double of each 64-bit Philox word, so a seed's
+    draws do not depend on where segments (or batches) cut them.  A seed that
+    diverges or whose row fails leaves live there, its state kept as it stood.
     """
     from .metrics import exact_metrics_row
 
@@ -532,32 +539,30 @@ def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
     start_ns = time.perf_counter_ns()
     t = 0
     while t < steps and live:
-        block_start, block_end = t, min(t + _DRAW_BLOCK, steps)
-        # u[n]: live seed n's draws of the block, k per step (see _make_step)
+        t_end = min(steps, t - t % every + every, t + _DRAW_BLOCK)
+        if t < tail_from:
+            t_end = min(t_end, tail_from)
+        # u[n]: live seed n's draws of the segment, k per step (see _make_step)
         u: list = [None] * n_seeds
         for n in live:
-            u[n] = rngs[n].random(k * (block_end - t)).tolist()
-        while t < block_end and live:
-            t_end = min(block_end, t - t % every + every)
-            if t < tail_from:
-                t_end = min(t_end, tail_from)
-            t = advance(t, t_end, u, block_start, live, theta, v, L, s,
-                        delta_sum, tails if t >= tail_from else None, failed)
-            if t % every == 0 or t == steps:
-                for n in live:
-                    try:
-                        rows[n].append(exact_metrics_row(
-                            mdp, policy, features,
-                            t=t, theta=np.array(theta[n]), v=np.array(v[n]), L=L[n],
-                            delta_abs_mean=delta_sum[n] / (t - last_row),
-                            wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
-                        ))
-                    except AvgrlError as exc:
-                        failed[n] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
-                        failed[n].__cause__ = exc
-                live[:] = [n for n in live if n not in failed]
-                delta_sum[:] = [0.0] * n_seeds
-                last_row = t
+            u[n] = rngs[n].random(k * (t_end - t)).tolist()
+        t = advance(t, t_end, u, live, theta, v, L, s,
+                    delta_sum, tails if t >= tail_from else None, failed)
+        if t % every == 0 or t == steps:
+            for n in live:
+                try:
+                    rows[n].append(exact_metrics_row(
+                        mdp, policy, features,
+                        t=t, theta=np.array(theta[n]), v=np.array(v[n]), L=L[n],
+                        delta_abs_mean=delta_sum[n] / (t - last_row),
+                        wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
+                    ))
+                except AvgrlError as exc:
+                    failed[n] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
+                    failed[n].__cause__ = exc
+            live[:] = [n for n in live if n not in failed]
+            delta_sum[:] = [0.0] * n_seeds
+            last_row = t
 
     tail_n = steps - tail_from
     return [failed[n] if n in failed else RunResult(

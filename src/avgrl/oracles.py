@@ -171,6 +171,7 @@ def estimate_mixing(
     only d_1 is above it), drops the m = 1 point when it sits more than 20%
     off the fitted line (pre-asymptotic head), then raises the prefactor to
     b = max_m d_m / k^m so the envelope dominates every measured distance.
+    A chain with d_1 already at the floor has b = k = 0.
 
     Raises PeriodicChain when the distances never decay below 0.5 * d_1 within
     the horizon (no geometric regime to fit), and InvalidSpec when horizon < 1.
@@ -187,7 +188,7 @@ def estimate_mixing(
         if d <= _DECAY_FLOOR:
             break
         power = power @ K
-    if ds[0] <= 1e-14:
+    if ds[0] <= _DECAY_FLOOR:
         return MixingProfile(b=0.0, k=0.0, distances=tuple(ds))
     if min(ds) > 0.5 * ds[0]:
         raise PeriodicChain(

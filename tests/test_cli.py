@@ -16,7 +16,7 @@ import avgrl
 from avgrl import cli, metrics
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
-from avgrl.envs import four_state_easy, save_mdp
+from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, save_mdp
 from avgrl.errors import OracleFailure, ParseError
 from avgrl.features import FeatureMap, make_features
 from avgrl.mdp import FiniteMdp
@@ -37,6 +37,14 @@ def write_two_cycle_env(tmp_path):
     P[1, 0, 0] = 1.0
     path = tmp_path / "two_cycle.json"
     save_mdp(str(path), FiniteMdp(P, np.zeros((2, 1)), reward_bound=1.0))
+    return str(path)
+
+
+def write_eight_state_env(tmp_path):
+    """An 8-state garnet with an embedded one_hot_reduced feature block."""
+    mdp = build_garnet(GarnetSpec(n_states=8, n_actions=2, branching=3, seed=1))
+    path = tmp_path / "garnet8.json"
+    save_mdp(str(path), mdp, features=make_features("one_hot_reduced", mdp))
     return str(path)
 
 
@@ -174,6 +182,21 @@ class TestTrain:
         assert sidecar["schedule"]["nu"] == 0.5
         assert sidecar["schedule"]["sigma"] == 0.51
         assert sidecar["uv_radius"] > 0
+
+    @pytest.mark.parametrize("env,features,name", [
+        ("garnet8", None, "embedded"),  # the env file's own map
+        ("four-state", None, "one_hot_reduced"),
+        ("gridworld4", "random_unit:6", "random_unit:6"),
+    ])
+    def test_sidecar_names_the_features_that_ran(self, tmp_path, capsys, env, features, name):
+        if env == "garnet8":
+            env = write_eight_state_env(tmp_path)
+        out = tmp_path / "run.csv"
+        argv = ["train", "--env", env, "--steps", "20", "--metrics-every", "10",
+                "--out", str(out)]
+        assert main(argv + (["--features", features] if features else [])) == 0
+        capsys.readouterr()
+        assert json.loads((tmp_path / "run.json").read_text())["features"] == name
 
     def test_zero_steps_header_only(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
@@ -669,7 +692,26 @@ class TestConfigLayering:
         assert sidecar["schedule"]["nu"] == 0.6
         assert sidecar["schedule"]["sigma"] == 0.7
         assert sidecar["schedule"]["c_alpha"] == 1.0
-        assert sidecar["schedule"]["c_gamma"] == 1.0  # coupled to c_alpha
+        assert sidecar["schedule"]["c_gamma"] == 1.0  # defaults to c_alpha
+
+    def test_removed_tracker_option_exit_two(self, tmp_path, capsys):
+        # the tracker's coefficient is set by c_gamma alone; the option that
+        # scaled c_alpha is refused as a flag and as a config key
+        flag = "--k-coupling"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--env", "four-state", flag, "2", "--out", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        key = flag[2:].replace("-", "_")
+        for text in (f"{key}=2\n", json.dumps({key: 2.0})):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(text)
+            rc = main(["train", "--env", "four-state", "--config", str(cfg),
+                       "--out", str(tmp_path / "b.csv")])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.splitlines() == [f"error: {cfg}: unknown config keys ['{key}']"]
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 # flag, value, what the refusal says: each is refused by the object that holds
@@ -697,7 +739,7 @@ REFUSED_RUN_FLAGS = [
 class TestErrorPaths:
     @pytest.mark.parametrize("command", ["train", "sweep", "validate"])
     def test_expanding_tracker_exit_one(self, tmp_path, capsys, command):
-        # c_gamma = K c_alpha = 50 > 2: |1 - gamma_t| > 1 and L_t would blow
+        # c_gamma = c_alpha = 50 > 2: |1 - gamma_t| > 1 and L_t would blow
         # up; a run is refused before any step and nothing is written (exit 2),
         # and validate (which passes at the default c_alpha) flags the tracker
         # as its verdict (exit 1)
@@ -863,6 +905,21 @@ class TestErrorPaths:
             assert captured.out == ""
             assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("command", ["solve", "validate", "train", "sweep"])
+    def test_feature_file_of_another_env_exit_two(self, tmp_path, capsys, command):
+        # an 8-state table on four-state used to die in numpy's matmul; with
+        # --uv, train ran every step first
+        path = write_eight_state_env(tmp_path)
+        runs = ["--steps", "10", "--uv", "5", "--out", str(tmp_path / "out")]
+        rc = main([command, "--env", "four-state", "--features", path]
+                  + (runs if command in ("train", "sweep") else []))
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.splitlines() == [
+            f"error: {path}: the feature table has 8 rows, but the env has 4 states"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [Path(path)]
+
     def test_mistyped_env_file_exit_two(self, tmp_path, capsys):
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"n_states": 2, "n_actions": 1, "reward_bound": "x",
@@ -888,7 +945,7 @@ class TestErrorPaths:
 class TestHelpers:
     def test_build_schedule_forwards_set_options(self):
         opts = {"c_alpha": 1.0, "c_beta": None, "c_gamma": None, "nu": None,
-                "sigma": 0.45, "k_coupling": None, "steps": 10}
+                "sigma": 0.45, "steps": 10}
         for algo in ("ca", "ac", "stac"):
             assert build_schedule(algo, opts) == algo_schedule(algo, c_alpha=1.0, sigma=0.45)
             assert build_schedule(algo, {}) == algo_schedule(algo)
@@ -896,9 +953,11 @@ class TestHelpers:
     def test_resolve_features_embedded_wins(self):
         mdp = four_state_easy()
         emb = FeatureMap(np.eye(4, 2))
-        assert resolve_features(None, mdp, emb) is emb
-        default = resolve_features(None, mdp, None)
+        fmap, name = resolve_features(None, mdp, emb)
+        assert fmap is emb and name == "embedded"
+        default, name = resolve_features(None, mdp, None)
         assert default.dim == 3
+        assert name == "one_hot_reduced"
 
     def test_resolve_features_path_requires_block(self, tmp_path):
         path = tmp_path / "plain.json"

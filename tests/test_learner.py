@@ -48,11 +48,11 @@ class TestStepSchedule:
         assert sched.alpha(0) == 1.5
         assert sched.alpha(3) == 1.5 / 2.0  # (1+3)^0.5 = 2
         assert sched.beta(0) == 2.0
-        assert sched.gamma(0) == 1.5  # K = 1 couples gamma to alpha
+        assert sched.gamma(0) == 1.5  # c_gamma defaults to c_alpha
         assert sched.gamma(3) == 1.5 / 2.0
 
     def test_coupling_constant(self):
-        sched = StepSchedule(c_alpha=1.5, k_coupling=2.0)
+        sched = StepSchedule(c_alpha=1.5, c_gamma=3.0)
         assert sched.c_gamma == 3.0
         for t in (0, 5, 1000):
             assert abs(sched.gamma(t) - 2.0 * sched.alpha(t)) < 1e-15
@@ -78,21 +78,17 @@ class TestStepSchedule:
         with pytest.raises(InvariantViolation, match=f"{field} must be finite"):
             StepSchedule(**{field: value})
 
-    def test_derived_tracker_coefficient_checked(self):
-        with pytest.raises(InvariantViolation, match="c_gamma must be finite"):
-            StepSchedule(k_coupling=math.nan)
-
 
 class TestAlgoSchedule:
     def test_defaults_on_every_field(self):
-        # c = 1.5 and K = 1; the tracker follows nu for ca, sigma otherwise
+        # c = 1.5; the tracker follows nu for ca, sigma otherwise
         expected = {
             "ca": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.5, sigma=0.51,
-                               k_coupling=1.0, c_gamma=1.5, gamma_exp=0.5),
+                               c_gamma=1.5, gamma_exp=0.5),
             "ac": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.4,
-                               k_coupling=1.0, c_gamma=1.5, gamma_exp=0.4),
+                               c_gamma=1.5, gamma_exp=0.4),
             "stac": StepSchedule(c_alpha=1.5, c_beta=1.5, nu=0.6, sigma=0.6,
-                                 k_coupling=1.0, c_gamma=1.5, gamma_exp=0.6),
+                                 c_gamma=1.5, gamma_exp=0.6),
         }
         assert set(ALGO_SCHEDULES) == set(expected)
         for algo, want in expected.items():
@@ -108,9 +104,9 @@ class TestAlgoSchedule:
     def test_overrides(self):
         sched = algo_schedule("ca", c_alpha=1.0, nu=0.6, sigma=0.7)
         assert (sched.c_alpha, sched.c_beta, sched.nu, sched.sigma) == (1.0, 1.5, 0.6, 0.7)
-        assert sched.c_gamma == 1.0  # coupled to c_alpha through K = 1
+        assert sched.c_gamma == 1.0  # defaults to c_alpha
         assert sched.gamma_exp == 0.6
-        assert algo_schedule("stac", k_coupling=0.5).c_gamma == 0.75
+        assert algo_schedule("stac", c_gamma=0.75).c_gamma == 0.75
         assert algo_schedule("ac", gamma_exp=0.9).gamma_exp == 0.9
 
     def test_unknown_algo(self):
@@ -352,6 +348,14 @@ class TestRun:
             with pytest.raises(InvariantViolation, match="uv must be positive"):
                 self.config(uv_radius=radius)
 
+    def test_problem_shapes_must_match_the_mdp(self):
+        # a 3-state map on four-state used to raise IndexError inside the kernel
+        with pytest.raises(InvariantViolation, match="feature map has 3 states, the MDP 4"):
+            self.config(features=FeatureMap(np.eye(3, 2)))
+        garnet = build_garnet(GarnetSpec(n_states=4, n_actions=3, branching=2, seed=0))
+        with pytest.raises(InvariantViolation, match=r"policy takes \(S, A\) = \(4, 3\)"):
+            self.config(policy=tabular_policy(garnet))
+
     @pytest.mark.parametrize("field,value", [
         ("actor_radius", -1.0),  # the projection would reflect theta
         ("actor_radius", 0.0),  # ... or pin it at 0
@@ -429,7 +433,7 @@ REFERENCE_CASES = [
     (algo, noise, radius, 300)
     for algo in ALGO_SCHEDULES for noise in (0.0, 0.3) for radius in (None, 0.5)
 ] + [("frozen", 0.0, None, 300), ("frozen", 0.3, None, 300),
-     # one metrics window across a draw-block boundary pins the |delta| sum order
+     # one metrics window across a _DRAW_BLOCK segment cap pins the |delta| sum order
      ("ca", 0.3, None, _DRAW_BLOCK + 76), ("frozen", 0.3, None, _DRAW_BLOCK + 76)]
 REFERENCE_IDS = ["-".join(map(str, case[:3] if case[3] == 300 else case))
                  for case in REFERENCE_CASES]
@@ -589,7 +593,7 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     theta, v = [pol.theta.tolist()], [[0.0]]
     u = [[0.0, 0.5, 0.999, 0.5]]  # actions 0, then 1
     failed = {}
-    assert advance(0, 2, u, 0, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
+    assert advance(0, 2, u, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
     assert failed == {}
     assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
 
@@ -654,7 +658,7 @@ def test_nan_iterate_reports_diverged(make, iterate):
     advance, state = nan_kernel_inputs(make, iterate, 1, 0)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, [[0.5] * 10], 0, [0], *state, failed) == 1
+        assert advance(0, 5, [[0.5] * 10], [0], *state, failed) == 1
     assert list(failed) == [0]
     assert isinstance(failed[0], Diverged)
     assert str(failed[0]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
@@ -669,11 +673,11 @@ def test_nan_row_leaves_the_other_rows(iterate):
     row = one_seed(state, 1)
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u), 0, [0, 1, 2], *state, failed) == 5
+        assert advance(0, 5, flat_draws(u), [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     one = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u[:, :, 1:2]), 0, [0], *row, one) == 1
+        assert advance(0, 5, flat_draws(u[:, :, 1:2]), [0], *row, one) == 1
     assert list(one) == [0]
     assert str(one[0]) == str(failed[1])
     for a, b in zip(state[:2], row[:2]):
@@ -688,12 +692,12 @@ def test_scalar_kernel_steps_every_row(iterate):
     rows = [one_seed(state, i) for i in range(3)]
     failed = {}
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u), 0, [0, 1, 2], *state, failed) == 5
+        assert advance(0, 5, flat_draws(u), [0, 1, 2], *state, failed) == 5
     assert list(failed) == [1]
     assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
     for i in (0, 2):
         one = {}
-        assert advance(0, 5, flat_draws(u[:, :, i:i + 1]), 0, [0], *rows[i], one) == 5
+        assert advance(0, 5, flat_draws(u[:, :, i:i + 1]), [0], *rows[i], one) == 5
         assert one == {}
         for a, b in zip(state[:5], rows[i][:5]):
             assert np.array_equal(a[i:i + 1], b)
@@ -705,8 +709,8 @@ def without_wall(rows):
 
 
 # Each case runs N seeds of one config through run_batch; every seed must equal
-# run() of that config and seed.  Steps default to two draw blocks plus a
-# remainder.
+# run() of that config and seed.  Steps default to two _DRAW_BLOCK segment caps
+# plus a remainder.
 BATCH_CASES = {
     "ca": dict(schedule=algo_schedule("ca")),
     "ac-noise": dict(schedule=algo_schedule("ac"), reward_noise=0.3),

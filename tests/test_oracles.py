@@ -166,6 +166,25 @@ class TestMixing:
         assert prof.k == pytest.approx(1e-12 / d1, rel=1e-9)
         assert prof.b * prof.k == pytest.approx(d1, rel=1e-9)
 
+    @pytest.mark.parametrize("eps", [1e-12, 5e-13, 5e-12])
+    def test_one_floor_for_the_degenerate_case(self, eps):
+        # the chain above with u w^T scaled to d_1 = 0.6 eps: at or below the
+        # 1e-12 floor it mixes at once (b = k = 0), not periodically; above it
+        # the line runs from d_1 down to the floor, k = 1e-12 / d_1 (about 1/3)
+        mu, w = np.array([0.4, 0.3, 0.3]), np.array([0.0, 1.0, -1.0])
+        K = np.outer(np.ones(3), mu) + eps * np.outer(np.cross(mu, w), w)
+        mdp = FiniteMdp(transition=K[:, None, :], reward=np.zeros((3, 1)), reward_bound=1.0)
+        prof = estimate_mixing(mdp, tabular_policy(mdp))
+        d1 = prof.distances[0]
+        assert d1 == pytest.approx(0.6 * eps, rel=1e-3)
+        if d1 <= 1e-12:
+            assert prof.distances == (d1,)
+            assert prof.b == 0.0 and prof.k == 0.0
+        else:
+            assert prof.k == pytest.approx(1e-12 / d1, rel=1e-9)
+            assert prof.k == pytest.approx(1.0 / 3.0, rel=1e-4)
+            assert prof.b * prof.k == pytest.approx(d1, rel=1e-9)
+
     def test_perfect_mixing_degenerates(self):
         P = np.tile(np.array([0.3, 0.7]), (2, 1, 1))
         mdp = FiniteMdp(transition=P, reward=np.zeros((2, 1)), reward_bound=1.0)
