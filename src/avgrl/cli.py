@@ -367,7 +367,7 @@ def cmd_sweep(opts: dict) -> int:
     jobs = _positive_int(opts, "jobs")
     base_seed = opts["seed"]
     seeds = [base_seed + i for i in range(n_seeds)]
-    config, _ = _make_run_config(opts)
+    config, features_name = _make_run_config(opts)
     out_dir = opts["out"] or "sweep_out"
     os.makedirs(out_dir, exist_ok=True)
     # contiguous batches whose sizes differ by at most one, one per process
@@ -392,7 +392,7 @@ def cmd_sweep(opts: dict) -> int:
     with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
         fh.write(agg)
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump({"seeds": seeds, "failed": failures,
+        json.dump({"seeds": seeds, "failed": failures, "features": features_name,
                    "opts": {k: v for k, v in opts.items() if k != "theta"}, "host": _host()},
                   fh, indent=2)
         fh.write("\n")

@@ -17,17 +17,18 @@ optional radius reproduces the projected variant.
 One private driver, _drive(config, seeds), runs one config on several seeds:
 `run(config, seed)` is its one-seed case and `run_batch(config, seeds)` the
 batch.  Its one kernel, _make_step, runs a segment (up to the next metrics
-row, at most _DRAW_BLOCK steps) on each seed's state in place, step by step
-and within a step every live seed in turn, each seed bit for bit as its
-one-seed run.  A segment lists its step sizes once, through StepSchedule,
-and the seed loop only indexes them and the draws.  One BLAS thread, 2-core
+row, at most _DRAW_BLOCK steps) seed by seed: each live seed runs the whole
+segment on its state in local variables, written back to its slot once, at
+the segment's end or where the seed fails, bit for bit as its one-seed run.
+A segment lists its step sizes once, through StepSchedule, and each seed's
+loop walks that list and indexes its draws.  One BLAS thread, 2-core
 Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps, min us per seed-step
-over 15 runs (30 for the last row):
+over 45 runs in three sessions (90 for the last row):
 
     moving / frozen, N =   1          4          8          10
-    four-state, one-hot    3.1 / 0.9  2.8 / 0.7  2.7 / 0.6  2.6 / 0.6
-    gridworld4, one-hot    3.6 / 1.0  3.2 / 0.7  3.3 / 0.7  3.3 / 0.7
-    random_unit:6 critic   5.4 / 2.6  4.9 / 2.3  5.2 / 2.4  4.9 / 2.3
+    four-state, one-hot    3.7 / 1.4  2.9 / 0.7  3.0 / 0.7  3.1 / 0.6
+    gridworld4, one-hot    4.1 / 1.0  3.9 / 0.7  3.6 / 0.7  3.8 / 0.7
+    random_unit:6 critic   6.1 / 3.0  5.6 / 2.5  5.3 / 2.4  5.2 / 2.3
 
 The segment loop calls no numpy.  A seed's state is Python floats from its
 first step to its final state, held by the seed's slot for the whole run: L,
@@ -55,9 +56,9 @@ bisect.bisect_right on a list.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 
@@ -264,17 +265,20 @@ def _make_step(
 
     Returns the segment stepper advance(t_start, t_end, u, live, theta, v, L,
     s, delta_sum, tails, failed).  It runs steps t_start .. t_end - 1
-    (t_end > t_start), each on every seed n of live in turn, and returns the step
-    after the last one any seed ran.  A seed's state is held by its slot n, as
-    Python floats, and stepped in place: theta[n] and v[n] are lists, L[n] and
-    s[n] numbers, delta_sum[n] sums |delta| and tails[n] (unless tails is None)
-    v after each step.  u[n] is seed n's draws of the segment, one flat list:
-    the j-th draw of step t is u[n][k * (t - t_start) + j], with
-    k = _draws_per_step(reward_noise) (action, next state, then the
-    reward noise).  The segment's step sizes are listed by sched before the
-    seed loop.  An iterate whose squared norm is not finite puts a Diverged in
-    failed[n] and takes n out of live, with its state as it stood; the other
-    seeds go on.  A frozen actor's table is built at policy.theta and its
+    (t_end > t_start) seed-major: each seed n of live runs all of them before
+    the next seed starts, and it returns one past the last step any seed ran.
+    A seed's state is held by its slot n, as Python floats: theta[n] and v[n]
+    are lists, L[n] and s[n] numbers, delta_sum[n] sums |delta| and tails[n]
+    (unless tails is None) v after each step.  Within the segment the seed
+    runs on local copies of them and of its ball bounds, written back to the
+    slot once.  u[n] is seed n's draws of the segment, one flat list: the
+    j-th draw of step t is u[n][k * (t - t_start) + j], with
+    k = _draws_per_step(reward_noise) (action, next state, then the reward
+    noise).  The segment's step sizes are listed by sched once, for all its
+    seeds.  An iterate whose squared norm is not finite puts a Diverged in
+    failed[n], stops seed n there and, at the segment's end, takes it out of
+    live; its slot keeps L, v and theta of the failing step and s and the sums
+    from before it.  A frozen actor's table is built at policy.theta and its
     update skipped.
     """
     # bisect_right on Python lists makes the same probes as
@@ -321,25 +325,24 @@ def _make_step(
         return math.sqrt(w_sq) * grow
 
     def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
-        # bounds on each seed's ||v|| and ||theta||; inf tests the first step exactly
-        v_up, th_up = [math.inf] * len(L), [math.inf] * len(L)
-        n_failed = len(failed)
         # step t's draws start at u[n][i]; the segment's step sizes are listed once
-        steps = zip(range(t_start, t_end),
-                    range(0, k * (t_end - t_start), k),
-                    repeat(0.0) if frozen else sched.alphas(t_start, t_end),
-                    sched.betas(t_start, t_end), sched.gammas(t_start, t_end))
-        for t, i, alpha, beta, gamma in steps:
-            for n in live:
-                s_t, L_t, u_n = s[n], L[n], u[n]
+        steps = list(zip(range(t_start, t_end), range(0, k * (t_end - t_start), k),
+                         repeat(0.0) if frozen else sched.alphas(t_start, t_end),
+                         sched.betas(t_start, t_end), sched.gammas(t_start, t_end)))
+        t_last = t_start
+        for n in live:
+            s_t, L_t, v, th, d_sum, u_n = s[n], L[n], vs[n], ths[n], delta_sum[n], u[n]
+            tail = None if tails is None else tails[n]
+            v_up = th_up = math.inf  # bounds on ||v|| and ||theta||; inf tests exactly
+            for t, i, alpha, beta, gamma in steps:
                 if frozen:
                     cum = prob_cum[s_t]
                 else:
-                    p, cum = _softmax_cum(logits(s_t, ths[n]))
-                a = bisect.bisect_right(cum, u_n[i])
+                    p, cum = _softmax_cum(logits(s_t, th))
+                a = bisect_right(cum, u_n[i])
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
-                s1 = bisect.bisect_right(pcum_rows[s_t][a], u_n[i + 1])
+                s1 = bisect_right(pcum_rows[s_t][a], u_n[i + 1])
                 if s1 >= n_states:
                     s1 = n_states - 1
                 r = R[s_t][a]
@@ -347,51 +350,49 @@ def _make_step(
                     r = r + reward_noise * (2.0 * u_n[i + 2] - 1.0)
                     r = min(max(r, -reward_bound), reward_bound)
 
-                v = vs[n]
                 if phi_cols is None:
                     phi_s = phi_rows[s_t]
                     delta = r - L_t + _dot(phi_rows[s1], v) - _dot(phi_s, v)
                     g = beta * delta
-                    vs[n] = v = [v_i + g * f_i for v_i, f_i in zip(v, phi_s)]
+                    v = [v_i + g * f_i for v_i, f_i in zip(v, phi_s)]
                 else:  # phi_cols[s] is -1 for a zero row
                     j, j1 = phi_cols[s_t], phi_cols[s1]
                     delta = r - L_t + (v[j1] if j1 >= 0 else 0.0) - (v[j] if j >= 0 else 0.0)
                     g = beta * delta
                     if j >= 0:
                         v[j] += g
-                L[n] = L_t + gamma * (r - L_t)
-                bound = (v_up[n] + abs(g) * phi_norm[s_t]) * grow
-                if not bound <= v_lim:  # NaN too
-                    bound = ball_test("critic", v, t, n, failed)
-                    if bound is None:
-                        continue
-                v_up[n] = bound
+                # a failing seed keeps L_{t+1}, v and theta as they stand, s_t and its sums
+                L_t = L_t + gamma * (r - L_t)
+                v_up = (v_up + abs(g) * phi_norm[s_t]) * grow
+                if not v_up <= v_lim:  # NaN too
+                    v_up = ball_test("critic", v, t, n, failed)
+                    if v_up is None:
+                        break
                 if not frozen:
-                    g, th = alpha * delta, ths[n]
+                    g = alpha * delta
                     if cols is not None:  # psi is 1 - p at a, -p elsewhere
                         for b, c in enumerate(cols[s_t]):
                             th[c] = th[c] + g * (1.0 - p[b] if b == a else -p[b])
                     else:  # psi = x(s, a) - sum_b p[b] x(s, b), column by column
-                        ths[n] = th = [th_c + g * (x_c - _dot(p, xs_c)) for th_c, x_c, xs_c
-                                       in zip(th, x_rows[s_t][a], x_by_col[s_t])]
+                        th = [th_c + g * (x_c - _dot(p, xs_c)) for th_c, x_c, xs_c
+                              in zip(th, x_rows[s_t][a], x_by_col[s_t])]
                     if actor_radius is not None:
-                        bound = (th_up[n] + abs(g) * psi_norm[s_t]) * grow
-                        if not bound <= th_lim:
-                            bound = ball_test("actor", th, t, n, failed)
-                            if bound is None:
-                                continue
-                        th_up[n] = bound
-                if tails is not None:
-                    tails[n] = [acc + v_i for acc, v_i in zip(tails[n], v)]
+                        th_up = (th_up + abs(g) * psi_norm[s_t]) * grow
+                        if not th_up <= th_lim:
+                            th_up = ball_test("actor", th, t, n, failed)
+                            if th_up is None:
+                                break
+                if tail is not None:
+                    tail = [acc + v_i for acc, v_i in zip(tail, v)]
                 # starting from the seed's running sum, not 0, adds |delta| in step order
-                delta_sum[n] += abs(delta)
-                s[n] = s1
-            if len(failed) > n_failed:  # seeds that failed this step leave live
-                live[:] = [n for n in live if n not in failed]
-                n_failed = len(failed)
-                if not live:
-                    break
-        return t + 1
+                d_sum += abs(delta)
+                s_t = s1
+            s[n], L[n], vs[n], ths[n], delta_sum[n] = s_t, L_t, v, th, d_sum
+            if tail is not None:
+                tails[n] = tail
+            t_last = max(t_last, t + 1)
+        live[:] = [n for n in live if n not in failed]
+        return t_last
 
     return advance
 

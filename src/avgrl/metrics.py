@@ -79,17 +79,20 @@ def exact_metrics_row(
     critic_fixed_point settles A's conditioning by a Cholesky, with an SVD
     only when that fails (features._critic_solve).
 
-    memo: a one-slot list ([] for a fresh row), shared only by rows of one
-    (mdp, policy, features), that keeps the last solved theta's (bytes, policy,
-    mu, L(theta), v*).  A row at that theta reuses them and the policy's cached
-    pi table, bit for bit.
+    memo: a list ([] for a fresh row), shared only by rows of one (mdp,
+    policy, features), that keeps the last solved theta's bytes, L(theta), v*
+    and the v-independent tables of its actor field: pi, the action features,
+    R - L(theta) and mu(s) pi(a|s).  A fresh row builds the last two a second
+    time for it, after actor_field_M.  A row at that theta (a memo hit) solves
+    nothing and builds no policy: its M is Phi v, P (Phi v), the weights and
+    one matvec (oracles._actor_field), bit for bit the fresh row's.
 
     A row with a non-finite column (an overflowing squared error or norm, say)
     is an OracleFailure that names each such column, so none reaches a CSV.
     """
     if memo and memo[0] == theta.tobytes():
-        _, pol, mu, l_theta, v_star = memo
-        M = _actor_field(mdp, pol.prob_table(), pol.action_features, features, v, mu, l_theta)
+        _, l_theta, v_star, p, x, reward_gain, mu_p = memo
+        M = _actor_field(mdp, p, x, features, v, reward_gain, mu_p)
     else:
         pol = policy.with_theta(theta)
         chain = induced_chain(mdp, pol)
@@ -98,7 +101,9 @@ def exact_metrics_row(
         l_theta = float(mu @ chain.expected_reward)
         v_star = critic_fixed_point(mdp, pol, features)
         M = actor_field_M(mdp, pol, features, v)
-        memo[:] = [theta.tobytes(), pol, mu, l_theta, v_star]
+        p = pol.prob_table()
+        memo[:] = [theta.tobytes(), l_theta, v_star, p, pol.action_features,
+                   mdp.reward - l_theta, mu[:, None] * p]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
         try:
             avg_err_sq = float((L - l_theta) ** 2)

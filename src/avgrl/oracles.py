@@ -89,21 +89,27 @@ def actor_field_M(
                   (R(s,a) - L(theta) + phi(s').v - phi(s).v) grad log pi(a|s).
     """
     _, mu, gain = _evaluate(mdp, policy)
-    return _actor_field(mdp, policy.prob_table(), policy.action_features, features, v, mu, gain)
+    p = policy.prob_table()
+    return _actor_field(mdp, p, policy.action_features, features, v,
+                        mdp.reward - gain, mu[:, None] * p)
 
 
 def _actor_field(mdp: FiniteMdp, p: np.ndarray, x: np.ndarray, features: FeatureMap,
-                 v: np.ndarray, mu: np.ndarray, gain: float) -> np.ndarray:
-    """actor_field_M of an evaluated policy with prob table p and action features x.
+                 v: np.ndarray, reward_gain: np.ndarray, mu_p: np.ndarray) -> np.ndarray:
+    """actor_field_M of an evaluated policy with prob table p and action features x,
+    from its v-independent tables reward_gain = R - L(theta) and mu_p = mu(s) pi(a|s).
 
     With w(s,a) = mu(s) pi(a|s) delta(s,a), the triple sum is sum_{s,a} w(s,a)
     psi(s,a), and psi(s,a) = x(s,a) - sum_b pi(b|s) x(s,b) makes it
     sum_{s,a} (w(s,a) - pi(a|s) sum_b w(s,b)) x(s,a): no score table needed.
+    The sum over (s, a) is np.tensordot(.., x, axes=2) without its axis
+    bookkeeping: np.dot of the same (1, S A) and (S A, d2) reshapes.
     """
     phi_v = features.table @ v
-    delta = mdp.reward - gain + mdp.transition @ phi_v - phi_v[:, None]
-    w = mu[:, None] * p * delta
-    return np.tensordot(w - p * w.sum(axis=1, keepdims=True), x, axes=2)
+    w = mu_p * (reward_gain + mdp.transition @ phi_v - phi_v[:, None])
+    n = p.size
+    return np.dot((w - p * w.sum(axis=1, keepdims=True)).reshape(1, n),
+                  x.reshape(n, -1)).reshape(-1)
 
 
 def actor_bias(

@@ -291,6 +291,25 @@ class TestSweep:
         assert meta["failed"] == [[0, ROW_OVERFLOW], [1, ROW_OVERFLOW]]
         assert not (tmp_path / "s" / "seed_0.csv").exists()
 
+    @pytest.mark.parametrize("env,features,name", [
+        ("garnet8", None, "embedded"),  # the env file's own map
+        ("four-state", None, "one_hot_reduced"),
+        ("gridworld4", "random_unit:3", "random_unit:3"),
+    ])
+    def test_sweep_json_names_the_features_that_ran(self, tmp_path, capsys, env, features,
+                                                    name):
+        # opts.features is the raw option, null for both the default and the
+        # env file's block; the features key is the name the train sidecar writes
+        if env == "garnet8":
+            env = write_eight_state_env(tmp_path)
+        argv = ["sweep", "--env", env, "--steps", "20", "--metrics-every", "10",
+                "--seeds", "2", "--out", str(tmp_path / "s")]
+        assert main(argv + (["--features", features] if features else [])) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "s" / "sweep.json").read_text())
+        assert meta["features"] == name
+        assert meta["opts"]["features"] == features
+
     def test_parallel_matches_serial(self, tmp_path, capsys):
         d1, d2 = tmp_path / "serial", tmp_path / "par"
         args = ["sweep", "--env", "four-state", "--steps", "2000",

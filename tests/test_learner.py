@@ -703,6 +703,52 @@ def test_scalar_kernel_steps_every_row(iterate):
             assert np.array_equal(a[i:i + 1], b)
 
 
+def two_failures_and_a_survivor():
+    """advance and a 3-seed state at steps 3 .. 8 on four-state: seed 0's huge
+    L overflows its critic at step 3; seed 1 walks 0 -> 1 -> 2, and at step 4
+    v[2] = 1e10 makes a delta whose actor step (c_alpha = 1e150) overflows
+    theta; seed 2 keeps to the balls, its theta projected most steps."""
+    mdp = four_state_easy()
+    pol = tabular_policy(mdp)
+    advance = learner._make_step(mdp, pol, make_features("one_hot_reduced", mdp),
+                                 StepSchedule(c_alpha=1e150, c_gamma=1.5), 1e11, 0.0, 1.0)
+    theta = [[0.0] * pol.dim, [0.0] * pol.dim, [0.1 * i for i in range(pol.dim)]]
+    v = [[0.0] * 3, [0.0, 0.0, 1e10], [0.1, -0.2, 0.3]]
+    state = [theta, v, [1e300, 0.0, 0.2], [0, 0, 2], [0.0, 0.0, 0.0], None]
+    # draws per step: (action, next state); 0.75 then 0.5 takes action 1 and its likeliest
+    # next state, 0 -> 1 -> 2
+    u = [[0.5] * 12, [0.75, 0.5] * 6, np.random.default_rng(4).random(12).tolist()]
+    return advance, state, u
+
+
+def test_seed_major_failures_equal_solo_segments():
+    advance, state, u = two_failures_and_a_survivor()
+    solo = [one_seed(state, i) for i in range(3)]
+    pair = [copy.deepcopy(a[:2]) for a in state[:5]] + [None]
+    failed, live = {}, [0, 1, 2]
+    assert advance(3, 9, u, live, *state, failed) == 9
+    assert live == [2]
+    assert str(failed[0]).startswith("critic diverged at step 3: its squared norm is inf")
+    assert str(failed[1]).startswith("actor diverged at step 4: its squared norm is inf")
+    # a failed seed keeps L_{t+1}, v and theta of its failing step, and s_t
+    theta, v, L, s, delta_sum = (a[:2] for a in state[:5])
+    assert (s, L, delta_sum) == ([0, 1], [1e300 + 0.75 * (0.0 - 1e300), 0.0], [0.0, 0.0])
+    assert learner._dot(v[0], v[0]) == math.inf and v[1][:2] == [0.0, 1.5 / 5 ** 0.51 * 1e10]
+    assert theta[0] == [0.0] * 8 and learner._dot(theta[1], theta[1]) == math.inf
+    assert state[0][2] != solo[2][0][0]  # the survivor's theta moved
+    for i, steps_run in ((0, 1), (1, 2), (2, 6)):
+        one = {}
+        assert advance(3, 9, [u[i]], [0], *solo[i], one) == 3 + steps_run
+        assert [str(exc) for exc in one.values()] == ([str(failed[i])] if i < 2 else [])
+        for a, b in zip(state[:5], solo[i][:5]):  # theta, v, L, s and the |delta| sum
+            assert a[i:i + 1] == b
+    # with every seed failing, one past the later failing step
+    both = {}
+    assert advance(3, 9, u[:2], [1, 0], *pair, both) == 5
+    assert sorted(both) == [0, 1]
+    assert [a[:2] for a in state[:5]] == pair[:5]
+
+
 def without_wall(rows):
     return [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ns"}
             for row in rows]

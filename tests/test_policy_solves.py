@@ -12,20 +12,23 @@ namespace that binds it, so a call is counted whichever module makes it.
 """
 
 import contextlib
+import dataclasses
 import functools
 import io
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import avgrl.cli
 from avgrl import mdp as mdp_module
 from avgrl import metrics
 from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x4, tabular_policy
+from avgrl.errors import AvgrlError
 from avgrl.features import check_assumption2, make_features, matrix_A
 from avgrl.learner import RunConfig, algo_schedule, run, run_batch
-from avgrl.mdp import differential_value
+from avgrl.mdp import SoftmaxLinearPolicy, differential_value
 from avgrl.oracles import actor_bias, actor_field_M, critic_fixed_point
 
 
@@ -138,6 +141,36 @@ def test_frozen_run_solves_once(solves, lu_solves, monkeypatch, name):
     for (args, kw, row), kept in zip(seen, res.rows, strict=True):
         assert row is kept
         assert real(*args, **kw, memo=[]) == row  # a fresh row, bit for bit
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(n_states=st.integers(2, 6), n_actions=st.integers(2, 4), d2=st.integers(1, 5),
+       seed=st.integers(0, 2**16), critic=st.sampled_from(["random_unit", "tabular_centered"]))
+def test_memo_hit_row_equals_fresh_row(n_states, n_actions, d2, seed, critic):
+    # a hit reuses the fresh row's v-independent tables (R - L(theta) and
+    # mu(s) pi(a|s)); with dense critic features and dense, non-tabular action
+    # features it must still give the fresh row, every column bit for bit
+    mdp = build_garnet(GarnetSpec(n_states=n_states, n_actions=n_actions,
+                                  branching=min(2, n_states), seed=seed))
+    rng = np.random.default_rng(seed)
+    policy = SoftmaxLinearPolicy(theta=np.zeros(d2),
+                                 action_features=rng.normal(size=(n_states, n_actions, d2)))
+    fmap = make_features(critic, mdp, seed=seed)
+    theta = rng.normal(size=d2)
+    memo = []
+    for t in range(4):
+        kw = dict(t=t, theta=theta, v=3.0 * rng.normal(size=fmap.dim), L=float(rng.normal()),
+                  delta_abs_mean=0.5, wall_ns=t)
+        try:
+            fresh = metrics.exact_metrics_row(mdp, policy, fmap, **kw, memo=[])
+        except AvgrlError:  # a singular A(theta) or a reducible chain
+            assume(False)
+        kept = list(memo)
+        row = metrics.exact_metrics_row(mdp, policy, fmap, **kw, memo=memo)
+        if t > 0:  # a hit leaves the memo as the first row filled it
+            assert all(a is b for a, b in zip(memo, kept, strict=True))
+        assert [repr(x) for x in dataclasses.astuple(row)] == \
+            [repr(x) for x in dataclasses.astuple(fresh)]
 
 
 def test_frozen_batch_solves_once(solves):
