@@ -22,13 +22,13 @@ segment on its state in local variables, written back to its slot once, at
 the segment's end or where the seed fails, bit for bit as its one-seed run.
 A segment lists its step sizes once, through StepSchedule, and each seed's
 loop walks that list and indexes its draws.  One BLAS thread, 2-core
-Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps, min us per seed-step
-over 45 runs in three sessions (90 for the last row):
+Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps with the draws made
+beforehand, min us per seed-step of the stepper over 15 runs:
 
     moving / frozen, N =   1          4          8          10
-    four-state, one-hot    3.7 / 1.4  2.9 / 0.7  3.0 / 0.7  3.1 / 0.6
-    gridworld4, one-hot    4.1 / 1.0  3.9 / 0.7  3.6 / 0.7  3.8 / 0.7
-    random_unit:6 critic   6.1 / 3.0  5.6 / 2.5  5.3 / 2.4  5.2 / 2.3
+    four-state, one-hot    2.2 / 0.8  1.9 / 0.6  1.9 / 0.5  1.8 / 0.5
+    gridworld4, one-hot    2.6 / 0.8  2.4 / 0.6  2.4 / 0.6  2.4 / 0.8
+    random_unit:6 critic   4.5 / 2.5  4.1 / 2.3  4.1 / 2.2  4.2 / 2.2
 
 The segment loop calls no numpy.  A seed's state is Python floats from its
 first step to its final state, held by the seed's slot for the whole run: L,
@@ -38,11 +38,16 @@ softmax, _softmax_cum (libm's math.exp, sums left to right), builds the frozen
 actor's table at theta_0 and steps a moving one; every dot product and squared
 norm is a left-to-right _dot, never the builtin sum, which compensates from
 Python 3.12 on.  So a trajectory does not depend on numpy's SIMD dispatch or
-the OpenBLAS core.  One-hot features, detected at build time by exact
-comparison, take lookups, bit for bit the _dot route: th[cols[s]] for the
-logits when each x[s, a] is a unit vector (distinct within a state), v[j] for
-phi(s).v when each phi(s) is zero or a unit vector.  An iterate's ball test
-runs only when a bound on its norm could reach the radius (_BOUND_SLACK).
+the OpenBLAS core.  The per-step helpers (the softmax, the logits, the one-hot
+actor update) are plain for loops, not comprehensions: before Python 3.12 (PEP
+709) each comprehension builds a function object and a frame per call, which
+cost a moving four-state step about a third of its time.  One-hot features,
+detected at build time by exact comparison, take lookups, bit for bit the _dot
+route: th[cols[s]] for the logits when each x[s, a] is a unit vector (distinct
+within a state), v[j] for phi(s).v when each phi(s) is zero or a unit vector.
+An iterate's ball test runs only when a bound on its norm could reach the
+radius (_BOUND_SLACK); it compares squared norms, or norms (math.hypot) when
+the squared radius overflows.
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
@@ -60,7 +65,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -221,12 +226,27 @@ def _action_columns(x: np.ndarray) -> np.ndarray | None:
 
 def _softmax_cum(logits: list) -> tuple[list, list]:
     """(softmax(logits), its cumulative row) on Python floats: libm's exp of the
-    logits shifted by their max, the normaliser and the row summed left to right."""
-    top = max(logits)
-    e = [math.exp(z - top) for z in logits]
-    *_, total = accumulate(e)
-    p = [e_b / total for e_b in e]
-    return p, list(accumulate(p))
+    logits shifted by their max (the first maximal one, as max() picks), then
+    the normaliser and the row summed left to right from 0.0, which for the
+    nonnegative terms is accumulate's bits."""
+    top = logits[0]
+    for z in logits:
+        if z > top:
+            top = z
+    e = []
+    total = 0.0
+    for z in logits:
+        e_b = math.exp(z - top)
+        e.append(e_b)
+        total += e_b
+    p, cum = [], []
+    acc = 0.0
+    for e_b in e:
+        p_b = e_b / total
+        p.append(p_b)
+        acc += p_b
+        cum.append(acc)
+    return p, cum
 
 
 def _dot(a, b) -> float:
@@ -298,7 +318,14 @@ def _make_step(
     phi_rows, phi_cols = phi.tolist(), None if phi_cols is None else phi_cols.tolist()
 
     def logits(s, th):
-        return [_dot(x_b, th) for x_b in x_rows[s]] if cols is None else [th[c] for c in cols[s]]
+        z = []
+        if cols is None:
+            for x_b in x_rows[s]:
+                z.append(_dot(x_b, th))
+        else:
+            for c in cols[s]:
+                z.append(th[c])
+        return z
 
     if frozen:
         prob_cum = [_softmax_cum(logits(s, policy.theta.tolist()))[1] for s in range(n_states)]
@@ -314,15 +341,20 @@ def _make_step(
         """Project w, seed n's list of v (critic) or theta (actor), onto its ball in
         place: the new bound on its norm, or None after a Diverged in failed[n]."""
         radius, coef = (uv_radius, "c_beta") if iterate == "critic" else (actor_radius, "c_alpha")
-        w_sq = _dot(w, w)
-        if not w_sq <= radius * radius:  # NaN too
-            if not math.isfinite(w_sq):
-                failed[n] = Diverged(f"{iterate} diverged at step {t}: its squared norm is "
-                                     f"{w_sq}; lower {coef} (now {getattr(sched, coef)!r})")
+        if radius * radius < math.inf:
+            size = _dot(w, w)
+            inside, what, norm = size <= radius * radius, "squared norm", math.sqrt(size)
+        else:  # radius >= 2**512: the squares would pass as inf <= inf, so compare norms
+            size = norm = math.hypot(*w)
+            inside, what = norm <= radius, "norm"
+        if not inside:  # NaN too
+            if not math.isfinite(size):
+                failed[n] = Diverged(f"{iterate} diverged at step {t}: its {what} is "
+                                     f"{size}; lower {coef} (now {getattr(sched, coef)!r})")
                 return None
-            scale = radius / math.sqrt(w_sq)
+            scale = radius / norm
             w[:] = [w_i * scale for w_i in w]
-        return math.sqrt(w_sq) * grow
+        return norm * grow
 
     def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
         # step t's draws start at u[n][i]; the segment's step sizes are listed once
@@ -371,8 +403,12 @@ def _make_step(
                 if not frozen:
                     g = alpha * delta
                     if cols is not None:  # psi is 1 - p at a, -p elsewhere
-                        for b, c in enumerate(cols[s_t]):
-                            th[c] = th[c] + g * (1.0 - p[b] if b == a else -p[b])
+                        # th[c] - g p[b] is th[c] + g (-p[b]); the columns are distinct
+                        c_a = cols[s_t][a]
+                        th_a = th[c_a]
+                        for c, p_b in zip(cols[s_t], p):
+                            th[c] -= g * p_b
+                        th[c_a] = th_a + g * (1.0 - p[a])
                     else:  # psi = x(s, a) - sum_b p[b] x(s, b), column by column
                         th = [th_c + g * (x_c - _dot(p, xs_c)) for th_c, x_c, xs_c
                               in zip(th, x_rows[s_t][a], x_by_col[s_t])]

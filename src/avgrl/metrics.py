@@ -90,9 +90,9 @@ def exact_metrics_row(
     A row with a non-finite column (an overflowing squared error or norm, say)
     is an OracleFailure that names each such column, so none reaches a CSV.
     """
-    if memo and memo[0] == theta.tobytes():
+    hit = bool(memo) and memo[0] == theta.tobytes()
+    if hit:
         _, l_theta, v_star, p, x, reward_gain, mu_p = memo
-        M = _actor_field(mdp, p, x, features, v, reward_gain, mu_p)
     else:
         pol = policy.with_theta(theta)
         chain = induced_chain(mdp, pol)
@@ -100,11 +100,16 @@ def exact_metrics_row(
         mu = stationary_distribution(chain)
         l_theta = float(mu @ chain.expected_reward)
         v_star = critic_fixed_point(mdp, pol, features)
-        M = actor_field_M(mdp, pol, features, v)
-        p = pol.prob_table()
-        memo[:] = [theta.tobytes(), l_theta, v_star, p, pol.action_features,
-                   mdp.reward - l_theta, mu[:, None] * p]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused below
+    # a non-finite v makes M non-finite too, without a warning: a non-finite
+    # column is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if hit:
+            M = _actor_field(mdp, p, x, features, v, reward_gain, mu_p)
+        else:
+            M = actor_field_M(mdp, pol, features, v)
+            p = pol.prob_table()
+            memo[:] = [theta.tobytes(), l_theta, v_star, p, pol.action_features,
+                       mdp.reward - l_theta, mu[:, None] * p]
         try:
             avg_err_sq = float((L - l_theta) ** 2)
         except OverflowError:  # a Python float's power raises where numpy's returns inf

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -835,6 +836,35 @@ class TestErrorPaths:
             assert [seed for seed, _ in failed] == [0, 1]
             assert all(msg.startswith("critic diverged at step") for _, msg in failed)
             assert list(out.glob("seed_*.csv")) == []
+
+    def test_huge_actor_radius_still_projects(self, tmp_path, capsys):
+        # at a radius of 2**512 or more the squared radius is inf, and the
+        # ball test used to pass any iterate: ||theta_T|| reached 1.77e199
+        out = tmp_path / "run.csv"
+        rc = main(["train", "--env", "four-state", "--actor-radius", "1e160", "--c-alpha",
+                   "1e200", "--c-gamma", "1.5", "--steps", "20", "--metrics-every", "10",
+                   "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        theta = json.loads((tmp_path / "run.json").read_text())["final"]["theta"]
+        assert math.hypot(*theta) <= 1e160 * (1.0 + 1e-12)
+
+    def test_huge_critic_radius_diverges_with_one_error_line(self, tmp_path, capsys):
+        # v used to pass the ball test with an inf squared norm and reach the
+        # row, which failed with a RuntimeWarning from the actor field's matmul
+        out = tmp_path / "run.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--env", "four-state", "--uv", "1e160", "--c-beta", "1e200",
+                       "--c-alpha", "0", "--steps", "20", "--metrics-every", "10",
+                       "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert len(err) == 1
+        assert err[0].startswith("error: critic diverged at step ")
+        assert "its norm is inf" in err[0]
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_keeps_the_seeds_that_stay_finite(self, tmp_path, capsys):
         # at c_beta = 3e153 seeds 1-3 of four-state overflow and seed 0 does not;

@@ -1,6 +1,8 @@
 """Property tests of the sampled kernel over random garnets."""
 
 import dataclasses
+import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -86,3 +88,33 @@ def test_skipped_ball_tests_match_reference_stepper(n_states, n_actions, seed, u
         assert np.array_equal(res.final.v, v)
         assert np.array_equal(res.final.theta, theta)
         assert res.rows[-1].delta_abs_mean == delta_abs_mean
+
+
+def softmax_cum_reference(logits: list) -> tuple[list, list]:
+    """_softmax_cum's comprehension-and-accumulate body before its loops."""
+    top = max(logits)
+    e = [math.exp(z - top) for z in logits]
+    *_, total = accumulate(e)
+    p = [e_b / total for e_b in e]
+    return p, list(accumulate(p))
+
+
+# ties, spreads past 745 (exp underflows to a subnormal or to 0) and
+# magnitudes up to 1e308 (z - top overflows to -inf)
+_LOGIT = st.one_of(
+    st.floats(-1e308, 1e308),
+    st.floats(-2000.0, 2000.0),
+    st.sampled_from([0.0, -0.0, 1.0, -744.5, -745.2, -746.0, 800.0, 1e308, -1e308, 5e-324]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(logits=st.one_of(st.lists(_LOGIT, min_size=1, max_size=9),
+                        st.lists(st.sampled_from([-1.0, 0.0, 745.0]), min_size=1, max_size=9)))
+def test_softmax_cum_keeps_its_bits(logits):
+    # the loops take the first maximal logit, as max() does, and sum from
+    # 0.0, which for the nonnegative terms is accumulate's bits
+    p, cum = learner._softmax_cum(logits)
+    ref_p, ref_cum = softmax_cum_reference(logits)
+    assert repr(p) == repr(ref_p)
+    assert repr(cum) == repr(ref_cum)

@@ -538,6 +538,12 @@ def test_step_loop_runs_on_python_floats():
         assert numpy_and_sum_calls(func) == [], func.__name__
     source = inspect.getsource(learner._make_step)
     assert "def advance(" in source and "def ball_test(" in source
+    # a comprehension builds a function object and a frame per call before
+    # Python 3.12 (PEP 709), which cost the moving step's softmax half its time
+    tree = ast.parse(textwrap.dedent(inspect.getsource(learner._softmax_cum)))
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, comprehensions)] == []
 
 
 @pytest.mark.parametrize("table,expected", [
@@ -596,6 +602,21 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     assert advance(0, 2, u, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
     assert failed == {}
     assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
+
+
+def test_huge_critic_radius_projects():
+    # at uv_radius 1e160 the squared radius is inf; v = (1e180, 0, 0) has an
+    # inf squared norm too, and used to pass the ball test unprojected
+    mdp = four_state_easy()
+    pol, fmap, radius = tabular_policy(mdp), make_features("one_hot_reduced", mdp), 1e160
+    assert radius * radius == math.inf
+    advance = learner._make_step(mdp, pol, fmap, FROZEN, radius, 0.0, None)
+    theta, v = [pol.theta.tolist()], [[1e180, 0.0, 0.0]]
+    failed = {}
+    assert advance(0, 3, [[0.3, 0.6] * 3], [0], theta, v, [0.0], [0], [0.0], None, failed) == 3
+    assert failed == {}
+    assert math.hypot(*v[0]) <= radius * (1.0 + 1e-12)
+    assert v[0][0] > 0.9 * radius
 
 
 def diverging_configs(kind):

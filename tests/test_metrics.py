@@ -76,6 +76,21 @@ class TestExactMetricsRow:
         assert str(err.value) == ("the row has non-finite columns: avg_err_sq=inf "
                                   "critic_err_sq=inf v_norm=inf")
 
+    def test_non_finite_v_refused_without_warning(self):
+        # Phi v of an inf v is nan (inf * 0); the actor field's matmul used to
+        # warn outside the row's errstate, fresh and on a memo hit alike
+        mdp = four_state_easy()
+        pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
+        memo = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(OracleFailure, match="M_norm_sq=nan"):
+                    exact_metrics_row(mdp, pol, fmap, t=1, theta=np.zeros(8),
+                                      v=np.array([math.inf, 0.0, 0.0]), L=0.0,
+                                      delta_abs_mean=0.0, wall_ns=0, memo=memo)
+                assert memo  # so the second pass is a memo hit
+
     def test_non_finite_delta_mean_refused(self):
         mdp = four_state_easy()
         pol, fmap = tabular_policy(mdp), make_features("one_hot_reduced", mdp)
