@@ -346,9 +346,8 @@ def cmd_train(opts: dict) -> int:
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(_sidecar(opts, features_name, config, result), fh, indent=2)
         fh.write("\n")
-    last_l_theta = result.rows[-1].L_theta if result.rows else float("nan")
-    print(f"wrote {out} ({len(result.rows)} rows); final L_t={result.final.L:.6g} "
-          f"L(theta_T)={last_l_theta:.6g}")
+    gain = f" L(theta_T)={result.rows[-1].L_theta:.6g}" if result.rows else ""
+    print(f"wrote {out} ({len(result.rows)} rows); final L_t={result.final.L:.6g}{gain}")
     return 0
 
 
@@ -504,14 +503,12 @@ def main(argv=None) -> int:
             return cmd_rate(args.files, opts)
         if args.command == "solve":
             return cmd_solve(opts)
-        parser.error(f"unknown command {args.command!r}")
     except (ParseError, InvalidSpec, InvariantViolation, InfeasibleDimension, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AvgrlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def console_main() -> None:

@@ -24,6 +24,8 @@ from .mdp import FiniteMdp, SoftmaxLinearPolicy, induced_chain, stationary_distr
 from . import mdp as _mdp
 
 E_EXCLUSION_RESIDUAL = 1e-6
+RANDOM_UNIT_MAX_REDRAWS = 100
+THETA_SAMPLE_SCALE = 1.0
 LAMBDA_MARGIN = -1e-8
 
 FEATURE_KINDS = ("one_hot_reduced", "random_unit", "tabular_centered")
@@ -72,7 +74,6 @@ def make_features(
     mdp: FiniteMdp,
     d1: int | None = None,
     seed: int = 0,
-    max_redraws: int = 100,
 ) -> FeatureMap:
     """Construct a feature map of the given kind, enforcing all invariants.
 
@@ -80,7 +81,8 @@ def make_features(
       one_hot_reduced   indicators for states 0..d1-1 (d1 <= S-1, default S-1);
                         the remaining states get the zero vector.
       random_unit       i.i.d. Gaussian rows rescaled so max ||phi(s)|| = 1,
-                        redrawn until full rank and e-exclusion hold.
+                        redrawn until full rank and e-exclusion hold, at most
+                        RANDOM_UNIT_MAX_REDRAWS times.
       tabular_centered  phi_j(s) = 1{s == j} - 1/S for j < S-1; spans exactly
                         the mean-zero subspace, so shifted values are exact.
     """
@@ -109,7 +111,7 @@ def make_features(
             raise InfeasibleDimension(f"random_unit needs 1 <= d1 <= {n - 1}, got {d1}")
         rng = np.random.default_rng(seed)
         fmap = None
-        for _ in range(max_redraws):
+        for _ in range(RANDOM_UNIT_MAX_REDRAWS):
             table = rng.standard_normal((n, d1))
             table /= np.linalg.norm(table, axis=1).max()
             cand = FeatureMap(table)
@@ -118,7 +120,7 @@ def make_features(
                 break
         if fmap is None:
             raise InfeasibleDimension(
-                f"random_unit failed rank/e-exclusion after {max_redraws} redraws"
+                f"random_unit failed rank/e-exclusion after {RANDOM_UNIT_MAX_REDRAWS} redraws"
             )
     else:
         raise InfeasibleDimension(f"unknown feature kind {kind!r}; want one of {FEATURE_KINDS}")
@@ -282,13 +284,12 @@ def check_assumption2(
     features: FeatureMap,
     n_theta_samples: int = 8,
     seed: int = 0,
-    theta_scale: float = 1.0,
 ) -> AssumptionReport:
     """Probe negative definiteness of A(theta) over sampled actor parameters.
 
-    Samples theta = 0 plus (n_theta_samples - 1) Gaussian draws of the given
-    scale and records the largest eigenvalue of (A + A^T)/2 at each.  Also
-    derives the constants used by the step-size ratio bound:
+    Samples theta = 0 plus (n_theta_samples - 1) standard Gaussian draws times
+    THETA_SAMPLE_SCALE and records the largest eigenvalue of (A + A^T)/2 at
+    each.  Also derives the constants used by the step-size ratio bound:
 
         B  = 2 max ||x(s,a)||          (score bound)
         U_v = max(10 ||v*(theta_0)||, 1)   (critic projection radius, critic_radius)
@@ -312,7 +313,7 @@ def check_assumption2(
     rng = np.random.default_rng(seed)
     thetas = [np.zeros(policy.dim)]
     for _ in range(n_theta_samples - 1):
-        thetas.append(theta_scale * rng.standard_normal(policy.dim))
+        thetas.append(THETA_SAMPLE_SCALE * rng.standard_normal(policy.dim))
 
     lambdas: list[float] = []
     vbar = 0.0

@@ -14,16 +14,17 @@ variant runs both at the same rate.  ALGO_SCHEDULES holds the three presets
 and algo_schedule builds them.  The actor is unprojected by default; an
 optional radius reproduces the projected variant.
 
-One private driver, _drive(config, seeds), runs one config on several seeds:
-`run(config, seed)` is its one-seed case and `run_batch(config, seeds)` the
-batch.  Its one kernel, _make_step, runs a segment (up to the next metrics
-row, at most _DRAW_BLOCK steps) seed by seed: each live seed runs the whole
-segment on its state in local variables, written back to its slot once, at
-the segment's end or where the seed fails, bit for bit as its one-seed run.
-A segment lists its step sizes once, through StepSchedule, and each seed's
-loop walks that list and indexes its draws.  One BLAS thread, 2-core
-Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps with the draws made
-beforehand, min us per seed-step of the stepper over 15 runs:
+One driver, run_batch(config, seeds), runs one config on several seeds, and
+`run(config, seed)` is its one-seed case.  It keeps each seed's run on one
+_Seed record: its generator, its state and iterates, its rows, and the error
+that ended it, if any.  Its one kernel, _make_step, runs a segment (up to the
+next metrics row, at most _DRAW_BLOCK steps) seed by seed: each live seed runs
+the whole segment on its state in local variables, written back to its record
+once, at the segment's end or where the seed fails, bit for bit as its
+one-seed run.  A segment lists its step sizes once, through StepSchedule, and
+each seed's loop walks that list and indexes its draws.  One BLAS thread,
+2-core Xeon host, ca schedule (frozen: c_alpha = 0), 10k steps with the draws
+made beforehand, min us per seed-step of the stepper over 15 runs:
 
     moving / frozen, N =   1          4          8          10
     four-state, one-hot    2.2 / 0.8  1.9 / 0.6  1.9 / 0.5  1.8 / 0.5
@@ -31,8 +32,8 @@ beforehand, min us per seed-step of the stepper over 15 runs:
     random_unit:6 critic   4.5 / 2.5  4.1 / 2.3  4.1 / 2.2  4.2 / 2.2
 
 The segment loop calls no numpy.  A seed's state is Python floats from its
-first step to its final state, held by the seed's slot for the whole run: L,
-s and the |delta| sum as numbers, theta, v and the tail sum as lists.  Arrays
+first step to its final state, held by its record for the whole run: L, s
+and the |delta| sum as numbers, theta, v and the tail sum as lists.  Arrays
 are built from it only for a metrics row and for the final result.  One
 softmax, _softmax_cum (libm's math.exp, sums left to right), builds the frozen
 actor's table at theta_0 and steps a moving one; every dot product and squared
@@ -51,12 +52,12 @@ the squared radius overflows.
 
 Each seed draws from its own counter-based generator in the fixed order
 (action, next state, optional reward noise), so runs are bit-reproducible.
-At a segment's start _drive draws each live seed's uniforms for it, k a step
-(k = 2, or 3 with reward noise), as one flat list: step t of the segment from
-t_start reads its j-th draw at u[n][k * (t - t_start) + j].  At a metrics row
-t a live seed's generator has drawn its initial state and exactly k t uniforms.
-Cumulative rows are inverted as np.searchsorted(side="right") would, by
-bisect.bisect_right on a list.
+At a segment's start run_batch draws each live seed's uniforms for it, k a
+step (k = 2, or 3 with reward noise), as one flat list on its record: step t
+of the segment from t_start reads its j-th draw at seed.u[k * (t - t_start) +
+j].  At a metrics row t a live seed's generator has drawn its initial state
+and exactly k t uniforms.  Cumulative rows are inverted as
+np.searchsorted(side="right") would, by bisect.bisect_right on a list.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -272,40 +273,49 @@ def _ball_limit(radius: float, dim: int) -> float:
     return radius * (1.0 - _BOUND_SLACK) - 2.0 ** -500 if dim < 2 ** 20 else -math.inf
 
 
-def _make_step(
-    mdp: FiniteMdp,
-    policy: SoftmaxLinearPolicy,
-    features: FeatureMap,
-    sched: StepSchedule,
-    uv_radius: float,
-    reward_noise: float,
-    actor_radius: float | None,
-):
-    """The sampled update of a batch of seeds, with its constants built once.
+@dataclass(slots=True)
+class _Seed:
+    """One seed's run, as Python floats: its generator, state s, average-reward
+    estimate L, critic v and actor theta (lists), the sum of v over the steps
+    from the tail average's start (tail), the |delta| sum since the last row,
+    the segment's draws u (see _make_step), its metrics rows, and the Diverged
+    or OracleFailure that ended it."""
 
-    Returns the segment stepper advance(t_start, t_end, u, live, theta, v, L,
-    s, delta_sum, tails, failed).  It runs steps t_start .. t_end - 1
-    (t_end > t_start) seed-major: each seed n of live runs all of them before
-    the next seed starts, and it returns one past the last step any seed ran.
-    A seed's state is held by its slot n, as Python floats: theta[n] and v[n]
-    are lists, L[n] and s[n] numbers, delta_sum[n] sums |delta| and tails[n]
-    (unless tails is None) v after each step.  Within the segment the seed
-    runs on local copies of them and of its ball bounds, written back to the
-    slot once.  u[n] is seed n's draws of the segment, one flat list: the
-    j-th draw of step t is u[n][k * (t - t_start) + j], with
-    k = _draws_per_step(reward_noise) (action, next state, then the reward
-    noise).  The segment's step sizes are listed by sched once, for all its
-    seeds.  An iterate whose squared norm is not finite puts a Diverged in
-    failed[n], stops seed n there and, at the segment's end, takes it out of
-    live; its slot keeps L, v and theta of the failing step and s and the sums
-    from before it.  A frozen actor's table is built at policy.theta and its
-    update skipped.
+    rng: np.random.Generator
+    s: int
+    L: float
+    v: list
+    theta: list
+    tail: list
+    delta_sum: float = 0.0
+    u: list | None = None
+    rows: list = field(default_factory=list)
+    error: AvgrlError | None = None
+
+
+def _make_step(config: RunConfig, uv_radius: float):
+    """The sampled update of config's seeds, with its constants built once.
+
+    Returns the segment stepper advance(t_start, t_end, seeds, tail_on).  It
+    runs steps t_start .. t_end - 1 (t_end > t_start) seed-major: each _Seed of
+    seeds runs all of them before the next one starts, on local copies of its
+    state and of its ball bounds, written back to the record once.  seed.u is
+    the seed's draws of the segment, one flat list: the j-th draw of step t is
+    seed.u[k * (t - t_start) + j], with k = _draws_per_step(config.reward_noise)
+    (action, next state, then the reward noise).  With tail_on, seed.tail adds
+    v after each step.  The segment's step sizes are listed by the schedule
+    once, for all its seeds.  An iterate whose squared norm is not finite puts
+    a Diverged in seed.error and stops the seed there; its record keeps L, v
+    and theta of the failing step and s and the sums from before it.  A frozen
+    actor's table is built at policy.theta and its update skipped.
     """
+    mdp, policy, sched = config.mdp, config.policy, config.schedule
+    reward_noise, actor_radius = config.reward_noise, config.actor_radius
     # bisect_right on Python lists makes the same probes as
     # np.searchsorted(side="right") at a tenth of its per-call cost.
     pcum_rows = np.cumsum(mdp.transition, axis=2).tolist()
     R = mdp.reward.tolist()
-    x, phi = policy.action_features, features.table
+    x, phi = policy.action_features, config.features.table
     n_states, n_actions = mdp.n_states, x.shape[1]
     reward_bound = mdp.reward_bound
     k = _draws_per_step(reward_noise)
@@ -337,9 +347,9 @@ def _make_step(
         psi_norm = ([math.sqrt(2.0)] * n_states if cols is not None else
                     (2.0 * np.linalg.norm(x, axis=2).max(axis=1)).tolist())
 
-    def ball_test(iterate, w, t, n, failed):
-        """Project w, seed n's list of v (critic) or theta (actor), onto its ball in
-        place: the new bound on its norm, or None after a Diverged in failed[n]."""
+    def ball_test(iterate, w, t):
+        """Project w, a seed's list of v (critic) or theta (actor), onto its ball
+        in place: the new bound on its norm, or a Diverged if it is not finite."""
         radius, coef = (uv_radius, "c_beta") if iterate == "critic" else (actor_radius, "c_alpha")
         if radius * radius < math.inf:
             size = _dot(w, w)
@@ -349,37 +359,35 @@ def _make_step(
             inside, what = norm <= radius, "norm"
         if not inside:  # NaN too
             if not math.isfinite(size):
-                failed[n] = Diverged(f"{iterate} diverged at step {t}: its {what} is "
-                                     f"{size}; lower {coef} (now {getattr(sched, coef)!r})")
-                return None
+                return Diverged(f"{iterate} diverged at step {t}: its {what} is "
+                                f"{size}; lower {coef} (now {getattr(sched, coef)!r})")
             scale = radius / norm
             w[:] = [w_i * scale for w_i in w]
         return norm * grow
 
-    def advance(t_start, t_end, u, live, ths, vs, L, s, delta_sum, tails, failed):
-        # step t's draws start at u[n][i]; the segment's step sizes are listed once
+    def advance(t_start, t_end, seeds, tail_on):
+        # step t's draws start at u[i]; the segment's step sizes are listed once
         steps = list(zip(range(t_start, t_end), range(0, k * (t_end - t_start), k),
                          repeat(0.0) if frozen else sched.alphas(t_start, t_end),
                          sched.betas(t_start, t_end), sched.gammas(t_start, t_end)))
-        t_last = t_start
-        for n in live:
-            s_t, L_t, v, th, d_sum, u_n = s[n], L[n], vs[n], ths[n], delta_sum[n], u[n]
-            tail = None if tails is None else tails[n]
+        for seed in seeds:
+            s_t, L_t, v, th, d_sum, u = seed.s, seed.L, seed.v, seed.theta, seed.delta_sum, seed.u
+            tail = seed.tail if tail_on else None
             v_up = th_up = math.inf  # bounds on ||v|| and ||theta||; inf tests exactly
             for t, i, alpha, beta, gamma in steps:
                 if frozen:
                     cum = prob_cum[s_t]
                 else:
                     p, cum = _softmax_cum(logits(s_t, th))
-                a = bisect_right(cum, u_n[i])
+                a = bisect_right(cum, u[i])
                 if a >= n_actions:  # cumulative sum may fall a few ulp short of 1
                     a = n_actions - 1
-                s1 = bisect_right(pcum_rows[s_t][a], u_n[i + 1])
+                s1 = bisect_right(pcum_rows[s_t][a], u[i + 1])
                 if s1 >= n_states:
                     s1 = n_states - 1
                 r = R[s_t][a]
                 if reward_noise > 0.0:
-                    r = r + reward_noise * (2.0 * u_n[i + 2] - 1.0)
+                    r = r + reward_noise * (2.0 * u[i + 2] - 1.0)
                     r = min(max(r, -reward_bound), reward_bound)
 
                 if phi_cols is None:
@@ -397,8 +405,9 @@ def _make_step(
                 L_t = L_t + gamma * (r - L_t)
                 v_up = (v_up + abs(g) * phi_norm[s_t]) * grow
                 if not v_up <= v_lim:  # NaN too
-                    v_up = ball_test("critic", v, t, n, failed)
-                    if v_up is None:
+                    v_up = ball_test("critic", v, t)
+                    if isinstance(v_up, Diverged):
+                        seed.error = v_up
                         break
                 if not frozen:
                     g = alpha * delta
@@ -415,20 +424,18 @@ def _make_step(
                     if actor_radius is not None:
                         th_up = (th_up + abs(g) * psi_norm[s_t]) * grow
                         if not th_up <= th_lim:
-                            th_up = ball_test("actor", th, t, n, failed)
-                            if th_up is None:
+                            th_up = ball_test("actor", th, t)
+                            if isinstance(th_up, Diverged):
+                                seed.error = th_up
                                 break
                 if tail is not None:
                     tail = [acc + v_i for acc, v_i in zip(tail, v)]
                 # starting from the seed's running sum, not 0, adds |delta| in step order
                 d_sum += abs(delta)
                 s_t = s1
-            s[n], L[n], vs[n], ths[n], delta_sum[n] = s_t, L_t, v, th, d_sum
+            seed.s, seed.L, seed.v, seed.theta, seed.delta_sum = s_t, L_t, v, th, d_sum
             if tail is not None:
-                tails[n] = tail
-            t_last = max(t_last, t + 1)
-        live[:] = [n for n in live if n not in failed]
-        return t_last
+                seed.tail = tail
 
     return advance
 
@@ -511,7 +518,7 @@ def run(config: RunConfig, seed: int = 0) -> RunResult:
     metrics_every steps (and at the final step).  Raises OracleFailure (a row's
     exact solve failed) or Diverged (an iterate's squared norm is not finite),
     with the step."""
-    result = _drive(config, [seed])[0]
+    result = run_batch(config, [seed])[0]
     if isinstance(result, AvgrlError):
         raise result
     return result
@@ -533,19 +540,14 @@ def run_batch(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlErro
     bit (wall_ns aside), or the OracleFailure or Diverged that it raises; a
     failed seed leaves the batch at its failing step and the others go on
     unchanged.  A negative seed raises InvariantViolation before any step.
-    """
-    return _drive(config, seeds)
-
-
-def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
-    """The run loop of config for each of seeds.
 
     A segment ends at the next metrics row, the start of the tail average,
     the last step or _DRAW_BLOCK steps on, whichever comes first; at its start
     each live seed draws k = 2 (3 with reward noise) uniforms a step for it.
     Generator.random makes one double of each 64-bit Philox word, so a seed's
     draws do not depend on where segments (or batches) cut them.  A seed that
-    diverges or whose row fails leaves live there, its state kept as it stood.
+    diverges or whose row fails leaves live there, its state kept on its
+    record as it stood.
     """
     from .metrics import exact_metrics_row
 
@@ -553,24 +555,19 @@ def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
         raise InvariantViolation(f"seed must be nonnegative, got {min(seeds)}")
     mdp, policy, features = config.mdp, config.policy, config.features
     uv_radius = resolve_uv_radius(config)
-    n_seeds = len(seeds)
-    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
-    # each seed's state, by its slot in seeds
-    s = [int(rng.integers(mdp.n_states)) for rng in rngs]
-    L, delta_sum = [0.0] * n_seeds, [0.0] * n_seeds
-    theta = [policy.theta.tolist() for _ in seeds]
-    v = [[0.0] * features.dim for _ in seeds]
-    tails = [[0.0] * features.dim for _ in seeds]
+    batch = []
+    for seed in seeds:
+        rng = np.random.Generator(np.random.Philox(seed))
+        batch.append(_Seed(rng=rng, s=int(rng.integers(mdp.n_states)), L=0.0,
+                           v=[0.0] * features.dim, theta=policy.theta.tolist(),
+                           tail=[0.0] * features.dim))
 
-    advance = _make_step(mdp, policy, features, config.schedule, uv_radius,
-                         config.reward_noise, config.actor_radius)
+    advance = _make_step(config, uv_radius)
 
     steps, every = config.steps, config.metrics_every
     tail_from = steps if config.tail_average_from is None else config.tail_average_from
-    failed: dict = {}  # slot -> its Diverged or OracleFailure; the seed then leaves live
     memo: list = []  # the last row's policy solution, reused while theta stands still
-    live = list(range(n_seeds))
-    rows: list[list] = [[] for _ in seeds]
+    live = batch
     last_row = 0
     k = _draws_per_step(config.reward_noise)
     start_ns = time.perf_counter_ns()
@@ -579,32 +576,32 @@ def _drive(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlError]:
         t_end = min(steps, t - t % every + every, t + _DRAW_BLOCK)
         if t < tail_from:
             t_end = min(t_end, tail_from)
-        # u[n]: live seed n's draws of the segment, k per step (see _make_step)
-        u: list = [None] * n_seeds
-        for n in live:
-            u[n] = rngs[n].random(k * (t_end - t)).tolist()
-        t = advance(t, t_end, u, live, theta, v, L, s,
-                    delta_sum, tails if t >= tail_from else None, failed)
+        for seed in live:  # the segment's draws, k per step (see _make_step)
+            seed.u = seed.rng.random(k * (t_end - t)).tolist()
+        advance(t, t_end, live, t >= tail_from)
+        t = t_end
         if t % every == 0 or t == steps:
-            for n in live:
+            for seed in live:
+                if seed.error is not None:  # diverged in this segment
+                    continue
                 try:
-                    rows[n].append(exact_metrics_row(
+                    seed.rows.append(exact_metrics_row(
                         mdp, policy, features,
-                        t=t, theta=np.array(theta[n]), v=np.array(v[n]), L=L[n],
-                        delta_abs_mean=delta_sum[n] / (t - last_row),
+                        t=t, theta=np.array(seed.theta), v=np.array(seed.v), L=seed.L,
+                        delta_abs_mean=seed.delta_sum / (t - last_row),
                         wall_ns=time.perf_counter_ns() - start_ns, memo=memo,
                     ))
                 except AvgrlError as exc:
-                    failed[n] = OracleFailure(f"exact metrics failed at step {t}: {exc}")
-                    failed[n].__cause__ = exc
-            live[:] = [n for n in live if n not in failed]
-            delta_sum[:] = [0.0] * n_seeds
+                    seed.error = OracleFailure(f"exact metrics failed at step {t}: {exc}")
+                    seed.error.__cause__ = exc
+                seed.delta_sum = 0.0
             last_row = t
+        live = [seed for seed in live if seed.error is None]
 
     tail_n = steps - tail_from
-    return [failed[n] if n in failed else RunResult(
-        rows=rows[n], uv_radius=uv_radius,
-        final=LearnerState(t=steps, L=L[n], v=np.array(v[n]), theta=np.array(theta[n]), s=s[n],
-                           rng=rngs[n]),
-        v_tail_avg=np.array(tails[n]) / tail_n if tail_n > 0 else None,
-    ) for n in range(n_seeds)]
+    return [seed.error if seed.error is not None else RunResult(
+        rows=seed.rows, uv_radius=uv_radius,
+        final=LearnerState(t=steps, L=seed.L, v=np.array(seed.v), theta=np.array(seed.theta),
+                           s=seed.s, rng=seed.rng),
+        v_tail_avg=np.array(seed.tail) / tail_n if tail_n > 0 else None,
+    ) for seed in batch]

@@ -17,7 +17,7 @@ import avgrl
 from avgrl import cli, metrics
 from avgrl.cli import build_schedule, load_config_file, main, resolve_features
 from avgrl.learner import algo_schedule
-from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, save_mdp
+from avgrl.envs import GarnetSpec, build_garnet, four_state_easy, frozen_lake_4x4, save_mdp
 from avgrl.errors import OracleFailure, ParseError
 from avgrl.features import FeatureMap, make_features
 from avgrl.mdp import FiniteMdp
@@ -188,24 +188,35 @@ class TestTrain:
         ("garnet8", None, "embedded"),  # the env file's own map
         ("four-state", None, "one_hot_reduced"),
         ("gridworld4", "random_unit:6", "random_unit:6"),
+        ("gridworld4", "file", "file"),  # a feature file, named by its path
     ])
     def test_sidecar_names_the_features_that_ran(self, tmp_path, capsys, env, features, name):
         if env == "garnet8":
             env = write_eight_state_env(tmp_path)
+        from_file = features == "file"
+        if from_file:  # a gridworld4 env file with a random_unit d1 = 5 block
+            mdp = frozen_lake_4x4()
+            features = name = str(tmp_path / "gridworld4_random5.json")
+            save_mdp(name, mdp, features=make_features("random_unit", mdp, d1=5))
         out = tmp_path / "run.csv"
         argv = ["train", "--env", env, "--steps", "20", "--metrics-every", "10",
                 "--out", str(out)]
         assert main(argv + (["--features", features] if features else [])) == 0
         capsys.readouterr()
-        assert json.loads((tmp_path / "run.json").read_text())["features"] == name
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        assert sidecar["features"] == name
+        if from_file:
+            assert len(sidecar["final"]["v"]) == 5
 
     def test_zero_steps_header_only(self, tmp_path, capsys):
+        # no row, so no gain to print: it used to print L(theta_T)=nan
         out = tmp_path / "empty.csv"
         rc = main(["train", "--env", "four-state", "--steps", "0",
                    "--out", str(out)])
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
         assert rc == 0
         assert read_lines(out) == [CSV_HEADER]
+        assert "nan" not in stdout.lower()
 
     def test_out_into_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "new" / "sub" / "m.csv"
@@ -219,7 +230,7 @@ class TestTrain:
     def test_unwritable_out_refused_before_the_run(self, tmp_path, capsys, monkeypatch):
         (tmp_path / "file").write_text("")
         ran = []
-        monkeypatch.setattr(cli.learner, "run", lambda config: ran.append(config))
+        monkeypatch.setattr(cli.learner, "run", lambda config, seed: ran.append(config))
         rc = main(["train", "--env", "four-state", "--steps", "1000",
                    "--out", str(tmp_path / "file" / "m.csv")])
         assert rc == 2
@@ -375,7 +386,7 @@ class TestSweep:
         assert sorted(outs[1]["seeds"]) == sorted(f"seed_{s}.csv" for s in range(7, 12))
         assert outs[1] == outs[2] == outs[3]
 
-    def test_jobs_across_the_lockstep_crossover(self, tmp_path, capsys):
+    def test_one_batch_equals_two_worker_batches(self, tmp_path, capsys):
         # 8 moving seeds with noise and a binding radius: --jobs 1 steps one
         # batch of 8 in-process, --jobs 2 two batches of 4 in worker processes
         outs = {}
@@ -527,6 +538,26 @@ class TestRate:
         assert rc == 2
         assert captured.err == "error: the mean of critic_err_sq at t = 2e+06 overflows\n"
         assert captured.out == ""
+
+    def test_nan_t_min_exit_two(self, tmp_path, capsys):
+        # a NaN cut keeps no row; it used to exit 1 as too few rows
+        path = tmp_path / "decay.csv"
+        write_power_law_csv(str(path), -0.5)
+        rc = main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "nan"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: t_min must be a number, got nan\n"
+        assert captured.out == ""
+
+    def test_minus_inf_t_min_keeps_every_row(self, tmp_path, capsys):
+        path = tmp_path / "decay.csv"
+        write_power_law_csv(str(path), -0.5)
+        assert main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "1"]) == 0
+        every = json.loads(capsys.readouterr().out)
+        assert main(["rate", str(path), "--metric", "critic_err_sq", "--t-min=-inf"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_rows"] == every["n_rows"]
+        assert doc["t_min"] == -math.inf
 
     def test_repeated_column_exit_two(self, tmp_path, capsys):
         # t,x,x used to fill x with two samples per row, misaligned with t

@@ -470,7 +470,7 @@ def test_run_matches_reference_stepper(algo, noise, radius, steps):
 @pytest.mark.parametrize("algo,noise,radius,steps", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_one_hot_branch_matches_dense_branch(monkeypatch, algo, noise, radius, steps):
     # the tabular policy and one_hot_reduced features take the one-hot branch
-    # of the scalar kernel; with its detection off they take the dense one
+    # of the stepper; with its detection off they take the dense one
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
     fmap = make_features("one_hot_reduced", mdp)
@@ -579,6 +579,24 @@ def test_action_columns(edit, one_hot):
         assert cols is None
 
 
+def make_stepper(mdp, pol, fmap, sched, uv_radius, actor_radius=None):
+    """_make_step of a config of these, with the critic radius uv_radius."""
+    cfg = RunConfig(mdp=mdp, policy=pol, features=fmap, schedule=sched, steps=0,
+                    actor_radius=actor_radius)
+    return learner._make_step(cfg, uv_radius)
+
+
+def seed_record(theta, v, u, L=0.0, s=0):
+    """A stepper record at these iterates with the segment's draws u, and no
+    generator or tail."""
+    return learner._Seed(rng=None, s=s, L=L, v=v, theta=theta, tail=None, u=u)
+
+
+def record_state(seed):
+    """theta, v, L, s and the |delta| sum of a record."""
+    return seed.theta, seed.v, seed.L, seed.s, seed.delta_sum
+
+
 @pytest.mark.parametrize("one_hot", [True, False])
 def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     # one state, two actions, theta = (t, -t) just inside the actor radius:
@@ -594,14 +612,11 @@ def test_radial_unlikely_action_is_projected(monkeypatch, one_hot):
     assert np.linalg.norm(psi) > 1.2
     if not one_hot:
         monkeypatch.setattr(learner, "_action_columns", lambda x: None)
-    advance = learner._make_step(mdp, pol, FeatureMap(np.ones((1, 1))), sched, 5.0, 0.0,
-                                 radius)
-    theta, v = [pol.theta.tolist()], [[0.0]]
-    u = [[0.0, 0.5, 0.999, 0.5]]  # actions 0, then 1
-    failed = {}
-    assert advance(0, 2, u, [0], theta, v, [0.0], [0], [0.0], None, failed) == 2
-    assert failed == {}
-    assert abs(np.linalg.norm(theta[0]) - radius) < 1e-12
+    advance = make_stepper(mdp, pol, FeatureMap(np.ones((1, 1))), sched, 5.0, radius)
+    seed = seed_record(pol.theta.tolist(), [0.0], [0.0, 0.5, 0.999, 0.5])  # actions 0, then 1
+    advance(0, 2, [seed], False)
+    assert seed.error is None
+    assert abs(np.linalg.norm(seed.theta) - radius) < 1e-12
 
 
 def test_huge_critic_radius_projects():
@@ -610,13 +625,12 @@ def test_huge_critic_radius_projects():
     mdp = four_state_easy()
     pol, fmap, radius = tabular_policy(mdp), make_features("one_hot_reduced", mdp), 1e160
     assert radius * radius == math.inf
-    advance = learner._make_step(mdp, pol, fmap, FROZEN, radius, 0.0, None)
-    theta, v = [pol.theta.tolist()], [[1e180, 0.0, 0.0]]
-    failed = {}
-    assert advance(0, 3, [[0.3, 0.6] * 3], [0], theta, v, [0.0], [0], [0.0], None, failed) == 3
-    assert failed == {}
-    assert math.hypot(*v[0]) <= radius * (1.0 + 1e-12)
-    assert v[0][0] > 0.9 * radius
+    advance = make_stepper(mdp, pol, fmap, FROZEN, radius)
+    seed = seed_record(pol.theta.tolist(), [1e180, 0.0, 0.0], [0.3, 0.6] * 3)
+    advance(0, 3, [seed], False)
+    assert seed.error is None
+    assert math.hypot(*seed.v) <= radius * (1.0 + 1e-12)
+    assert seed.v[0] > 0.9 * radius
 
 
 def diverging_configs(kind):
@@ -652,14 +666,17 @@ def test_overflow_gives_diverged(kind, coef, n):
             assert re.fullmatch(pattern, str(res))
 
 
-def nan_kernel_inputs(make, iterate, n, nan_row):
+def nan_kernel_inputs(make, iterate, draws, nan_row):
+    """advance on four-state and a record per flat list of draws, at zero
+    iterates but the first entry of record nan_row's critic or actor, a NaN."""
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
-    advance = make(mdp, pol, make_features("one_hot_reduced", mdp), algo_schedule("ca"),
-                   5.0, 0.0, 1.0)
-    theta, v = [[0.0] * pol.dim for _ in range(n)], [[0.0] * 3 for _ in range(n)]
-    (v if iterate == "critic" else theta)[nan_row][0] = math.nan
-    return advance, [theta, v, [0.0] * n, [i % mdp.n_states for i in range(n)], [0.0] * n, None]
+    cfg = RunConfig(mdp=mdp, policy=pol, features=make_features("one_hot_reduced", mdp),
+                    schedule=algo_schedule("ca"), steps=0, actor_radius=1.0)
+    seeds = [seed_record([0.0] * pol.dim, [0.0] * 3, u, s=i % mdp.n_states)
+             for i, u in enumerate(draws)]
+    (seeds[nan_row].v if iterate == "critic" else seeds[nan_row].theta)[0] = math.nan
+    return make(cfg, 5.0), seeds
 
 
 def flat_draws(u):
@@ -667,107 +684,79 @@ def flat_draws(u):
     return [u[:, :, n].ravel().tolist() for n in range(u.shape[2])]
 
 
-def one_seed(state, i):
-    """Seed i's slot of the kernel state, copied, as a batch of one."""
-    return [copy.deepcopy(a[i:i + 1]) for a in state[:5]] + [None]
-
-
 @pytest.mark.parametrize("make", [learner._make_step])
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
 def test_nan_iterate_reports_diverged(make, iterate):
     # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
-    advance, state = nan_kernel_inputs(make, iterate, 1, 0)
-    failed = {}
+    advance, seeds = nan_kernel_inputs(make, iterate, [[0.5] * 10], 0)
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, [[0.5] * 10], [0], *state, failed) == 1
-    assert list(failed) == [0]
-    assert isinstance(failed[0], Diverged)
-    assert str(failed[0]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
+        advance(0, 5, seeds, False)
+    assert isinstance(seeds[0].error, Diverged)
+    assert str(seeds[0].error).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
 
 
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
 def test_nan_row_leaves_the_other_rows(iterate):
-    # row 1 is reported alone, as it is when it runs alone; its iterates are
-    # left as they were handed in
-    u = np.random.default_rng(3).random((5, 2, 3))
-    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
-    row = one_seed(state, 1)
-    failed = {}
+    # row 1 stops at step 0 and is reported alone; rows 0 and 2 run the whole
+    # segment; each row ends as it does when it runs alone
+    draws = flat_draws(np.random.default_rng(3).random((5, 2, 3)))
+    advance, seeds = nan_kernel_inputs(learner._make_step, iterate, draws, 1)
+    solo = copy.deepcopy(seeds)
     with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u), [0, 1, 2], *state, failed) == 5
-    assert list(failed) == [1]
-    one = {}
-    with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u[:, :, 1:2]), [0], *row, one) == 1
-    assert list(one) == [0]
-    assert str(one[0]) == str(failed[1])
-    for a, b in zip(state[:2], row[:2]):
-        assert np.array_equal(a[1:2], b, equal_nan=True)
-
-
-@pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_scalar_kernel_steps_every_row(iterate):
-    # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
-    u = np.random.default_rng(3).random((5, 2, 3))
-    advance, state = nan_kernel_inputs(learner._make_step, iterate, 3, 1)
-    rows = [one_seed(state, i) for i in range(3)]
-    failed = {}
-    with np.errstate(invalid="ignore"):
-        assert advance(0, 5, flat_draws(u), [0, 1, 2], *state, failed) == 5
-    assert list(failed) == [1]
-    assert str(failed[1]).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
-    for i in (0, 2):
-        one = {}
-        assert advance(0, 5, flat_draws(u[:, :, i:i + 1]), [0], *rows[i], one) == 5
-        assert one == {}
-        for a, b in zip(state[:5], rows[i][:5]):
-            assert np.array_equal(a[i:i + 1], b)
+        advance(0, 5, seeds, False)
+    assert [seed.error is None for seed in seeds] == [True, False, True]
+    assert str(seeds[1].error).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
+    for seed, alone in zip(seeds, solo):
+        with np.errstate(invalid="ignore"):
+            advance(0, 5, [alone], False)
+        assert str(alone.error) == str(seed.error)
+        for a, b in zip(record_state(seed), record_state(alone)):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def two_failures_and_a_survivor():
-    """advance and a 3-seed state at steps 3 .. 8 on four-state: seed 0's huge
-    L overflows its critic at step 3; seed 1 walks 0 -> 1 -> 2, and at step 4
+    """advance and 3 records at steps 3 .. 8 on four-state: seed 0's huge L
+    overflows its critic at step 3; seed 1 walks 0 -> 1 -> 2, and at step 4
     v[2] = 1e10 makes a delta whose actor step (c_alpha = 1e150) overflows
     theta; seed 2 keeps to the balls, its theta projected most steps."""
     mdp = four_state_easy()
     pol = tabular_policy(mdp)
-    advance = learner._make_step(mdp, pol, make_features("one_hot_reduced", mdp),
-                                 StepSchedule(c_alpha=1e150, c_gamma=1.5), 1e11, 0.0, 1.0)
-    theta = [[0.0] * pol.dim, [0.0] * pol.dim, [0.1 * i for i in range(pol.dim)]]
-    v = [[0.0] * 3, [0.0, 0.0, 1e10], [0.1, -0.2, 0.3]]
-    state = [theta, v, [1e300, 0.0, 0.2], [0, 0, 2], [0.0, 0.0, 0.0], None]
+    advance = make_stepper(mdp, pol, make_features("one_hot_reduced", mdp),
+                           StepSchedule(c_alpha=1e150, c_gamma=1.5), 1e11, actor_radius=1.0)
     # draws per step: (action, next state); 0.75 then 0.5 takes action 1 and its likeliest
     # next state, 0 -> 1 -> 2
-    u = [[0.5] * 12, [0.75, 0.5] * 6, np.random.default_rng(4).random(12).tolist()]
-    return advance, state, u
+    seeds = [seed_record([0.0] * pol.dim, [0.0] * 3, [0.5] * 12, L=1e300),
+             seed_record([0.0] * pol.dim, [0.0, 0.0, 1e10], [0.75, 0.5] * 6),
+             seed_record([0.1 * i for i in range(pol.dim)], [0.1, -0.2, 0.3],
+                         np.random.default_rng(4).random(12).tolist(), L=0.2, s=2)]
+    return advance, seeds
 
 
 def test_seed_major_failures_equal_solo_segments():
-    advance, state, u = two_failures_and_a_survivor()
-    solo = [one_seed(state, i) for i in range(3)]
-    pair = [copy.deepcopy(a[:2]) for a in state[:5]] + [None]
-    failed, live = {}, [0, 1, 2]
-    assert advance(3, 9, u, live, *state, failed) == 9
-    assert live == [2]
-    assert str(failed[0]).startswith("critic diverged at step 3: its squared norm is inf")
-    assert str(failed[1]).startswith("actor diverged at step 4: its squared norm is inf")
+    advance, seeds = two_failures_and_a_survivor()
+    solo, pair = copy.deepcopy(seeds), copy.deepcopy(seeds[:2])
+    advance(3, 9, seeds, False)
+    assert [seed.error is None for seed in seeds] == [False, False, True]
+    assert str(seeds[0].error).startswith("critic diverged at step 3: its squared norm is inf")
+    assert str(seeds[1].error).startswith("actor diverged at step 4: its squared norm is inf")
     # a failed seed keeps L_{t+1}, v and theta of its failing step, and s_t
-    theta, v, L, s, delta_sum = (a[:2] for a in state[:5])
-    assert (s, L, delta_sum) == ([0, 1], [1e300 + 0.75 * (0.0 - 1e300), 0.0], [0.0, 0.0])
-    assert learner._dot(v[0], v[0]) == math.inf and v[1][:2] == [0.0, 1.5 / 5 ** 0.51 * 1e10]
-    assert theta[0] == [0.0] * 8 and learner._dot(theta[1], theta[1]) == math.inf
-    assert state[0][2] != solo[2][0][0]  # the survivor's theta moved
-    for i, steps_run in ((0, 1), (1, 2), (2, 6)):
-        one = {}
-        assert advance(3, 9, [u[i]], [0], *solo[i], one) == 3 + steps_run
-        assert [str(exc) for exc in one.values()] == ([str(failed[i])] if i < 2 else [])
-        for a, b in zip(state[:5], solo[i][:5]):  # theta, v, L, s and the |delta| sum
-            assert a[i:i + 1] == b
-    # with every seed failing, one past the later failing step
-    both = {}
-    assert advance(3, 9, u[:2], [1, 0], *pair, both) == 5
-    assert sorted(both) == [0, 1]
-    assert [a[:2] for a in state[:5]] == pair[:5]
+    failed = seeds[:2]
+    assert [(seed.s, seed.L, seed.delta_sum) for seed in failed] == [
+        (0, 1e300 + 0.75 * (0.0 - 1e300), 0.0), (1, 0.0, 0.0)]
+    assert learner._dot(failed[0].v, failed[0].v) == math.inf
+    assert failed[1].v[:2] == [0.0, 1.5 / 5 ** 0.51 * 1e10]
+    assert failed[0].theta == [0.0] * 8
+    assert learner._dot(failed[1].theta, failed[1].theta) == math.inf
+    assert seeds[2].theta != solo[2].theta  # the survivor's theta moved
+    for seed, alone in zip(seeds, solo):
+        advance(3, 9, [alone], False)
+        assert str(alone.error) == str(seed.error)
+        assert record_state(alone) == record_state(seed)
+    # with every seed failing, in the other order
+    advance(3, 9, pair[::-1], False)
+    for seed, alone in zip(seeds, pair):
+        assert str(alone.error) == str(seed.error)
+        assert record_state(alone) == record_state(seed)
 
 
 def without_wall(rows):
@@ -840,7 +829,7 @@ class TestRunBatch:
         monkeypatch.setattr(learner, "_make_step", counting)
         return built
 
-    def test_frozen_batch_takes_the_scalar_kernel(self, monkeypatch):
+    def test_frozen_batch_builds_one_kernel(self, monkeypatch):
         # one build of the one kernel serves the whole batch
         built = self.count_kernel_builds(monkeypatch)
         cfg, seeds = self.config(schedule=FROZEN, reward_noise=0.3), self.seeds(8)
@@ -850,7 +839,7 @@ class TestRunBatch:
             self.assert_matches_run(cfg, seed, res)  # run itself is the N = 1 case
 
     @pytest.mark.parametrize("case", ["ca", "ac-noise", "stac-actor-radius"])
-    def test_moving_batch_below_8_takes_the_scalar_kernel(self, monkeypatch, case):
+    def test_moving_batch_builds_one_kernel(self, monkeypatch, case):
         # a moving batch of any size, 7 seeds here, steps in the one kernel,
         # built once for the batch
         built = self.count_kernel_builds(monkeypatch)
