@@ -695,23 +695,40 @@ def test_nan_iterate_reports_diverged(make, iterate):
     assert str(seeds[0].error).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
 
 
-@pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_nan_row_leaves_the_other_rows(iterate):
-    # row 1 stops at step 0 and is reported alone; rows 0 and 2 run the whole
-    # segment; each row ends as it does when it runs alone
+def nan_segment_and_solo_runs(iterate):
+    """The 3 records of a 5-step segment whose row 1 holds a NaN, after the
+    segment, and each record after running the same segment alone."""
     draws = flat_draws(np.random.default_rng(3).random((5, 2, 3)))
     advance, seeds = nan_kernel_inputs(learner._make_step, iterate, draws, 1)
     solo = copy.deepcopy(seeds)
     with np.errstate(invalid="ignore"):
         advance(0, 5, seeds, False)
+        for alone in solo:
+            advance(0, 5, [alone], False)
+    return seeds, solo
+
+
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_nan_row_leaves_the_other_rows(iterate):
+    # row 1 is reported alone, as it is when it runs alone, and ends as it
+    # does alone
+    seeds, solo = nan_segment_and_solo_runs(iterate)
     assert [seed.error is None for seed in seeds] == [True, False, True]
     assert str(seeds[1].error).startswith(f"{iterate} diverged at step 0: its squared norm is nan")
-    for seed, alone in zip(seeds, solo):
-        with np.errstate(invalid="ignore"):
-            advance(0, 5, [alone], False)
-        assert str(alone.error) == str(seed.error)
-        for a, b in zip(record_state(seed), record_state(alone)):
-            assert np.array_equal(a, b, equal_nan=True)
+    assert str(solo[1].error) == str(seeds[1].error)
+    for a, b in zip(record_state(seeds[1]), record_state(solo[1])):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("iterate", ["critic", "actor"])
+def test_scalar_kernel_steps_every_row(iterate):
+    # row 1 stops at step 0; rows 0 and 2 run the whole segment, each as alone
+    seeds, solo = nan_segment_and_solo_runs(iterate)
+    assert [seed.error is None for seed in seeds] == [True, False, True]
+    for i in (0, 2):
+        assert solo[i].error is None
+        for a, b in zip(record_state(seeds[i]), record_state(solo[i])):
+            assert np.array_equal(a, b)
 
 
 def two_failures_and_a_survivor():
