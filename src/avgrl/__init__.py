@@ -15,8 +15,8 @@ from .envs import (
 from .errors import AvgrlError
 from .features import AssumptionReport, FeatureMap, check_assumption2, make_features, matrix_A
 from .learner import (
-    LearnerState,
     RunConfig,
+    Snapshot,
     StepSchedule,
     algo_schedule,
     run,

@@ -239,8 +239,7 @@ def cmd_validate(opts: dict) -> int:
     doc["schedule"] = dataclasses.asdict(flags)
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:
-            json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            _dump_json(doc, fh)
     return 0 if (a1 and a2 and a3 and flags.tracker_ok and not not_finite) else 1
 
 
@@ -254,6 +253,12 @@ def _finite_or_null(obj):
     if isinstance(obj, (list, tuple)):
         return [_finite_or_null(v) for v in obj]
     return obj
+
+
+def _dump_json(doc, fh) -> None:
+    """doc as strict JSON (non-finite floats as null), indented, and a newline."""
+    json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
+    fh.write("\n")
 
 
 def _positive_int(opts: dict, key: str) -> int:
@@ -325,13 +330,7 @@ def _sidecar(opts: dict, features_name: str, config: learner.RunConfig,
             "c_alpha": sched.c_alpha, "c_beta": sched.c_beta, "c_gamma": sched.c_gamma,
             "nu": sched.nu, "sigma": sched.sigma, "gamma_exp": sched.gamma_exp,
         },
-        "final": {
-            "t": result.final.t,
-            "L": result.final.L,
-            "s": result.final.s,
-            "v": [float(x) for x in result.final.v],
-            "theta": [float(x) for x in result.final.theta],
-        },
+        "final": dataclasses.asdict(result.final),
         "host": _host(),
     }
 
@@ -344,8 +343,7 @@ def cmd_train(opts: dict) -> int:
     metrics.write_metrics_csv(out, result.rows)
     sidecar_path = os.path.splitext(out)[0] + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
-        json.dump(_sidecar(opts, features_name, config, result), fh, indent=2)
-        fh.write("\n")
+        _dump_json(_sidecar(opts, features_name, config, result), fh)
     gain = f" L(theta_T)={result.rows[-1].L_theta:.6g}" if result.rows else ""
     print(f"wrote {out} ({len(result.rows)} rows); final L_t={result.final.L:.6g}{gain}")
     return 0
@@ -391,10 +389,9 @@ def cmd_sweep(opts: dict) -> int:
     with open(os.path.join(out_dir, "aggregate.csv"), "w", encoding="utf-8") as fh:
         fh.write(agg)
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump({"seeds": seeds, "failed": failures, "features": features_name,
-                   "opts": {k: v for k, v in opts.items() if k != "theta"}, "host": _host()},
-                  fh, indent=2)
-        fh.write("\n")
+        _dump_json({"seeds": seeds, "failed": failures, "features": features_name,
+                    "opts": {k: v for k, v in opts.items() if k != "theta"}, "host": _host()},
+                   fh)
     for seed, msg in failures:
         print(f"seed {seed} failed: {msg}", file=sys.stderr)
     print(f"wrote {out_dir}/ ({len(results)}/{len(seeds)} seeds)")
@@ -418,10 +415,10 @@ def cmd_rate(files: list[str], opts: dict) -> int:
     if not np.isfinite(ys).all():
         raise ParseError(f"the mean of {metric} at t = {ts[~np.isfinite(ys)][0]:g} overflows")
     est = metrics.rate_slope(ts, ys, t_min=t_min, metric=metric)
-    print(json.dumps({
+    _dump_json({
         "metric": est.metric, "slope": est.slope, "r_squared": est.r_squared,
         "n_rows": est.n_rows, "t_min": est.t_min,
-    }, indent=2))
+    }, sys.stdout)
     return 0
 
 
@@ -465,7 +462,7 @@ def cmd_solve(opts: dict) -> int:
         "lambda_theta": lam,
         "mixing": mixing,
     }
-    print(json.dumps(doc, indent=2))
+    _dump_json(doc, sys.stdout)
     return 0
 
 

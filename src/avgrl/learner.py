@@ -34,7 +34,7 @@ made beforehand, min us per seed-step of the stepper over 15 runs:
 The segment loop calls no numpy.  A seed's state is Python floats from its
 first step to its final state, held by its record for the whole run: L, s
 and the |delta| sum as numbers, theta, v and the tail sum as lists.  Arrays
-are built from it only for a metrics row and for the final result.  One
+are built from it only for a metrics row; its final state is a Snapshot.  One
 softmax, _softmax_cum (libm's math.exp, sums left to right), builds the frozen
 actor's table at theta_0 and steps a moving one; every dot product and squared
 norm is a left-to-right _dot, never the builtin sum, which compensates from
@@ -62,6 +62,7 @@ np.searchsorted(side="right") would, by bisect.bisect_right on a list.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from bisect import bisect_right
@@ -486,22 +487,23 @@ class RunConfig:
                 "tracker would expand (|1 - gamma_0| > 1); lower c_gamma or c_alpha")
 
 
-@dataclass
-class LearnerState:
-    """Final iterate of a run; rng is the generator after the last draw."""
+@dataclass(frozen=True)
+class Snapshot:
+    """A seed's run state after step t in plain values: v and theta as tuples,
+    rng its generator's position (bit_generator.state, arrays as lists of ints)."""
 
     t: int
     L: float
-    v: np.ndarray
-    theta: np.ndarray
     s: int
-    rng: np.random.Generator
+    v: tuple
+    theta: tuple
+    rng: dict
 
 
 @dataclass
 class RunResult:
     rows: list
-    final: LearnerState
+    final: Snapshot
     uv_radius: float
     v_tail_avg: np.ndarray | None = None
 
@@ -601,7 +603,7 @@ def run_batch(config: RunConfig, seeds: list[int]) -> list[RunResult | AvgrlErro
     tail_n = steps - tail_from
     return [seed.error if seed.error is not None else RunResult(
         rows=seed.rows, uv_radius=uv_radius,
-        final=LearnerState(t=steps, L=seed.L, v=np.array(seed.v), theta=np.array(seed.theta),
-                           s=seed.s, rng=seed.rng),
+        final=Snapshot(steps, seed.L, seed.s, tuple(seed.v), tuple(seed.theta), rng=json.loads(
+            json.dumps(seed.rng.bit_generator.state, default=np.ndarray.tolist))),
         v_tail_avg=np.array(seed.tail) / tail_n if tail_n > 0 else None,
     ) for seed in batch]

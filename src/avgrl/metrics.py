@@ -293,12 +293,13 @@ def rate_slope(
 ) -> RateEstimate:
     """OLS slope of log(windowed metric) against log t for rows with t >= t_min.
 
-    Raises InvalidSpec for a NaN t_min, which would keep no row (-inf keeps
-    every row), and InsufficientData when fewer than 10 windowed rows survive
-    the cut.
+    Raises InvalidSpec for a NaN or +inf t_min, either of which would keep no
+    row (-inf keeps every row), and InsufficientData when fewer than 10
+    windowed rows survive the cut.
     """
-    if math.isnan(t_min):
-        raise InvalidSpec(f"t_min must be a number, got {t_min}")
+    if not t_min < math.inf:  # NaN or +inf
+        raise InvalidSpec(f"t_min must be {'a number' if math.isnan(t_min) else 'below inf'}, "
+                          f"got {t_min}")
     wt, wv = windowed_geomean(np.asarray(ts, dtype=float), np.asarray(ys, dtype=float))
     keep = wt >= t_min
     wt, wv = wt[keep], wv[keep]

@@ -158,12 +158,30 @@ class TestValidate:
         assert strict_json(report)["schedule"]["ratio"] is None
 
 
-def strict_json(path):
-    """The JSON document in path, refusing NaN, Infinity and -Infinity."""
+def strict_json(path=None, text=None):
+    """The JSON document in path (or text), refusing NaN, Infinity and -Infinity."""
     def refuse(constant):
-        raise ValueError(f"{path}: non-JSON constant {constant}")
+        raise ValueError(f"{path or 'text'}: non-JSON constant {constant}")
 
-    return json.loads(Path(path).read_text(), parse_constant=refuse)
+    return json.loads(Path(path).read_text() if text is None else text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,written,path", [
+    (["train", "--uv", "inf", "--out", "run.csv"], "run.json", ["uv_radius"]),
+    (["sweep", "--uv", "inf", "--seeds", "2", "--out", "out"], "out/sweep.json", ["opts", "uv"]),
+    (["sweep", "--actor-radius", "inf", "--seeds", "2", "--out", "out"], "out/sweep.json",
+     ["opts", "actor_radius"]),
+], ids=["train-uv", "sweep-uv", "sweep-actor-radius"])
+def test_infinite_option_writes_null(tmp_path, monkeypatch, capsys, argv, written, path):
+    # an infinite radius is a valid input; the sidecar and sweep.json hold
+    # null for it, as validate's report does, not the non-JSON Infinity
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--env", "four-state", "--steps", "20", "--metrics-every", "10"]) == 0
+    capsys.readouterr()
+    doc = strict_json(written)
+    for key in path:
+        doc = doc[key]
+    assert doc is None
 
 
 class TestTrain:
@@ -549,15 +567,25 @@ class TestRate:
         assert captured.err == "error: t_min must be a number, got nan\n"
         assert captured.out == ""
 
+    def test_inf_t_min_exit_two(self, tmp_path, capsys):
+        # like NaN, a cut at +inf keeps no row; it used to exit 1 as too few rows
+        path = tmp_path / "decay.csv"
+        write_power_law_csv(str(path), -0.5)
+        rc = main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "inf"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error: t_min must be below inf, got inf\n"
+        assert captured.out == ""
+
     def test_minus_inf_t_min_keeps_every_row(self, tmp_path, capsys):
         path = tmp_path / "decay.csv"
         write_power_law_csv(str(path), -0.5)
         assert main(["rate", str(path), "--metric", "critic_err_sq", "--t-min", "1"]) == 0
         every = json.loads(capsys.readouterr().out)
         assert main(["rate", str(path), "--metric", "critic_err_sq", "--t-min=-inf"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(text=capsys.readouterr().out)
         assert doc["n_rows"] == every["n_rows"]
-        assert doc["t_min"] == -math.inf
+        assert doc["t_min"] is None  # strict JSON has no -Infinity
 
     def test_repeated_column_exit_two(self, tmp_path, capsys):
         # t,x,x used to fill x with two samples per row, misaligned with t

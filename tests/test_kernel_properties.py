@@ -28,7 +28,7 @@ def run_outcome(cfg, seed):
     rows = [{k: v for k, v in dataclasses.asdict(row).items() if k != "wall_ns"}
             for row in res.rows]
     f = res.final
-    return rows, f.t, f.s, f.L, f.v.tolist(), f.theta.tolist()
+    return rows, f.t, f.s, f.L, list(f.v), list(f.theta)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -4,6 +4,7 @@ import ast
 import copy
 import dataclasses
 import inspect
+import json
 import math
 import re
 import textwrap
@@ -666,7 +667,7 @@ def test_overflow_gives_diverged(kind, coef, n):
             assert re.fullmatch(pattern, str(res))
 
 
-def nan_kernel_inputs(make, iterate, draws, nan_row):
+def nan_kernel_inputs(iterate, draws, nan_row):
     """advance on four-state and a record per flat list of draws, at zero
     iterates but the first entry of record nan_row's critic or actor, a NaN."""
     mdp = four_state_easy()
@@ -676,7 +677,7 @@ def nan_kernel_inputs(make, iterate, draws, nan_row):
     seeds = [seed_record([0.0] * pol.dim, [0.0] * 3, u, s=i % mdp.n_states)
              for i, u in enumerate(draws)]
     (seeds[nan_row].v if iterate == "critic" else seeds[nan_row].theta)[0] = math.nan
-    return make(cfg, 5.0), seeds
+    return learner._make_step(cfg, 5.0), seeds
 
 
 def flat_draws(u):
@@ -684,11 +685,10 @@ def flat_draws(u):
     return [u[:, :, n].ravel().tolist() for n in range(u.shape[2])]
 
 
-@pytest.mark.parametrize("make", [learner._make_step])
 @pytest.mark.parametrize("iterate", ["critic", "actor"])
-def test_nan_iterate_reports_diverged(make, iterate):
+def test_nan_iterate_reports_diverged(iterate):
     # NaN <= r * r is false, as is NaN > r * r: a NaN must not skip the check
-    advance, seeds = nan_kernel_inputs(make, iterate, [[0.5] * 10], 0)
+    advance, seeds = nan_kernel_inputs(iterate, [[0.5] * 10], 0)
     with np.errstate(invalid="ignore"):
         advance(0, 5, seeds, False)
     assert isinstance(seeds[0].error, Diverged)
@@ -699,7 +699,7 @@ def nan_segment_and_solo_runs(iterate):
     """The 3 records of a 5-step segment whose row 1 holds a NaN, after the
     segment, and each record after running the same segment alone."""
     draws = flat_draws(np.random.default_rng(3).random((5, 2, 3)))
-    advance, seeds = nan_kernel_inputs(learner._make_step, iterate, draws, 1)
+    advance, seeds = nan_kernel_inputs(iterate, draws, 1)
     solo = copy.deepcopy(seeds)
     with np.errstate(invalid="ignore"):
         advance(0, 5, seeds, False)
@@ -814,11 +814,7 @@ class TestRunBatch:
         ref = run(cfg, seed)
         assert isinstance(res, RunResult)
         assert without_wall(res.rows) == without_wall(ref.rows)
-        a, b = res.final, ref.final
-        assert (a.t, a.s, a.L) == (b.t, b.s, b.L)
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.theta, b.theta)
-        assert a.rng.random() == b.rng.random()  # both stopped on the same draw
+        assert res.final == ref.final  # t, s, L, v, theta and the generator's position
         assert res.uv_radius == ref.uv_radius
         if ref.v_tail_avg is None:
             assert res.v_tail_avg is None
@@ -899,7 +895,7 @@ class TestRunBatch:
         for i in (0, 2):
             assert without_wall(results[i].rows) == without_wall(clean[i].rows)
             assert np.array_equal(results[i].final.theta, clean[i].final.theta)
-            assert results[i].final.rng.random() == clean[i].final.rng.random()
+            assert results[i].final.rng == clean[i].final.rng
 
     def test_diverged_and_failed_row_leave_the_others(self, monkeypatch):
         # seed 3's actor overflows at step 1 and seed 5's row at step 150
@@ -1001,11 +997,34 @@ def test_draw_block_size_leaves_runs_unchanged(monkeypatch, case, block):
             assert type(res) is type(ref) and str(res) == str(ref)
             continue
         assert without_wall(res.rows) == without_wall(ref.rows)
-        a, b = res.final, ref.final
-        assert (a.t, a.s, a.L) == (b.t, b.s, b.L)
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.theta, b.theta)
-        assert a.rng.random() == b.rng.random()  # both stopped on the same draw
+        assert res.final == ref.final  # t, s, L, v, theta and the generator's position
         assert (res.v_tail_avg is None) == (ref.v_tail_avg is None)
         if ref.v_tail_avg is not None:
             assert np.array_equal(res.v_tail_avg, ref.v_tail_avg)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+def test_final_rng_is_the_position_after_k_uniforms_a_step(noise):
+    # a seed's generator draws its initial state, then k uniforms a step (k = 2,
+    # 3 with reward noise) however segments and rows cut them: its final
+    # position is that of one integers call and one random call.  Rows every
+    # 1500 steps and the _DRAW_BLOCK cap cut 2500 steps at 1024 and 1500
+    mdp = four_state_easy()
+    steps, k = 2500, 3 if noise else 2
+    cfg = RunConfig(mdp=mdp, policy=tabular_policy(mdp),
+                    features=make_features("one_hot_reduced", mdp),
+                    schedule=algo_schedule("ca"), steps=steps, metrics_every=1500,
+                    uv_radius=5.0, reward_noise=noise)
+    assert 1500 > _DRAW_BLOCK
+    results = [(5, run(cfg, 5)), *zip(range(5, 8), run_batch(cfg, [5, 6, 7]), strict=True)]
+    for seed, res in results:
+        assert [row.t for row in res.rows] == [1500, 2500]
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.integers(mdp.n_states)
+        rng.random(k * steps)
+        expected = rng.bit_generator.state
+        expected["state"] = {key: val.tolist() for key, val in expected["state"].items()}
+        expected["buffer"] = expected["buffer"].tolist()
+        assert res.final.rng == expected
+        # plain values only (no array, no Generator): the snapshot writes as JSON
+        json.dumps(dataclasses.asdict(res.final), allow_nan=False)
